@@ -1,9 +1,15 @@
 """Approximate counting and sampling far beyond the exact algorithm's range.
 
 Almost every large labeled chordal graph is a split graph, so truncated
-split-graph sums give certified (1 +- eps)-approximations in milliseconds
-where the exact dynamic program would take days.  The windows are narrow: the
-demo prints how few terms survive truncation and how little accuracy costs.
+split-graph sums give certified (1 +- eps)-approximations where the exact
+dynamic program would take days.  The windows are narrow: the demo prints how
+few terms survive truncation and how little accuracy costs.
+
+Measured on a 2-core x86-64 machine with CPython 3.11, one
+`chordal-lab approx-count --epsilon 1e-3` process end to end, printing the
+exact decimal count included: 0.5 s at n = 1000 (75k digits) and 8 s at
+n = 3000 (678k digits).  The cost follows the size of the count, about
+n**2 / 4 bits, so it grows much faster than n.
 
 Run: python demos/approximate_large_n.py
 """
@@ -14,25 +20,22 @@ from fractions import Fraction
 from chordal_lab import (
     RandomStream,
     approx_count_chordal,
+    decimal_string,
     sample_split_draw,
     split_count_q0_full,
     split_count_q0_truncated,
     split_partition,
     threshold_g,
 )
-from chordal_lab.cli import allow_huge_decimal_output
-
-allow_huge_decimal_output()
 
 print("== Approximate counts of labeled chordal graphs (eps = 1e-6) ==")
 print("   (below the dispatch boundary the exact algorithm would run instead)")
 for n in (150, 200, 400, 800):
     t0 = time.time()
-    value = approx_count_chordal(n, "1e-6")
+    text = decimal_string(approx_count_chordal(n, "1e-6"))
     dt = time.time() - t0
-    digits = len(str(value))
-    print(f"  n={n:>4}: {digits:>6} decimal digits, {dt * 1000:7.1f} ms "
-          f"(leading digits {str(value)[:12]}...)")
+    print(f"  n={n:>4}: {len(text):>6} decimal digits, {dt * 1000:7.1f} ms "
+          f"(leading digits {text[:12]}...)")
 
 print()
 print("== What truncation keeps ==")

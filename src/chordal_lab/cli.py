@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import IO, Iterable
 
 from .counting import CountingContext
+from .decimal_text import decimal_string
 from .graphs import LabeledGraph, to_edge_list_text, to_json_dict
 from .sampling import ChordalSampler, RandomStream
 from .splits import (
@@ -25,34 +25,23 @@ from .splits import (
     as_epsilon,
 )
 
-ENV_THREADS = "CHORDAL_LAB_THREADS"
-
 
 class CliError(Exception):
     """A domain error reported as a one-line diagnostic with exit code 1."""
 
 
 def allow_huge_decimal_output() -> None:
-    """Lift the interpreter's int-to-str digit guard; counts reach n*n bits."""
+    """Lift the interpreter's int-to-str digit guard for the whole process.
+
+    The commands do not need it (they print through ``decimal_string``); it
+    is for callers that ``str()`` counts of n*n bits themselves.
+    """
     try:
         import sys as _sys
 
         _sys.set_int_max_str_digits(max(_sys.get_int_max_str_digits(), 50_000_000))
     except AttributeError:
         pass  # interpreter without the guard prints any size already
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get(ENV_THREADS)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"{ENV_THREADS} must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliError(f"{ENV_THREADS} must be at least 1, got {value}")
-    return value
 
 
 def _make_context(n: int, omega: int | None) -> CountingContext:
@@ -85,7 +74,7 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
         value = ctx.count_connected(args.n)
     else:
         value = ctx.count_all(args.n)
-    out.write(f"{value}\n")
+    out.write(decimal_string(value) + "\n")
 
 
 def cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
@@ -107,6 +96,11 @@ def cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
     _emit_graphs(gen(), args.format, out)
 
 
+def _table_row(ctx: CountingContext, n: int, omega: int) -> str:
+    return (f"{n},{omega},{decimal_string(ctx.count_connected(n))},"
+            f"{decimal_string(ctx.count_all(n))}\n")
+
+
 def cmd_tables(args: argparse.Namespace, out: IO[str]) -> None:
     if args.n < 1:
         raise CliError("tables require n >= 1")
@@ -115,17 +109,17 @@ def cmd_tables(args: argparse.Namespace, out: IO[str]) -> None:
         for omega in range(1, args.n + 1):
             ctx = CountingContext(args.n, omega)
             for n in range(omega, args.n + 1):
-                out.write(f"{n},{omega},{ctx.count_connected(n)},{ctx.count_all(n)}\n")
+                out.write(_table_row(ctx, n, omega))
     else:
         ctx = CountingContext(args.n, args.n)
         for n in range(1, args.n + 1):
-            out.write(f"{n},{n},{ctx.count_connected(n)},{ctx.count_all(n)}\n")
+            out.write(_table_row(ctx, n, n))
 
 
 def cmd_approx_count(args: argparse.Namespace, out: IO[str]) -> None:
     eps = _parse_epsilon(args.epsilon)
     value = approx_count_chordal(args.n, eps, DEFAULT_THRESHOLDS)
-    out.write(f"{value}\n")
+    out.write(decimal_string(value) + "\n")
 
 
 def cmd_approx_sample(args: argparse.Namespace, out: IO[str]) -> None:
@@ -200,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    allow_huge_decimal_output()
     try:
-        _threads_from_env()  # validated; current implementation is sequential
         if args.out is not None:
             with open(args.out, "w") as fh:
                 args.func(args, fh)

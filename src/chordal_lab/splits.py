@@ -6,7 +6,9 @@ organized by their questioning set Q (the vertices that can sit on either side
 of a split partition): the |Q| >= 2 stratum has a closed-form exact count, the
 |Q| in {0, 1} strata have two-sided sums that are themselves sharp
 approximations, and each sum concentrates on a narrow window of terms around
-its peak, which is all the fast path evaluates.
+its peak, which is all the fast path evaluates.  At large n even that window
+is skipped for |Q| >= 2: an exact-integer bound shows the whole stratum below
+a fixed 1/1024 slice of the epsilon budget.
 
 Every quantity here is exact integer or rational arithmetic; accuracy targets
 (epsilon) enter only through exactly-computed integer truncation bounds.
@@ -14,8 +16,10 @@ Every quantity here is exact integer or rational arithmetic; accuracy targets
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb
 
 from .graphs import LabeledGraph, complement, complete_graph
@@ -145,6 +149,51 @@ def split_count_q_mid_full(n: int) -> int:
         n, ((q, c) for q in range(2, n) for c in range(n - q + 1)))
 
 
+def split_count_q_ge2_bound(n: int) -> int:
+    """Exact-integer upper bound U(n) on the whole |Q| >= 2 stratum.
+
+    U(n) = 3 * C(n, 2) * 2^(s + floor(s^2/4)) with s = n - 2, for n >= 2.
+
+    Proof: with |Q| = q and s = n - q, the Q-is-a-clique family has
+    C(n, q) * sum_c C(s, c) * (2^(s-c) - 1)^c members (the cells summed by
+    ``split_count_q_ge2_exact``).  Each power is below 2^(c(s-c)), and
+    c(s-c) <= s^2/4 is an integer, so it is at most 2^floor(s^2/4); with
+    sum_c C(s, c) = 2^s the family has at most t_q = C(n, q) * 2^(s +
+    floor(s^2/4)) members.  From q to q + 1, t_q is multiplied by
+    s / (q + 1) * 2^(-1 - floor(s/2)) <= (3/4) / (q + 1) <= 1/4, because
+    s * 2^(-1 - floor(s/2)) <= 3/4 for every s >= 1.  So the families over
+    all q >= 2 (|Q| = n included) have at most (4/3) * t_2 members, and
+    complements double that: at most (8/3) * t_2 <= U(n).
+    """
+    if n < 2:
+        return 0
+    s = n - 2
+    return 3 * comb(n, 2) << (s + s * s // 4)
+
+
+def _q0_term(n: int, c: int) -> int:
+    """Term c of the two-sided |Q| = 0 sum: C(n, c) * (2^m - 1)^(n - m).
+
+    m = min(c, n - c): the smaller side's size sets the base, the larger
+    side's size the exponent.
+    """
+    m = min(c, n - c)
+    return comb(n, c) * (2 ** m - 1) ** (n - m)
+
+
+def _q1_term(n: int, c: int) -> int:
+    """Term c of the two-sided |Q| = 1 sum: n choices of the witness times
+    the |Q| = 0 term on the other n - 1 vertices."""
+    return n * _q0_term(n - 1, c)
+
+
+def _low_q_window(n: int, eps: Fraction) -> range:
+    """Clique sizes c kept by both the |Q| = 0 and the |Q| = 1 window:
+    ceil(log2(1/eps)) + 2 either side of n/2, inside the full range 2..n-2."""
+    pad = ceil_log2_inverse(eps) + 2
+    return range(max(2, n // 2 - pad), min((n + 1) // 2 + pad, n - 2) + 1)
+
+
 def split_count_q0_full(n: int) -> int:
     """Two-sided sum for the Q-empty stratum, untruncated.
 
@@ -152,23 +201,12 @@ def split_count_q0_full(n: int) -> int:
     most a factor 1 + (2/3)**(n/3)-ish; the truncated variant keeps a
     (1 - eps) fraction of it.
     """
-    total = 0
-    for c in range(2, n // 2 + 1):
-        total += comb(n, c) * (2 ** c - 1) ** (n - c)
-    for c in range(n // 2 + 1, n - 1):
-        total += comb(n, c) * (2 ** (n - c) - 1) ** c
-    return total
+    return sum(_q0_term(n, c) for c in range(2, n - 1))
 
 
 def split_count_q1_full(n: int) -> int:
     """Two-sided sum for the |Q| = 1 stratum, untruncated."""
-    total = 0
-    half = (n - 1) // 2
-    for c in range(2, half + 1):
-        total += n * comb(n - 1, c) * (2 ** c - 1) ** (n - c - 1)
-    for c in range(half + 1, n - 1):
-        total += n * comb(n - 1, c) * (2 ** (n - c - 1) - 1) ** c
-    return total
+    return sum(_q1_term(n, c) for c in range(2, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,46 +235,47 @@ def split_count_q_ge2_truncated(n: int, eps) -> int:
 
 
 def split_count_q0_truncated(n: int, eps) -> int:
-    eps = as_epsilon(eps)
-    pad = ceil_log2_inverse(eps) + 2
-    lo = max(2, n // 2 - pad)
-    hi = min((n + 1) // 2 + pad, n - 2)
-    total = 0
-    for c in range(lo, n // 2 + 1):
-        total += comb(n, c) * (2 ** c - 1) ** (n - c)
-    for c in range(n // 2 + 1, hi + 1):
-        total += comb(n, c) * (2 ** (n - c) - 1) ** c
-    return total
+    return sum(_q0_term(n, c) for c in _low_q_window(n, as_epsilon(eps)))
 
 
 def split_count_q1_truncated(n: int, eps) -> int:
-    eps = as_epsilon(eps)
-    pad = ceil_log2_inverse(eps) + 2
-    lo = max(2, n // 2 - pad)
-    hi = min((n + 1) // 2 + pad, n - 2)
-    half = (n - 1) // 2
-    total = 0
-    for c in range(lo, half + 1):
-        total += n * comb(n - 1, c) * (2 ** c - 1) ** (n - c - 1)
-    for c in range(half + 1, hi + 1):
-        total += n * comb(n - 1, c) * (2 ** (n - c - 1) - 1) ** c
-    return total
+    return sum(_q1_term(n, c) for c in _low_q_window(n, as_epsilon(eps)))
+
+
+# Share of the epsilon budget that leaving out the |Q| >= 2 stratum may use.
+SKIP_SHARE = Fraction(1, 1024)
 
 
 def approx_count_split(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> int:
-    """(1 +- eps)-approximation of the number of n-vertex labeled split graphs.
+    """(1 - eps)-approximation from below of the two-sided split-graph sum.
 
-    Sum of the three window sums plus the two |Q| = n graphs (complete and
-    edgeless).  Requires n at or past the guarantee floor.
+    The result R satisfies (1 - eps) * F <= R <= F, where
+    F = split_count_q_mid_full(n) + split_count_q0_full(n)
+        + split_count_q1_full(n) + 2.
+
+    Budget split: delta = eps * SKIP_SHARE (eps / 1024) and eps_w = eps - delta.
+    The |Q| = 0 and |Q| = 1 windows are taken at eps_w, so each keeps at least
+    (1 - eps_w) of its full sum.  The |Q| >= 2 window (at eps_w too) is added
+    only when U = split_count_q_ge2_bound(n) exceeds delta * (q0 + q1 + 2);
+    otherwise the whole stratum is left out, and F - R <= eps_w * F + U
+    <= (eps_w + delta) * F = eps * F.  The two |Q| = n graphs are always
+    counted.  At the eps = 5e-4 that approx-count at 1e-3 uses, eps_w gives
+    the same window widths as eps.
+
+    Requires n >= threshold_f(eps).  The window bounds hold from the
+    eps-independent floors n1 and n2 on; the eps-dependent part of the floor
+    is where the two-sided sums approximate the true stratum counts to eps.
     """
     eps = as_epsilon(eps)
     floor = threshold_f(eps, thresholds)
     if n < floor:
         raise ValueError(f"approx split counting needs n >= {floor} at this epsilon")
-    return (split_count_q_ge2_truncated(n, eps)
-            + split_count_q0_truncated(n, eps)
-            + split_count_q1_truncated(n, eps)
-            + 2)
+    delta = eps * SKIP_SHARE
+    eps_w = eps - delta
+    total = split_count_q0_truncated(n, eps_w) + split_count_q1_truncated(n, eps_w) + 2
+    if split_count_q_ge2_bound(n) * delta.denominator > delta.numerator * total:
+        total += split_count_q_ge2_truncated(n, eps_w)
+    return total
 
 
 def approx_count_chordal(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> int:
@@ -360,26 +399,40 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
 class _SplitPlan:
     """Precomputed stratum weights for one (n, working epsilon).
 
-    Per-cell weights of the |Q| >= 2 stratum are only materialized if that
-    branch is ever drawn; its total weight is exponentially smaller than the
-    |Q| <= 1 strata, so at realistic sizes the lazy path never runs.
+    The |Q| >= 2 branch is proposed with weight ``ge2_bound`` = U(n), an
+    upper bound on its window's total w_mid, and a proposal is kept with
+    probability w_mid / U.  Each loop iteration therefore returns that branch
+    with probability w_mid / (w0 + w1 + U + 2), in the same proportion to the
+    other branches as a proposal with weight w_mid, so the output
+    distribution is unchanged.  w_mid and the per-cell weights are
+    only computed if the branch is ever proposed; U is about 2^-976 of the
+    total at n = 1000, so at realistic sizes that never happens.
     """
 
     n: int
     w0: int
     w1: int
-    w_mid: int
+    ge2_bound: int
     mid_cells: tuple[tuple[int, int], ...]
     q01_cells: tuple[int, ...]
     q0_weights: tuple[int, ...]
     q1_weights: tuple[int, ...]
     cap: int
     mid_weights: tuple[int, ...] | None = None
+    mid_bounds: tuple[int, ...] | None = None
 
     def mid_cell_weights(self) -> tuple[int, ...]:
         if self.mid_weights is None:
             self.mid_weights = tuple(_q_mid_term(self.n, q, c) for q, c in self.mid_cells)
         return self.mid_weights
+
+    def mid_cell_at(self, r: int) -> int | None:
+        """Index of the |Q| >= 2 cell that r in [0, U) falls in, each cell
+        covering twice its weight (both Q shapes); None past w_mid."""
+        if self.mid_bounds is None:
+            self.mid_bounds = tuple(accumulate(2 * w for w in self.mid_cell_weights()))
+        i = bisect_right(self.mid_bounds, r)
+        return i if i < len(self.mid_bounds) else None
 
 
 _plan_cache: dict[tuple[int, Fraction], _SplitPlan] = {}
@@ -389,27 +442,15 @@ def _split_plan(n: int, eps_work: Fraction) -> _SplitPlan:
     plan = _plan_cache.get((n, eps_work))
     if plan is not None:
         return plan
-
-    mid_cells = tuple(_q_mid_window_cells(n, eps_work))
-    w_mid = 2 * _q_mid_sum(n, mid_cells)
-
-    pad01 = ceil_log2_inverse(eps_work) + 2
-    lo01 = max(2, n // 2 - pad01)
-    hi01 = min((n + 1) // 2 + pad01, n - 2)
-    q01_cells = tuple(range(lo01, hi01 + 1))
-    q0_weights = tuple(comb(n, c) * (2 ** c - 1) ** (n - c) if c <= n // 2
-                       else comb(n, c) * (2 ** (n - c) - 1) ** c for c in q01_cells)
-    half1 = (n - 1) // 2
-    q1_weights = tuple(n * comb(n - 1, c) * (2 ** c - 1) ** (n - c - 1) if c <= half1
-                       else n * comb(n - 1, c) * (2 ** (n - c - 1) - 1) ** c
-                       for c in q01_cells)
-
+    q01_cells = tuple(_low_q_window(n, eps_work))
+    q0_weights = tuple(_q0_term(n, c) for c in q01_cells)
+    q1_weights = tuple(_q1_term(n, c) for c in q01_cells)
     plan = _SplitPlan(
         n=n,
         w0=sum(q0_weights),
         w1=sum(q1_weights),
-        w_mid=w_mid,
-        mid_cells=mid_cells,
+        ge2_bound=split_count_q_ge2_bound(n),
+        mid_cells=tuple(_q_mid_window_cells(n, eps_work)),
         q01_cells=q01_cells,
         q0_weights=q0_weights,
         q1_weights=q1_weights,
@@ -434,7 +475,7 @@ def sample_split_draw(n: int, eps, rng: RandomStream,
     eps_work = min(eps / 2, Fraction(1, 3))
     plan = _split_plan(n, eps_work)
     for iteration in range(1, plan.cap + 1):
-        case = categorical([plan.w0, plan.w1, plan.w_mid, 2], rng)
+        case = categorical([plan.w0, plan.w1, plan.ge2_bound, 2], rng)
         if case == 3:
             labels = range(1, n + 1)
             g = complete_graph(labels) if rng.bits(1) else LabeledGraph(labels)
@@ -442,11 +483,12 @@ def sample_split_draw(n: int, eps, rng: RandomStream,
                              cyan=frozenset(), indigo=frozenset(),
                              swing=frozenset(labels))
         if case == 2:
-            q, c = plan.mid_cells[categorical(plan.mid_cell_weights(), rng)]
+            cell = plan.mid_cell_at(rng.uniform_below(plan.ge2_bound))
+            if cell is None:
+                continue
+            q, c = plan.mid_cells[cell]
             draw = _build_q_mid(n, q, c, rng)
-            draw.iterations = iteration
-            return draw
-        if case == 0:
+        elif case == 0:
             c = plan.q01_cells[categorical(plan.q0_weights, rng)]
             draw = _build_low_q(n, c, with_witness=False, rng=rng)
         else:

@@ -170,15 +170,3 @@ class TestApprox:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
-
-
-class TestEnvironment:
-    def test_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHORDAL_LAB_THREADS", "zero")
-        code, _, err = run_cli(["count", "--n", "3"], capsys)
-        assert code == 1 and "CHORDAL_LAB_THREADS" in err
-
-    def test_threads_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHORDAL_LAB_THREADS", "4")
-        code, out, _ = run_cli(["count", "--n", "3"], capsys)
-        assert code == 0 and out == "8\n"

@@ -24,6 +24,7 @@ from chordal_lab.splits import (
     split_count_q0_truncated,
     split_count_q1_full,
     split_count_q1_truncated,
+    split_count_q_ge2_bound,
     split_count_q_ge2_exact,
     split_count_q_ge2_truncated,
     split_count_q_mid_full,
@@ -138,12 +139,47 @@ class TestLowQSums:
 
 class TestApproxCountSplit:
     def test_definitional_identity(self):
+        # windows at eps_w = eps - eps/1024; the |Q| >= 2 window joins only
+        # when its stratum bound exceeds eps/1024 of the rest
+        def rest(n, eps_w):
+            return (split_count_q0_truncated(n, eps_w)
+                    + split_count_q1_truncated(n, eps_w) + 2)
+
         n, eps = 70, Fraction(1, 100)
-        assert approx_count_split(n, eps) == (
-            split_count_q_ge2_truncated(n, eps)
-            + split_count_q0_truncated(n, eps)
-            + split_count_q1_truncated(n, eps)
-            + 2)
+        eps_w = eps - eps / 1024
+        assert split_count_q_ge2_bound(n) <= eps / 1024 * rest(n, eps_w)
+        assert approx_count_split(n, eps) == rest(n, eps_w)
+
+        n, eps, th = 10, Fraction(1, 2), SplitThresholds(10, 10, 10)
+        eps_w = eps - eps / 1024
+        assert split_count_q_ge2_bound(n) > eps / 1024 * rest(n, eps_w)
+        assert approx_count_split(n, eps, th) == (
+            rest(n, eps_w) + split_count_q_ge2_truncated(n, eps_w))
+
+    @pytest.mark.parametrize("n, eps", [
+        (70, Fraction(1, 2 ** 7)),
+        (100, Fraction(1, 2 ** 7)),
+        (200, Fraction(1, 2 ** 7)),
+        (200, Fraction(1, 2 ** 20)),
+    ])
+    def test_within_budget_of_full_sum(self, n, eps):
+        full = (split_count_q_mid_full(n) + split_count_q0_full(n)
+                + split_count_q1_full(n) + 2)
+        value = approx_count_split(n, eps)
+        assert (1 - eps) * full <= value <= full
+
+    def test_q_ge2_bound_dominates_exact(self):
+        for n in range(2, 41):
+            assert split_count_q_ge2_bound(n) >= split_count_q_ge2_exact(n), n
+
+    def test_large_n_skips_q_ge2_window(self, monkeypatch):
+        import chordal_lab.splits as splits
+
+        def refuse(n, eps):
+            raise AssertionError("the |Q| >= 2 window was evaluated")
+
+        monkeypatch.setattr(splits, "split_count_q_ge2_truncated", refuse)
+        assert approx_count_chordal(1000, "1e-3") > 0
 
     def test_tighter_epsilon_widens_windows(self):
         n = 100
@@ -248,7 +284,7 @@ class TestSplitSampler:
         eps = as_epsilon("0.25")
         eps_work = min(eps / 2, Fraction(1, 3))
         _plan_cache[(n, eps_work)] = _SplitPlan(
-            n=n, w0=0, w1=0, w_mid=0, mid_cells=(), q01_cells=(),
+            n=n, w0=0, w1=0, ge2_bound=0, mid_cells=(), q01_cells=(),
             q0_weights=(), q1_weights=(), cap=4)
         try:
             rng = RandomStream(1234)
@@ -263,6 +299,40 @@ class TestSplitSampler:
         finally:
             del _plan_cache[(n, eps_work)]
         assert abs(outcomes["full"] - 200) < 4 * (400 * 0.25) ** 0.5
+
+    def test_q_ge2_proposal_kept_in_proportion(self):
+        # the |Q| >= 2 branch is proposed with its stratum bound U and kept
+        # with probability w_mid / U; inject a plan with U well above w_mid
+        # and check the kept branches split as w_mid : 2, the same as a
+        # proposal with weight w_mid itself would give
+        from chordal_lab.splits import _SplitPlan, _plan_cache, as_epsilon
+
+        n = 70
+        eps = as_epsilon("0.25")
+        eps_work = min(eps / 2, Fraction(1, 3))
+        w_mid = 2 * 3
+        _plan_cache[(n, eps_work)] = _SplitPlan(
+            n=n, w0=0, w1=0, ge2_bound=16, mid_cells=((2, 3),), q01_cells=(),
+            q0_weights=(), q1_weights=(), cap=64, mid_weights=(3,))
+        try:
+            rng = RandomStream(4321)
+            branches = Counter()
+            iterations = 0
+            for _ in range(800):
+                d = sample_split_draw(n, eps, rng)
+                branches[d.branch] += 1
+                iterations += d.iterations
+                if d.branch == "q_mid":
+                    assert (d.q, d.c) == (2, 3)
+        finally:
+            del _plan_cache[(n, eps_work)]
+        assert set(branches) <= {"q_mid", "q_full"}
+        p = w_mid / (w_mid + 2)
+        assert abs(branches["q_mid"] - 800 * p) < 4 * (800 * p * (1 - p)) ** 0.5
+        # each iteration keeps a draw with probability (w_mid + 2) / (U + 2)
+        keep = (w_mid + 2) / (16 + 2)
+        sigma = (800 * (1 - keep)) ** 0.5 / keep
+        assert abs(iterations - 800 / keep) < 4 * sigma
 
 
 class TestCellNeighborhoodLaw:
