@@ -3,7 +3,7 @@
 Everything here works from first principles (enumerate all 2**C(n,2) labeled
 graphs and test definitions directly) so it can cross-check the counting
 tables, the samplers, and the split-graph formulas without sharing any code
-path with them.
+path with them; only the names of the class arguments come from the counter.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.stats import chi2
 
+from .counting import class_params
 from .graphs import (
     LabeledGraph,
     connected_components,
@@ -219,29 +220,13 @@ def check_class_membership(kind: str, args: Sequence[int], g: LabeledGraph,
                            omega: int) -> bool:
     """Test one graph against the definition of a counted class.
 
-    ``args`` matches the counter signature: (t, x, k, z) for the root-only
-    kinds, (t, x, k) for exact_single / exact_multi, (t, x, l, k) for the
-    pinned kinds, (t, x, l, k, z) for pinned_proper_z.
+    ``args`` matches the counter signature, as ``counting.CLASS_ARGS`` names it.
     """
     from .graphs import is_chordal, max_clique_size
 
-    if kind in ("within", "exact", "exact_proper"):
-        t, x, k, z = args
-        l = 0
-    elif kind in ("exact_single", "exact_multi"):
-        t, x, k = args
-        l, z = 0, 0
-    elif kind in ("pinned", "pinned_exact", "pinned_proper"):
-        t, x, l, k = args
-        z = 0
-    elif kind == "pinned_proper_z":
-        t, x, l, k, z = args
-    else:
-        raise ValueError(f"unknown class kind {kind!r}")
-
+    t, x, l, k, z = class_params(kind, args)
     pinned = kind.startswith("pinned")
-    n_expected = x + l + k if pinned else x + k
-    if g.vertices != tuple(range(1, n_expected + 1)):
+    if g.vertices != tuple(range(1, x + l + k + 1)):
         return False
     if not is_chordal(g):
         return False
@@ -260,14 +245,10 @@ def check_class_membership(kind: str, args: Sequence[int], g: LabeledGraph,
             return False
         if not is_clique(g, root | layer):
             return False
-        if kind == "pinned_proper_z":
-            outside = [v for v in g.vertices if v > z]
-            if outside and len(connected_components(g.induced(outside))) > 1:
-                return False
-        else:
-            outside = [v for v in g.vertices if v > x]
-            if outside and len(connected_components(g.induced(outside))) > 1:
-                return False
+        cut = z if kind == "pinned_proper_z" else x
+        outside = [v for v in g.vertices if v > cut]
+        if outside and len(connected_components(g.induced(outside))) > 1:
+            return False
         if kind == "pinned":
             return True
         hull = root | layer
@@ -322,17 +303,9 @@ def check_class_membership(kind: str, args: Sequence[int], g: LabeledGraph,
 
 def class_members(kind: str, args: Sequence[int], omega: int) -> list[LabeledGraph]:
     """All members of a counted class, by filtering the full enumeration."""
-    if kind.startswith("pinned"):
-        t, x, l = args[0], args[1], args[2]
-        k = args[3]
-        n = x + l + k
-    elif kind in ("exact_single", "exact_multi"):
-        t, x, k = args
-        n = x + k
-    else:
-        t, x, k, z = args
-        n = x + k
-    return [g for g in enumerate_graphs(n) if check_class_membership(kind, args, g, omega)]
+    _, x, l, k, _ = class_params(kind, args)
+    return [g for g in enumerate_graphs(x + l + k)
+            if check_class_membership(kind, args, g, omega)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,33 @@ any number of threads; filling is single-writer.
 from __future__ import annotations
 
 import sys
-from typing import Iterator
+from typing import Iterator, Sequence
+
+# The counted class kinds and the names of their arguments, in order.
+# ``CountingContext.count_<kind>`` counts a class and
+# ``ChordalSampler._sample_<kind>`` samples it.
+CLASS_ARGS = {
+    "within": "txkz", "exact": "txkz", "exact_proper": "txkz",
+    "exact_single": "txk", "exact_multi": "txk",
+    "pinned": "txlk", "pinned_exact": "txlk", "pinned_proper": "txlk",
+    "pinned_proper_z": "txlkz",
+}
+
+
+def class_params(kind: str, args: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """(t, x, l, k, z) of one counted class, with l = z = 0 where the kind has none.
+
+    The class lives on the vertex set [x + l + k].  Raises ValueError for an
+    unknown kind or a wrong number of arguments.
+    """
+    names = CLASS_ARGS.get(kind)
+    if names is None:
+        raise ValueError(f"unknown class kind {kind!r}; expected one of {tuple(CLASS_ARGS)}")
+    if len(args) != len(names):
+        raise ValueError(f"class kind {kind!r} takes the {len(names)} arguments "
+                         f"({', '.join(names)}), got {len(args)}")
+    given = dict(zip(names, args))
+    return tuple(given.get(name, 0) for name in "txlkz")
 
 
 class DepthGuardError(RuntimeError):
@@ -488,18 +514,18 @@ class CountingContext:
 # Module-level conveniences with a small context cache
 # ---------------------------------------------------------------------------
 
-_context_cache: dict[tuple[int, int, bool], CountingContext] = {}
+_context_cache: dict[tuple[int, int], CountingContext] = {}
 
 
-def get_context(n_max: int, omega: int | None = None, factored: bool = True) -> CountingContext:
+def get_context(n_max: int, omega: int | None = None) -> CountingContext:
     """A shared context per (n_max, omega); fills are reused across calls."""
     if omega is None:
         omega = n_max
     omega_eff = min(omega, n_max) if n_max >= 1 else max(omega, 1)
-    key = (n_max, omega_eff, factored)
+    key = (n_max, omega_eff)
     ctx = _context_cache.get(key)
     if ctx is None:
-        ctx = CountingContext(n_max, omega_eff if n_max >= 1 else None, factored=factored)
+        ctx = CountingContext(n_max, omega_eff if n_max >= 1 else None)
         _context_cache[key] = ctx
     return ctx
 

@@ -149,8 +149,8 @@ def relabel(g: LabeledGraph, mapping: Mapping[int, int]) -> LabeledGraph:
 def glue(g1: LabeledGraph, g2: LabeledGraph, shared: Iterable[int]) -> LabeledGraph:
     """Union of two graphs that overlap in exactly the clique ``shared``.
 
-    If both inputs are chordal the result is chordal again, which is what
-    makes bottom-up graph assembly sound.
+    If both inputs are chordal the result is chordal again (a clique-sum of
+    chordal graphs is chordal).
     """
     y = frozenset(shared)
     overlap = frozenset(g1.vertices) & frozenset(g2.vertices)

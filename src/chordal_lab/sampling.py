@@ -11,11 +11,14 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .counting import CountingContext
-from .graphs import LabeledGraph, complete_graph, glue, phi_map, relabel
+from .counting import CountingContext, class_params
+# The sampler builds its one graph with LabeledGraph; the other four names stay
+# importable from here because the benchmark's tracer wraps them by name.
+from .graphs import LabeledGraph, complete_graph, glue, phi_map, relabel  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 
@@ -137,10 +140,10 @@ def sample_subset_escaping_prefix(x: int, size: int, z: int, rng: RandomStream) 
     return sorted(low + top)
 
 
-_CLASS_KINDS = (
-    "within", "exact", "exact_proper", "exact_single", "exact_multi",
-    "pinned", "pinned_exact", "pinned_proper", "pinned_proper_z",
-)
+def _complement(pool: Sequence[int], chosen: Sequence[int]) -> list[int]:
+    """The pool without the chosen labels, in pool order."""
+    taken = set(chosen)
+    return [v for v in pool if v not in taken]
 
 
 class ChordalSampler:
@@ -150,6 +153,12 @@ class ChordalSampler:
     long as each owns its own :class:`RandomStream`.  ``ops`` counts the
     big-integer weight terms evaluated since construction (a proxy for
     arithmetic work per sample).
+
+    ``_sample_<kind>`` samples the class ``CountingContext.count_<kind>``
+    counts.  It takes the arguments ``CLASS_ARGS[kind]`` names, then
+    ``labels`` (``labels[i]`` is the label of canonical vertex i + 1), an
+    ``edges`` list it appends to, and ``rng``.  Each branch draws the labels
+    of its parts before recursing, so a sample builds one graph, at the end.
     """
 
     def __init__(self, ctx: CountingContext):
@@ -162,78 +171,63 @@ class ChordalSampler:
         """Uniform w-colorable labeled chordal graph with vertex set [n]."""
         if not 0 <= n <= self.ctx.n_max:
             raise ValueError(f"n must be in [0, {self.ctx.n_max}]")
-        if n == 0:
-            return LabeledGraph(())
         ctx = self.ctx
-        a_n = ctx.count_all(n)
-        weights = []
-        for k in range(1, n + 1):
-            weights.append(ctx.binomial(n - 1, k - 1) * ctx.count_connected(k)
-                           * ctx.count_all(n - k))
-        self.ops += n
-        k = categorical(weights, rng) + 1
-        assert sum(weights) == a_n
-        g1 = self.sample_connected(k, rng)
-        g2 = self.sample_chordal(n - k, rng)
-        c_labels = sample_subset_containing(range(1, n + 1), k, 1, rng)
-        d_labels = [v for v in range(1, n + 1) if v not in set(c_labels)]
-        g1 = relabel(g1, phi_map(range(1, k + 1), c_labels))
-        g2 = relabel(g2, phi_map(range(1, n - k + 1), d_labels))
-        return glue(g1, g2, ())
+        edges: list[tuple[int, int]] = []
+        rest = list(range(1, n + 1))
+        # Split off the component holding the first remaining label, as
+        # count_all does, until no label is left.
+        while rest:
+            m = len(rest)
+            weights = [ctx.binomial(m - 1, k - 1) * ctx.count_connected(k)
+                       * ctx.count_all(m - k) for k in range(1, m + 1)]
+            self.ops += m
+            k = categorical(weights, rng) + 1
+            assert sum(weights) == ctx.count_all(m)
+            component = sample_subset_containing(rest, k, rest[0], rng)
+            self._sample_connected_on(component, edges, rng)
+            rest = _complement(rest, component)
+        return LabeledGraph(range(1, n + 1), edges)
 
     def sample_connected(self, n: int, rng: RandomStream) -> LabeledGraph:
         """Uniform w-colorable labeled *connected* chordal graph on [n]."""
         if not 1 <= n <= self.ctx.n_max:
             raise ValueError(f"n must be in [1, {self.ctx.n_max}]")
-        ctx = self.ctx
-        c_n = ctx.count_connected(n)
-        if c_n == 0:
-            raise ValueError(f"no connected chordal graph on [{n}] is {ctx.omega}-colorable")
-        weights = [ctx.count_exact_single(t, 0, n) for t in range(1, n + 1)]
-        self.ops += n
-        t = categorical(weights, rng) + 1
-        return self._sample_exact_single(t, 0, n, rng)
+        if self.ctx.count_connected(n) == 0:
+            raise ValueError(f"no connected chordal graph on [{n}] is {self.ctx.omega}-colorable")
+        edges: list[tuple[int, int]] = []
+        self._sample_connected_on(list(range(1, n + 1)), edges, rng)
+        return LabeledGraph(range(1, n + 1), edges)
 
     def sample_class(self, kind: str, args: Sequence[int], rng: RandomStream) -> LabeledGraph:
         """Uniform member of one counted class, e.g. ("pinned", (t, x, l, k)).
 
-        Raises if the class is empty (count zero).
+        Raises if the kind is unknown, the argument count is wrong, or the
+        class is empty (count zero).
         """
-        if kind not in _CLASS_KINDS:
-            raise ValueError(f"unknown class kind {kind!r}; expected one of {_CLASS_KINDS}")
-        ctx = self.ctx
-        count = {
-            "within": ctx.count_within,
-            "exact": ctx.count_exact,
-            "exact_proper": ctx.count_exact_proper,
-            "exact_single": ctx.count_exact_single,
-            "exact_multi": ctx.count_exact_multi,
-            "pinned": ctx.count_pinned,
-            "pinned_exact": ctx.count_pinned_exact,
-            "pinned_proper": ctx.count_pinned_proper,
-            "pinned_proper_z": ctx.count_pinned_proper_z,
-        }[kind](*args)
-        if count == 0:
+        _, x, l, k, _ = class_params(kind, args)
+        if getattr(self.ctx, "count_" + kind)(*args) == 0:
             raise ValueError(f"class {kind}{tuple(args)} is empty")
-        sampler = {
-            "within": self._sample_within,
-            "exact": self._sample_exact,
-            "exact_proper": self._sample_exact_proper,
-            "exact_single": self._sample_exact_single,
-            "exact_multi": self._sample_exact_multi,
-            "pinned": self._sample_pinned,
-            "pinned_exact": self._sample_pinned_exact,
-            "pinned_proper": self._sample_pinned_proper,
-            "pinned_proper_z": self._sample_pinned_proper_z,
-        }[kind]
-        return sampler(*args, rng)
+        labels = list(range(1, x + l + k + 1))
+        edges: list[tuple[int, int]] = []
+        getattr(self, "_sample_" + kind)(*args, labels, edges, rng)
+        return LabeledGraph(labels, edges)
+
+    def _sample_connected_on(self, labels: list[int], edges: list, rng: RandomStream) -> None:
+        ctx = self.ctx
+        n = len(labels)
+        weights = [ctx.count_exact_single(t, 0, n) for t in range(1, n + 1)]
+        self.ops += n
+        t = categorical(weights, rng) + 1
+        self._sample_exact_single(t, 0, n, labels, edges, rng)
 
     # -- one procedure per counted class --------------------------------------
 
-    def _sample_within(self, t: int, x: int, k: int, z: int, rng: RandomStream) -> LabeledGraph:
+    def _sample_within(self, t: int, x: int, k: int, z: int, labels: list[int],
+                       edges: list, rng: RandomStream) -> None:
         ctx = self.ctx
         if t == 0 and k == 0:
-            return complete_graph(range(1, x + 1))
+            edges.extend(combinations(labels, 2))
+            return
         # Zero factors short-circuit left to right in fill order, so weighing
         # a filled context never writes to it.
         weights = []
@@ -243,123 +237,90 @@ class ChordalSampler:
                            * ctx.count_within(t - 1, x, k - k2, z) if a else 0)
         self.ops += k + 1
         k2 = categorical(weights, rng)
-        g1 = self._sample_exact(t, x, k2, z, rng)
-        g2 = self._sample_within(t - 1, x, k - k2, z, rng)
-        free = range(x + 1, x + k + 1)
-        a_labels = sample_subset(free, k2, rng)
-        b_labels = [v for v in free if v not in set(a_labels)]
-        g1 = relabel(g1, phi_map(range(x + 1, x + k2 + 1), a_labels))
-        g2 = relabel(g2, phi_map(range(x + 1, x + (k - k2) + 1), b_labels))
-        return glue(g1, g2, range(1, x + 1))
+        root, free = labels[:x], labels[x:]
+        chosen = sample_subset(free, k2, rng)
+        self._sample_exact(t, x, k2, z, root + chosen, edges, rng)
+        self._sample_within(t - 1, x, k - k2, z, root + _complement(free, chosen), edges, rng)
 
-    def _sample_exact(self, t: int, x: int, k: int, z: int, rng: RandomStream) -> LabeledGraph:
+    def _sample_exact(self, t: int, x: int, k: int, z: int, labels: list[int],
+                      edges: list, rng: RandomStream) -> None:
+        self._sample_root_components(False, t, x, k, z, labels, edges, rng)
+
+    def _sample_exact_proper(self, t: int, x: int, k: int, z: int, labels: list[int],
+                             edges: list, rng: RandomStream) -> None:
+        self._sample_root_components(True, t, x, k, z, labels, edges, rng)
+
+    def _sample_root_components(self, proper: bool, t: int, x: int, k: int, z: int,
+                                labels: list[int], edges: list, rng: RandomStream) -> None:
+        """The exact and exact_proper classes: split off the component holding
+        the first free vertex, with root contact x2 (below x if proper)."""
         ctx = self.ctx
         if k == 0:
-            return complete_graph(range(1, x + 1))
+            edges.extend(combinations(labels, 2))
+            return
+        count_rest = ctx.count_exact_proper if proper else ctx.count_exact
+        top = x - 1 if proper else x
         pairs = []
         weights = []
         for k2 in range(1, k + 1):
-            rest = ctx.count_exact(t, x, k - k2, z)
+            rest = count_rest(t, x, k - k2, z)
             if not rest:
                 continue
             b = ctx.binomial(k - 1, k2 - 1)
-            for x2 in range(1, x + 1):
+            for x2 in range(1, top + 1):
                 w = ((ctx.binomial(x, x2) - ctx.binomial(z, x2)) * b
                      * ctx.count_exact_single(t, x2, k2) * rest)
                 if w:
                     pairs.append((k2, x2))
                     weights.append(w)
-        self.ops += k * x
+        self.ops += k * max(top, 0)
         k2, x2 = pairs[categorical(weights, rng)]
-        g1 = self._sample_exact_single(t, x2, k2, rng)
-        g2 = self._sample_exact(t, x, k - k2, z, rng)
-        return self._attach_component(g1, g2, x, k, k2, x2, z, rng)
+        root, free = labels[:x], labels[x:]
+        contact = [root[i - 1] for i in sample_subset_escaping_prefix(x, x2, z, rng)]
+        component = sample_subset_containing(free, k2, free[0], rng)
+        self._sample_exact_single(t, x2, k2, contact + component, edges, rng)
+        self._sample_root_components(proper, t, x, k - k2, z,
+                                     root + _complement(free, component), edges, rng)
 
-    def _sample_exact_proper(self, t: int, x: int, k: int, z: int, rng: RandomStream) -> LabeledGraph:
-        ctx = self.ctx
-        if k == 0:
-            return complete_graph(range(1, x + 1))
-        pairs = []
-        weights = []
-        for k2 in range(1, k + 1):
-            rest = ctx.count_exact_proper(t, x, k - k2, z)
-            if not rest:
-                continue
-            b = ctx.binomial(k - 1, k2 - 1)
-            for x2 in range(1, x):
-                w = ((ctx.binomial(x, x2) - ctx.binomial(z, x2)) * b
-                     * ctx.count_exact_single(t, x2, k2) * rest)
-                if w:
-                    pairs.append((k2, x2))
-                    weights.append(w)
-        self.ops += k * max(x - 1, 0)
-        k2, x2 = pairs[categorical(weights, rng)]
-        g1 = self._sample_exact_single(t, x2, k2, rng)
-        g2 = self._sample_exact_proper(t, x, k - k2, z, rng)
-        return self._attach_component(g1, g2, x, k, k2, x2, z, rng)
-
-    def _attach_component(self, g1: LabeledGraph, g2: LabeledGraph, x: int, k: int,
-                          k2: int, x2: int, z: int, rng: RandomStream) -> LabeledGraph:
-        """Shared tail of the exact/exact_proper procedures: pick label sets,
-        line both pieces up, and glue at the component's root contact."""
-        x_labels = sample_subset_escaping_prefix(x, x2, z, rng)
-        free = range(x + 1, x + k + 1)
-        c_labels = sample_subset_containing(free, k2, x + 1, rng)
-        d_labels = [v for v in free if v not in set(c_labels)]
-        m1 = phi_map(range(1, x2 + 1), x_labels)
-        m1.update(phi_map(range(x2 + 1, x2 + k2 + 1), c_labels))
-        g1 = relabel(g1, m1)
-        g2 = relabel(g2, phi_map(range(x + 1, x + (k - k2) + 1), d_labels))
-        return glue(g1, g2, x_labels)
-
-    def _sample_exact_single(self, t: int, x: int, k: int, rng: RandomStream) -> LabeledGraph:
+    def _sample_exact_single(self, t: int, x: int, k: int, labels: list[int],
+                             edges: list, rng: RandomStream) -> None:
         ctx = self.ctx
         weights = [ctx.binomial(k, l) * ctx.count_pinned(t, x, l, k - l)
                    for l in range(1, k + 1)]
         self.ops += k
         l = categorical(weights, rng) + 1
-        g = self._sample_pinned(t, x, l, k - l, rng)
-        free = range(x + 1, x + k + 1)
-        l_labels = sample_subset(free, l, rng)
-        a_labels = [v for v in free if v not in set(l_labels)]
-        m = phi_map(range(x + 1, x + l + 1), l_labels)
-        m.update(phi_map(range(x + l + 1, x + k + 1), a_labels))
-        return relabel(g, m)
+        root, free = labels[:x], labels[x:]
+        layer = sample_subset(free, l, rng)
+        self._sample_pinned(t, x, l, k - l, root + layer + _complement(free, layer), edges, rng)
 
-    def _sample_exact_multi(self, t: int, x: int, k: int, rng: RandomStream) -> LabeledGraph:
+    def _sample_exact_multi(self, t: int, x: int, k: int, labels: list[int],
+                            edges: list, rng: RandomStream) -> None:
         ctx = self.ctx
-        s1 = 0
-        s2 = 0
         w_one = []
         w_more = []
         for k2 in range(1, k):
             b = ctx.binomial(k - 1, k2 - 1) * ctx.count_exact_single(t, x, k2)
-            u = b * ctx.count_exact_single(t, x, k - k2) if b else 0
-            v = b * ctx.count_exact_multi(t, x, k - k2) if b else 0
-            w_one.append(u)
-            w_more.append(v)
-            s1 += u
-            s2 += v
+            w_one.append(b * ctx.count_exact_single(t, x, k - k2) if b else 0)
+            w_more.append(b * ctx.count_exact_multi(t, x, k - k2) if b else 0)
         self.ops += 2 * k
-        u = rng.uniform_below(s1 + s2)
-        if u < s1:
-            k2 = categorical(w_one, rng) + 1
-            g2 = self._sample_exact_single(t, x, k - k2, rng)
+        s1 = sum(w_one)
+        one = rng.uniform_below(s1 + sum(w_more)) < s1
+        k2 = categorical(w_one if one else w_more, rng) + 1
+        root, free = labels[:x], labels[x:]
+        component = sample_subset_containing(free, k2, free[0], rng)
+        rest = root + _complement(free, component)
+        self._sample_exact_single(t, x, k2, root + component, edges, rng)
+        if one:
+            self._sample_exact_single(t, x, k - k2, rest, edges, rng)
         else:
-            k2 = categorical(w_more, rng) + 1
-            g2 = self._sample_exact_multi(t, x, k - k2, rng)
-        g1 = self._sample_exact_single(t, x, k2, rng)
-        free = range(x + 1, x + k + 1)
-        c_labels = sample_subset_containing(free, k2, x + 1, rng)
-        d_labels = [v for v in free if v not in set(c_labels)]
-        g1 = relabel(g1, phi_map(range(x + 1, x + k2 + 1), c_labels))
-        g2 = relabel(g2, phi_map(range(x + 1, x + (k - k2) + 1), d_labels))
-        return glue(g1, g2, range(1, x + 1))
+            self._sample_exact_multi(t, x, k - k2, rest, edges, rng)
 
-    def _sample_pinned(self, t: int, x: int, l: int, k: int, rng: RandomStream) -> LabeledGraph:
+    def _sample_pinned(self, t: int, x: int, l: int, k: int, labels: list[int],
+                       edges: list, rng: RandomStream) -> None:
         ctx = self.ctx
         if t == 1 and k == 0:
-            return complete_graph(range(1, x + l + 1))
+            edges.extend(combinations(labels, 2))
+            return
         weights = []
         for k2 in range(1, k + 1):
             a = ctx.count_pinned_exact(t, x, l, k2)
@@ -367,16 +328,14 @@ class ChordalSampler:
                            * ctx.count_within(t - 2, x + l, k - k2, x) if a else 0)
         self.ops += k
         k2 = categorical(weights, rng) + 1
-        g1 = self._sample_pinned_exact(t, x, l, k2, rng)
-        g2 = self._sample_within(t - 2, x + l, k - k2, x, rng)
-        free = range(x + l + 1, x + l + k + 1)
-        a_labels = sample_subset(free, k2, rng)
-        b_labels = [v for v in free if v not in set(a_labels)]
-        g1 = relabel(g1, phi_map(range(x + l + 1, x + l + k2 + 1), a_labels))
-        g2 = relabel(g2, phi_map(range(x + l + 1, x + l + (k - k2) + 1), b_labels))
-        return glue(g1, g2, range(1, x + l + 1))
+        hull, free = labels[:x + l], labels[x + l:]
+        chosen = sample_subset(free, k2, rng)
+        self._sample_pinned_exact(t, x, l, k2, hull + chosen, edges, rng)
+        self._sample_within(t - 2, x + l, k - k2, x, hull + _complement(free, chosen),
+                            edges, rng)
 
-    def _sample_pinned_exact(self, t: int, x: int, l: int, k: int, rng: RandomStream) -> LabeledGraph:
+    def _sample_pinned_exact(self, t: int, x: int, l: int, k: int, labels: list[int],
+                             edges: list, rng: RandomStream) -> None:
         ctx = self.ctx
         xl = x + l
         s1 = ctx.count_pinned_proper(t, x, l, k)
@@ -395,27 +354,26 @@ class ChordalSampler:
         s3 = sum(w_more)
         u = rng.uniform_below(s1 + s2 + s3)
         if u < s1:
-            return self._sample_pinned_proper(t, x, l, k, rng)
-        if u < s1 + s2:
-            k2 = categorical(w_one, rng) + 1
-            g1 = self._sample_exact_single(t - 1, xl, k2, rng)
-            g2 = self._sample_pinned_proper(t, x, l, k - k2, rng)
+            self._sample_pinned_proper(t, x, l, k, labels, edges, rng)
+            return
+        one = u < s1 + s2
+        k2 = categorical(w_one if one else w_more, rng) + 1
+        hull, free = labels[:xl], labels[xl:]
+        chosen = sample_subset(free, k2, rng)
+        rest = hull + _complement(free, chosen)
+        if one:
+            self._sample_exact_single(t - 1, xl, k2, hull + chosen, edges, rng)
+            self._sample_pinned_proper(t, x, l, k - k2, rest, edges, rng)
         else:
-            k2 = categorical(w_more, rng) + 1
-            g1 = self._sample_exact_multi(t - 1, xl, k2, rng)
-            g2 = self._sample_exact_proper(t - 1, xl, k - k2, x, rng)
-        free = range(xl + 1, xl + k + 1)
-        a_labels = sample_subset(free, k2, rng)
-        b_labels = [v for v in free if v not in set(a_labels)]
-        g1 = relabel(g1, phi_map(range(xl + 1, xl + k2 + 1), a_labels))
-        g2 = relabel(g2, phi_map(range(xl + 1, xl + (k - k2) + 1), b_labels))
-        return glue(g1, g2, range(1, xl + 1))
+            self._sample_exact_multi(t - 1, xl, k2, hull + chosen, edges, rng)
+            self._sample_exact_proper(t - 1, xl, k - k2, x, rest, edges, rng)
 
-    def _sample_pinned_proper(self, t: int, x: int, l: int, k: int, rng: RandomStream) -> LabeledGraph:
-        return self._sample_pinned_proper_z(t, x, l, k, x, rng)
+    def _sample_pinned_proper(self, t: int, x: int, l: int, k: int, labels: list[int],
+                              edges: list, rng: RandomStream) -> None:
+        self._sample_pinned_proper_z(t, x, l, k, x, labels, edges, rng)
 
     def _sample_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int,
-                                rng: RandomStream) -> LabeledGraph:
+                                labels: list[int], edges: list, rng: RandomStream) -> None:
         ctx = self.ctx
         triples = []
         weights = []
@@ -443,39 +401,26 @@ class ChordalSampler:
                     weights.append(b * ctx.binomial(l, l2) * s * w_root * rest)
         self.ops += k * (x + 1) * (l + 1)
         k2, x2, l2 = triples[categorical(weights, rng)]
-        g1 = self._sample_exact_single(t - 1, x2 + l2, k2, rng)
-        if l2 < l:
-            g2 = self._sample_pinned_proper_z(t, x + l2, l - l2, k - k2, z, rng)
-        else:
-            g2 = self._sample_exact_proper(t - 1, x + l, k - k2, z, rng)
 
         # Label choices for the component's root contact (x2 in the held root,
-        # l2 in the pinned layer) and for its own vertices.
-        if x2 == 0:
-            x_labels: list[int] = []
-        elif l2 > 0:
-            x_labels = sample_subset(range(1, x + 1), x2, rng)
+        # l2 in the pinned layer) and for its own vertices.  The [1, z] prefix
+        # is positional, so contacts that must escape it are drawn as positions.
+        root, layer, free = labels[:x], labels[x:x + l], labels[x + l:]
+        if l2 > 0:
+            contact = sample_subset(root, x2, rng)
         else:
-            x_labels = sample_subset_escaping_prefix(x, x2, z, rng)
-        layer = range(x + 1, x + l + 1)
-        l_labels = sample_subset(layer, l2, rng)
-        free = range(x + l + 1, x + l + k + 1)
-        c_labels = sample_subset_containing(free, k2, x + l + 1, rng)
-        d_labels = [v for v in free if v not in set(c_labels)]
-
-        m1 = phi_map(range(1, x2 + 1), x_labels)
-        m1.update(phi_map(range(x2 + 1, x2 + l2 + 1), l_labels))
-        m1.update(phi_map(range(x2 + l2 + 1, x2 + l2 + k2 + 1), c_labels))
-        g1 = relabel(g1, m1)
-
-        m2 = phi_map(range(x + l + 1, x + l + (k - k2) + 1), d_labels)
-        g2 = relabel(g2, m2)
+            contact = [root[i - 1] for i in sample_subset_escaping_prefix(x, x2, z, rng)]
+        layer_contact = sample_subset(layer, l2, rng)
+        component = sample_subset_containing(free, k2, free[0], rng)
+        rest = _complement(free, component)
+        self._sample_exact_single(t - 1, x2 + l2, k2, contact + layer_contact + component,
+                                  edges, rng)
         if l2 < l:
-            rest_layer = [v for v in layer if v not in set(l_labels)]
-            m3 = phi_map(range(x + 1, x + l2 + 1), l_labels)
-            m3.update(phi_map(range(x + l2 + 1, x + l + 1), rest_layer))
-            g2 = relabel(g2, m3)
-        return glue(g1, g2, sorted(x_labels + l_labels))
+            # The touched layer labels join the root; the rest stay the layer.
+            hull = root + layer_contact + _complement(layer, layer_contact)
+            self._sample_pinned_proper_z(t, x + l2, l - l2, k - k2, z, hull + rest, edges, rng)
+        else:
+            self._sample_exact_proper(t - 1, x + l, k - k2, z, root + layer + rest, edges, rng)
 
 
 # ---------------------------------------------------------------------------

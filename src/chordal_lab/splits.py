@@ -278,16 +278,35 @@ def approx_count_split(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRESH
     return total
 
 
+# Largest n that the approximate entry points hand to the exact engine below
+# their dispatch floor.  The exact fill takes about half a minute at n = 30
+# (2-core x86-64, CPython 3.11) and its entry count grows about as n**5.5, so
+# a larger n fails fast instead.
+EXACT_LIMIT = 30
+
+
+def _check_exact_limit(n: int, floor: int, exact_call: str) -> None:
+    if n > EXACT_LIMIT:
+        raise ValueError(
+            f"n = {n} is below the split-graph floor {floor} at this epsilon and above "
+            f"the exact engine's limit {EXACT_LIMIT}; call {exact_call} to run the exact "
+            "engine anyway (its fill may take hours)")
+
+
 def approx_count_chordal(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> int:
     """(1 +- eps)-approximation of the number of n-vertex labeled chordal graphs.
 
     Below the dispatch floor the answer is computed exactly (unconditionally
-    correct); above it, split graphs stand in for chordal graphs.
+    correct); above it, split graphs stand in for chordal graphs.  Between
+    EXACT_LIMIT and the floor it raises ValueError instead of starting an
+    exact fill that could take hours.
     """
     eps = as_epsilon(eps)
-    if n < threshold_g(eps, thresholds):
+    floor = threshold_g(eps, thresholds)
+    if n < floor:
         if n == 0:
             return 1
+        _check_exact_limit(n, floor, f"count_all({n})")
         from .counting import get_context
 
         return get_context(n, n).count_all(n)
@@ -512,14 +531,18 @@ def approx_sample_chordal(n: int, eps, rng: RandomStream,
     """Random n-vertex labeled chordal graph within total variation eps of uniform.
 
     Below the dispatch floor this is the exact uniform sampler; above it, a
-    random split graph (always chordal) is drawn instead.
+    random split graph (always chordal) is drawn instead.  Between
+    EXACT_LIMIT and the floor it raises ValueError instead of starting an
+    exact fill that could take hours.
     """
     eps = as_epsilon(eps)
-    if n < threshold_g(eps / 2, thresholds):
+    floor = threshold_g(eps / 2, thresholds)
+    if n < floor:
         from .counting import get_context
         from .sampling import ChordalSampler
 
         if n == 0:
             return LabeledGraph(())
+        _check_exact_limit(n, floor, f"sample_chordal({n})")
         return ChordalSampler(get_context(n, n)).sample_chordal(n, rng)
     return sample_split_approx(n, eps / 2, rng, thresholds)

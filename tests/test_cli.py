@@ -143,6 +143,17 @@ class TestApprox:
         assert code == 0
         assert re.fullmatch(r"\d+\n", out)
 
+    def test_approx_count_refuses_exact_fill_above_limit(self, capsys, monkeypatch):
+        import chordal_lab.counting as counting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact fill was started")
+
+        monkeypatch.setattr(counting, "get_context", refuse)
+        code, out, err = run_cli(["approx-count", "--n", "40", "--epsilon", "1e-2"], capsys)
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert "count_all(40)" in err
+
     def test_epsilon_validation(self, capsys):
         for bad in ("0", "1", "1.5", "-0.2"):
             code, _, err = run_cli(["approx-count", "--n", "80", "--epsilon", bad], capsys)

@@ -1,7 +1,17 @@
+import inspect
+
 import pytest
 
-from chordal_lab.counting import CountingContext, count_all, count_connected, get_context
-from chordal_lab.bruteforce import brute_counts, class_members
+from chordal_lab.counting import (
+    CLASS_ARGS,
+    CountingContext,
+    count_all,
+    count_connected,
+    get_context,
+)
+from chordal_lab.bruteforce import brute_counts, check_class_membership, class_members
+from chordal_lab.graphs import LabeledGraph
+from chordal_lab.sampling import ChordalSampler, RandomStream
 
 # Oracle-frozen class sizes, from exhaustive enumeration of every labeled
 # graph on the class's vertex set with the class definition applied directly.
@@ -22,18 +32,6 @@ ORACLE_CLASS_SIZES = [
     ("pinned_proper_z", (2, 1, 1, 1, 0), 1),
     ("pinned_proper_z", (3, 0, 1, 3, 0), 0),
 ]
-
-_ACCESSOR = {
-    "within": lambda c: c.count_within,
-    "exact": lambda c: c.count_exact,
-    "exact_proper": lambda c: c.count_exact_proper,
-    "exact_single": lambda c: c.count_exact_single,
-    "exact_multi": lambda c: c.count_exact_multi,
-    "pinned": lambda c: c.count_pinned,
-    "pinned_exact": lambda c: c.count_pinned_exact,
-    "pinned_proper": lambda c: c.count_pinned_proper,
-    "pinned_proper_z": lambda c: c.count_pinned_proper_z,
-}
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +118,7 @@ class TestBaseCases:
 class TestOracleFrozenValues:
     @pytest.mark.parametrize("kind,args,expected", ORACLE_CLASS_SIZES)
     def test_frozen_value(self, ctx5, kind, args, expected):
-        assert _ACCESSOR[kind](ctx5)(*args) == expected
+        assert getattr(ctx5, "count_" + kind)(*args) == expected
 
     @pytest.mark.parametrize("kind,args,expected", ORACLE_CLASS_SIZES)
     def test_frozen_value_still_matches_enumeration(self, kind, args, expected):
@@ -145,12 +143,34 @@ class TestOracleFrozenValues:
             ctx8.inner_sum(2, 2, 1, 0, 0, 1)  # r must be positive
 
 
+class TestClassRegistry:
+    """One table names the arguments of every counted kind; the counter, the
+    sampler and the membership oracle all follow it."""
+
+    @pytest.mark.parametrize("kind", sorted(CLASS_ARGS))
+    def test_counter_and_sampler_take_the_named_arguments(self, ctx5, kind):
+        names = list(CLASS_ARGS[kind])
+        count = inspect.signature(getattr(ctx5, "count_" + kind))
+        assert list(count.parameters) == names
+        sample = inspect.signature(getattr(ChordalSampler(ctx5), "_sample_" + kind))
+        assert list(sample.parameters) == names + ["labels", "edges", "rng"]
+
+    def test_wrong_arity_rejected(self, ctx5):
+        g = LabeledGraph([1, 2], [(1, 2)])
+        with pytest.raises(ValueError, match="arguments"):
+            check_class_membership("within", (1, 1, 1), g, 5)
+        with pytest.raises(ValueError, match="arguments"):
+            check_class_membership("exact_single", (1, 1, 1, 0), g, 5)
+        with pytest.raises(ValueError, match="arguments"):
+            ChordalSampler(ctx5).sample_class("pinned", (2, 0, 1), RandomStream(0))
+
+
 class TestClassSizesAgainstEnumeration:
     """Counter values equal direct class enumeration on every small key."""
 
     @pytest.mark.parametrize("kind", ["within", "exact", "exact_proper"])
     def test_root_family(self, ctx5, kind):
-        fn = _ACCESSOR[kind](ctx5)
+        fn = getattr(ctx5, "count_" + kind)
         lo_t = 0 if kind == "within" else 1
         for t in range(lo_t, 4):
             for x in range(1, 4):
@@ -161,7 +181,7 @@ class TestClassSizesAgainstEnumeration:
 
     @pytest.mark.parametrize("kind", ["exact_single", "exact_multi"])
     def test_component_family(self, ctx5, kind):
-        fn = _ACCESSOR[kind](ctx5)
+        fn = getattr(ctx5, "count_" + kind)
         lo_x = 0 if kind == "exact_single" else 1
         for t in range(1, 4):
             for x in range(lo_x, 3):
@@ -170,7 +190,7 @@ class TestClassSizesAgainstEnumeration:
 
     @pytest.mark.parametrize("kind", ["pinned", "pinned_exact"])
     def test_pinned_family(self, ctx5, kind):
-        fn = _ACCESSOR[kind](ctx5)
+        fn = getattr(ctx5, "count_" + kind)
         for t in range(1, 4):
             for x in range(0, 3):
                 for l in range(1, 4 - x):

@@ -226,17 +226,7 @@ class TestSampleClass:
     @pytest.mark.parametrize("kind,args", CASES)
     def test_membership_and_support(self, ctx5, kind, args):
         members = class_members(kind, args, omega=5)
-        count = {
-            "within": ctx5.count_within,
-            "exact": ctx5.count_exact,
-            "exact_proper": ctx5.count_exact_proper,
-            "exact_single": ctx5.count_exact_single,
-            "exact_multi": ctx5.count_exact_multi,
-            "pinned": ctx5.count_pinned,
-            "pinned_exact": ctx5.count_pinned_exact,
-            "pinned_proper": ctx5.count_pinned_proper,
-            "pinned_proper_z": ctx5.count_pinned_proper_z,
-        }[kind](*args)
+        count = getattr(ctx5, "count_" + kind)(*args)
         assert count == len(members)
         if count == 0:
             with pytest.raises(ValueError):
@@ -269,6 +259,36 @@ class TestSampleClass:
         assert ctx5.count_exact_single(3, 0, 2) == 0
         with pytest.raises(ValueError):
             ChordalSampler(ctx5).sample_class("exact_single", (3, 0, 2), RandomStream(0))
+
+
+class TestOneGraphPerSample:
+    """Parts receive their labels before they are sampled, so a sample builds
+    its graph once, at the end, instead of building and merging every part."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s, rng: s.sample_chordal(5, rng),
+        lambda s, rng: s.sample_connected(5, rng),
+        lambda s, rng: s.sample_class("within", (3, 1, 3, 0), rng),
+        lambda s, rng: s.sample_class("pinned_exact", (2, 0, 2, 3), rng),
+        lambda s, rng: s.sample_class("pinned_proper_z", (3, 1, 1, 3, 0), rng),
+    ], ids=["chordal", "connected", "within", "pinned_exact", "pinned_proper_z"])
+    def test_one_labeled_graph_per_call(self, ctx5, monkeypatch, call):
+        import chordal_lab.sampling as sampling
+
+        built = []
+        init = sampling.LabeledGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sampling.LabeledGraph, "__init__", counting_init)
+        s = ChordalSampler(ctx5)
+        rng = RandomStream(21)
+        for _ in range(20):
+            built.clear()
+            g = call(s, rng)
+            assert len(built) == 1 and is_chordal(g)
 
 
 class TestUniformity:

@@ -12,6 +12,7 @@ from chordal_lab.graphs import (
 from chordal_lab.bruteforce import split_class_counts
 from chordal_lab.sampling import RandomStream
 from chordal_lab.splits import (
+    EXACT_LIMIT,
     SplitThresholds,
     approx_count_chordal,
     approx_count_split,
@@ -211,6 +212,17 @@ class TestApproxCountChordal:
         with pytest.raises(ValueError):
             approx_count_chordal(50, "2.0")
 
+    def test_fails_fast_between_exact_limit_and_floor(self, monkeypatch):
+        import chordal_lab.counting as counting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact fill was started")
+
+        monkeypatch.setattr(counting, "get_context", refuse)
+        assert EXACT_LIMIT < 40 < threshold_g("1e-2") == 65
+        with pytest.raises(ValueError, match=r"floor 65 .*count_all\(40\)"):
+            approx_count_chordal(40, "1e-2")
+
 
 class TestSplitSampler:
     def test_outputs_are_split(self):
@@ -375,6 +387,17 @@ class TestApproxSampleChordal:
 
     def test_zero_vertices(self):
         assert approx_sample_chordal(0, "0.5", RandomStream(1)).vertices == ()
+
+    def test_fails_fast_between_exact_limit_and_floor(self, monkeypatch):
+        import chordal_lab.counting as counting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact fill was started")
+
+        monkeypatch.setattr(counting, "get_context", refuse)
+        assert EXACT_LIMIT < 40 < threshold_g(Fraction(1, 200)) == 65
+        with pytest.raises(ValueError, match="floor 65 "):
+            approx_sample_chordal(40, "1e-2", RandomStream(1))
 
     def test_large_n_split_path(self):
         g = approx_sample_chordal(200, "1e-3", RandomStream(45))
