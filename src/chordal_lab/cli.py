@@ -44,14 +44,14 @@ def allow_huge_decimal_output() -> None:
         pass  # interpreter without the guard prints any size already
 
 
-def _make_context(n: int, omega: int | None) -> CountingContext:
+def _make_context(n: int, omega: int | None, allow_large: bool) -> CountingContext:
     if n < 0:
         raise CliError("n must be nonnegative")
     if omega is not None and omega < 1:
         raise CliError("omega must be at least 1")
     if n == 0:
         return CountingContext(0)
-    return CountingContext(n, omega if omega is not None else n)
+    return CountingContext(n, omega if omega is not None else n, allow_large=allow_large)
 
 
 def _emit_graphs(graphs: Iterable[LabeledGraph], fmt: str, out: IO[str]) -> None:
@@ -67,7 +67,7 @@ def _emit_graphs(graphs: Iterable[LabeledGraph], fmt: str, out: IO[str]) -> None
 
 
 def cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
-    ctx = _make_context(args.n, args.omega)
+    ctx = _make_context(args.n, args.omega, args.allow_large)
     if args.connected:
         if args.n < 1:
             raise CliError("--connected requires n >= 1")
@@ -78,7 +78,7 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
-    ctx = _make_context(args.n, args.omega)
+    ctx = _make_context(args.n, args.omega, args.allow_large)
     if args.connected and args.n < 1:
         raise CliError("--connected requires n >= 1")
     sampler = ChordalSampler(ctx)
@@ -104,16 +104,19 @@ def _table_row(ctx: CountingContext, n: int, omega: int) -> str:
 def cmd_tables(args: argparse.Namespace, out: IO[str]) -> None:
     if args.n < 1:
         raise CliError("tables require n >= 1")
+    # The omega = n fill is the largest; building it first refuses a runaway
+    # table before any line is written.
+    top = CountingContext(args.n, args.n, allow_large=args.allow_large)
     out.write("n,omega,connected_count,all_count\n")
     if args.by_omega:
         for omega in range(1, args.n + 1):
-            ctx = CountingContext(args.n, omega)
+            ctx = top if omega == args.n else CountingContext(
+                args.n, omega, allow_large=args.allow_large)
             for n in range(omega, args.n + 1):
                 out.write(_table_row(ctx, n, omega))
     else:
-        ctx = CountingContext(args.n, args.n)
         for n in range(1, args.n + 1):
-            out.write(_table_row(ctx, n, n))
+            out.write(_table_row(top, n, n))
 
 
 def cmd_approx_count(args: argparse.Namespace, out: IO[str]) -> None:
@@ -151,6 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
         if not approx:
             p.add_argument("--omega", type=int, default=None,
                            help="color budget (default n; clamped to n)")
+            p.add_argument("--allow-large", action="store_true",
+                           help="run an exact fill larger than the one at n = omega = 30 "
+                                "(it may take hours)")
         if sampling:
             p.add_argument("--count", type=int, default=1, help="number of samples")
             p.add_argument("--seed", type=int, default=None,

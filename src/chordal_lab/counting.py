@@ -1,8 +1,8 @@
 """Exact counting of w-colorable labeled (connected) chordal graphs.
 
-The counts come from a family of memoized tables over arbitrary-precision
-integers.  Each table counts connected chordal graphs classified by how they
-dissolve under "evaporation": repeated simultaneous deletion of all simplicial
+The counts come from a family of tables over arbitrary-precision integers.
+Each table counts connected chordal graphs classified by how they dissolve
+under "evaporation": repeated simultaneous deletion of all simplicial
 vertices, while a clique of *root* vertices (labels ``1..x``) is held back and
 never deleted.  The classifying data are
 
@@ -14,14 +14,33 @@ never deleted.  The classifying data are
     z  -- components must keep at least one neighbor outside the first z root
           labels (ties the pieces of a decomposition back together)
 
-All arithmetic is exact; values grow to roughly 2**(n*n).  A filled context is
-immutable in practice (every memo entry is write-once) and may be read from
-any number of threads; filling is single-writer.
+Every table is a dense nested list with k last (``[t][x][z][k]``,
+``[t][x][l][k]`` and ``[t][x][l][z][k]``), so each recurrence is a binomial
+convolution over whole rows.  :class:`CountingContext` fills them bottom-up
+when it is constructed.  Rounds run t = 1, 2, ... and each round has two
+phases:
+
+    A. for each hull size x + l, with x descending: the five-argument pinned
+       rows, then ``pinned_exact``, then ``pinned``;
+    B. ``single`` and ``multi``, then ``exact`` and ``exact_proper``, then
+       ``within``.
+
+The invariant is that every read is of an earlier round, or of the same
+round and an earlier phase, or of a row the current phase has completed, or
+of entries of the row being filled at fewer free vertices.  The fill stops
+after the first round whose ``single`` table is all zero: every later round
+is zero too, apart from ``within`` (which keeps its last value) and the
+k = 0 bases.  Rows whose root or root-plus-layer exceeds omega are never read
+by the fill or the sampler; the accessors compute them on request with the
+same row code and do not store them.  A constructed context is therefore
+filled and immutable, and may be read from any number of threads.
+
+All arithmetic is exact; values grow to roughly 2**(n*n).
 """
 
 from __future__ import annotations
 
-import sys
+from operator import mul
 from typing import Iterator, Sequence
 
 # The counted class kinds and the names of their arguments, in order.
@@ -33,6 +52,15 @@ CLASS_ARGS = {
     "pinned": "txlk", "pinned_exact": "txlk", "pinned_proper": "txlk",
     "pinned_proper_z": "txlkz",
 }
+
+# Largest n = omega whose fill a context runs without ``allow_large``: about
+# 10 s and 120 MB at n = 30 (2-core x86-64, CPython 3.11).  The approximate
+# entry points in ``splits`` use the same limit for their exact fallback.
+EXACT_LIMIT = 30
+
+# Contexts and split plans kept by the module-level caches; the oldest is
+# dropped on insert.
+CACHE_SIZE = 4
 
 
 def class_params(kind: str, args: Sequence[int]) -> tuple[int, int, int, int, int]:
@@ -51,32 +79,48 @@ def class_params(kind: str, args: Sequence[int]) -> tuple[int, int, int, int, in
     return tuple(given.get(name, 0) for name in "txlkz")
 
 
-class DepthGuardError(RuntimeError):
-    """Raised if the evaluation recursion exceeds its defensive depth bound."""
+def fill_cells(n_max: int, omega: int | None = None) -> int:
+    """Number of table cells a ``CountingContext(n_max, omega)`` fill stores.
+
+    Exact integer arithmetic in O(1).  Rounds 0..R are stored, where R is the
+    first round with an all-zero ``single`` table: R = n_max once there is
+    room for a root vertex under a path of n_max - 1 vertices, else 2 (or 1
+    when there is no vertex at all).
+    """
+    n = n_max
+    w = min(max(n, 1) if omega is None else omega, n)
+    rounds = 1 + (1 if n == 0 else 2 if w == 1 else n)
+    s1 = w * (w + 1) // 2                  # sum of X over hulls X = 1..w
+    s2 = w * (w + 1) * (2 * w + 1) // 6    # sum of X**2
+    s3 = s1 * s1                           # sum of X**3
+    per_x = w * (n + 1) - (w - 1) * w // 2         # rows x = 0..w-1, n - x + 1 cells
+    per_hull = (n + 1) * s1 - s2                   # X cells-rows of n - X + 1 cells
+    per_z = ((n + 1) * (s2 + s1) - (s3 + s2)) // 2  # X(X+1)/2 rows of n - X + 1 cells
+    # single and multi; within (also in round 0); exact, exact_proper, pinned,
+    # pinned_exact; pinned_proper_z.
+    return rounds * (2 * per_x + per_hull) + (rounds - 1) * (4 * per_hull + per_z)
 
 
-def _put(memo: dict, key: int, value: int) -> int:
-    # Memo entries are write-once; a second write means a logic error.
-    if key in memo:
-        raise AssertionError(f"memo entry {key} written twice")
-    memo[key] = value
-    return value
+_CELL_LIMIT = fill_cells(EXACT_LIMIT, EXACT_LIMIT)
 
 
 class CountingContext:
-    """Memoized tables for counting w-colorable chordal graphs up to n_max.
+    """Filled tables for counting w-colorable chordal graphs up to n_max.
 
     One context serves every vertex count ``n <= n_max`` at a fixed color
     budget ``omega``; ``omega`` larger than ``n_max`` is clamped since it
-    imposes no constraint.
+    imposes no constraint.  The constructor runs the whole fill; it raises
+    ValueError before allocating anything when the fill would store more
+    cells than the one at n = omega = EXACT_LIMIT, unless ``allow_large``.
 
     ``factored=True`` (the default) evaluates the five-argument pinned table
-    through a memoized inner sum, turning its triple summation into two
-    nested double summations; ``factored=False`` keeps the direct triple sum.
-    Both produce identical values.
+    grouped by the component's share of the layer, with the root-contact
+    sums hoisted out of the rows; ``factored=False`` evaluates the direct
+    triple sum for each cell.  Both produce identical values.
     """
 
-    def __init__(self, n_max: int, omega: int | None = None, factored: bool = True):
+    def __init__(self, n_max: int, omega: int | None = None, factored: bool = True,
+                 allow_large: bool = False):
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         if omega is None:
@@ -86,9 +130,14 @@ class CountingContext:
         self.n_max = n_max
         self.omega = min(omega, n_max) if n_max >= 1 else omega
         self.factored = factored
+        cells = fill_cells(n_max, omega)
+        if cells > _CELL_LIMIT and not allow_large:
+            raise ValueError(
+                f"the exact fill at n = {n_max}, omega = {self.omega} stores {cells} table "
+                f"cells, more than the {_CELL_LIMIT} at n = omega = {EXACT_LIMIT}; pass "
+                "allow_large=True (CLI: --allow-large) to run it anyway (it may take hours)")
 
         size = n_max + 1
-        self._stride = size
         # Pascal triangle, rows zero-padded to full width so that C[a][b] is 0
         # for b > a without bounds checks.
         rows = [[0] * size for _ in range(size)]
@@ -97,23 +146,9 @@ class CountingContext:
             for b in range(1, a + 1):
                 rows[a][b] = rows[a - 1][b - 1] + rows[a - 1][b]
         self._C = rows
-
-        self._within: dict[int, int] = {}
-        self._exact: dict[int, int] = {}
-        self._exact_proper: dict[int, int] = {}
-        self._single: dict[int, int] = {}
-        self._multi: dict[int, int] = {}
-        self._pinned: dict[int, int] = {}
-        self._pinned_exact: dict[int, int] = {}
-        self._pinned_proper_z: dict[int, int] = {}
-        self._inner: dict[int, int] = {}
-
-        self._conn: dict[int, int] = {}
-        self._all: list[int] = [1]  # empty vertex set: exactly one graph
-
-        self._depth = 0
-        self._depth_limit = 8 * max(n_max, 1) + 64
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * self._depth_limit + 1000))
+        # Largest root-plus-layer a stored row may have.
+        self._w = min(self.omega, n_max)
+        self._fill()
 
     # -- public arithmetic ---------------------------------------------------
 
@@ -125,7 +160,7 @@ class CountingContext:
             return 0
         return self._C[a][b]
 
-    # -- public counter accessors (validate, then defer to the hot internals)
+    # -- public counter accessors (validate, clamp the round, index) ---------
 
     def count_within(self, t: int, x: int, k: int, z: int) -> int:
         """Rooted graphs on [x+k] that fully evaporate within t rounds.
@@ -134,28 +169,43 @@ class CountingContext:
         part must keep a neighbor among root labels z+1..x.
         """
         self._check(t >= 0, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
-        return self._within_(t, x, k, z)
+        t = min(t, self._last)
+        if x > self._w:
+            return self._far_within(t, x, z)[k]
+        return self._within[t][x][z][k]
 
     def count_exact(self, t: int, x: int, k: int, z: int) -> int:
         """Like :meth:`count_within`, but every free component finishes in
         exactly round t.  A bare root (k = 0) counts once."""
         self._check(t >= 1, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
-        return self._exact_(t, x, k, z)
+        if t > self._last:
+            return 1 if k == 0 else 0
+        if x > self._w:
+            return self._far_exact(t, x, z, False)[k]
+        return self._exact[t][x][z][k]
 
     def count_exact_proper(self, t: int, x: int, k: int, z: int) -> int:
         """Like :meth:`count_exact`, with no component adjacent to the whole root."""
         self._check(t >= 1, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
-        return self._exact_proper_(t, x, k, z)
+        if t > self._last:
+            return 1 if k == 0 else 0
+        if x > self._w:
+            return self._far_exact(t, x, z, True)[k]
+        return self._exact_proper[t][x][z][k]
 
     def count_exact_single(self, t: int, x: int, k: int) -> int:
         """One free component, adjacent to the whole root, finishing exactly at t."""
         self._check(t >= 0, x >= 0, k >= 0, x + k <= self.n_max)
-        return self._single_(t, x, k)
+        if t > self._last or x >= self._w:
+            return 0
+        return self._single[t][x][k]
 
     def count_exact_multi(self, t: int, x: int, k: int) -> int:
         """At least two free components, each seeing the whole root, each exact at t."""
         self._check(t >= 0, x >= 1, k >= 0, x + k <= self.n_max)
-        return self._multi_(t, x, k)
+        if t > self._last or x >= self._w:
+            return 0
+        return self._multi[t][x][k]
 
     def count_pinned(self, t: int, x: int, l: int, k: int) -> int:
         """Graphs on [x+l+k] whose last layer is exactly the labels [x+1, x+l].
@@ -165,30 +215,40 @@ class CountingContext:
         connected.
         """
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        return self._pinned_(t, x, l, k)
+        if t > self._last or x + l > self._w:
+            return 0
+        return self._pinned[t][x][l][k]
 
     def count_pinned_exact(self, t: int, x: int, l: int, k: int) -> int:
         """Like :meth:`count_pinned`, but every component outside root-plus-layer
         finishes exactly in round t-1, and at least one such component exists."""
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        return self._pinned_exact_(t, x, l, k)
+        if t > self._last:
+            return 0
+        if x + l > self._w:
+            # No component sees all of a hull larger than omega (single and
+            # multi vanish there), so only the proper part remains.
+            return self._far_pinned_proper(t, x, l, x)[k]
+        return self._pinned_exact[t][x][l][k]
 
     def count_pinned_proper(self, t: int, x: int, l: int, k: int) -> int:
         """Like :meth:`count_pinned_exact`, with no component adjacent to all of
         root-plus-layer."""
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        return self._pinned_proper_z_(t, x, l, k, x)
+        if t > self._last:
+            return 0
+        if x + l > self._w:
+            return self._far_pinned_proper(t, x, l, x)[k]
+        return self._pinned_proper[t][x][l][x][k]
 
     def count_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int) -> int:
         """Five-argument form: connectivity is required only outside [z]."""
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, 0 <= z <= x, x + l + k <= self.n_max)
-        return self._pinned_proper_z_(t, x, l, k, z)
-
-    def inner_sum(self, t: int, x: int, l: int, z: int, r: int, k: int) -> int:
-        """The factored inner summation used by the five-argument pinned table."""
-        self._check(t >= 2, x >= 0, l >= 1, 0 <= z <= x, 1 <= r <= x + l - 1,
-                    k >= 0, x + l + k <= self.n_max)
-        return self._inner_(t, x, l, z, r, k)
+        if t > self._last:
+            return 0
+        if x + l > self._w:
+            return self._far_pinned_proper(t, x, l, z)[k]
+        return self._pinned_proper[t][x][l][z][k]
 
     @staticmethod
     def _check(*conds: bool) -> None:
@@ -201,11 +261,7 @@ class CountingContext:
         """Number of w-colorable labeled connected chordal graphs on [n]."""
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must be in [1, {self.n_max}]")
-        got = self._conn.get(n)
-        if got is None:
-            got = sum(self._single_(t, 0, n) for t in range(1, n + 1))
-            self._conn[n] = got
-        return got
+        return self._connected[n]
 
     def count_all(self, n: int) -> int:
         """Number of w-colorable labeled chordal graphs on [n] (n = 0 gives 1).
@@ -214,300 +270,300 @@ class CountingContext:
         """
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n must be in [0, {self.n_max}]")
-        a = self._all
-        C = self._C
-        while len(a) <= n:
-            m = len(a)
-            total = 0
-            for k in range(1, m + 1):
-                total += C[m - 1][k - 1] * self.count_connected(k) * a[m - k]
-            a.append(total)
-        return a[n]
-
-    # -- hot internals (arguments already in-domain) ---------------------------
-
-    def _within_(self, t: int, x: int, k: int, z: int) -> int:
-        # Bare root: the empty evaporation sequence fits any round budget.
-        if k == 0:
-            return 1
-        if t == 0:
-            return 0
-        S = self._stride
-        key = ((t * S + x) * S + k) * S + z
-        memo = self._within
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        Ck = self._C[k]
-        total = 0
-        for k2 in range(k + 1):
-            a = self._exact_(t, x, k2, z)
-            if a:
-                total += Ck[k2] * a * self._within_(t - 1, x, k - k2, z)
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _exact_(self, t: int, x: int, k: int, z: int) -> int:
-        if k == 0:
-            return 1
-        S = self._stride
-        key = ((t * S + x) * S + k) * S + z
-        memo = self._exact
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        C = self._C
-        Cx, Cz, Ck1 = C[x], C[z], C[k - 1]
-        total = 0
-        # Split off the component holding the lowest free label (k2 vertices,
-        # root contact x2) from the rest of the free part.
-        for k2 in range(1, k + 1):
-            rest = self._exact_(t, x, k - k2, z)
-            if not rest:
-                continue
-            b = Ck1[k2 - 1] * rest
-            acc = 0
-            for x2 in range(1, x + 1):
-                s = self._single_(t, x2, k2)
-                if s:
-                    acc += (Cx[x2] - Cz[x2]) * s
-            total += b * acc
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _exact_proper_(self, t: int, x: int, k: int, z: int) -> int:
-        if k == 0:
-            return 1
-        S = self._stride
-        key = ((t * S + x) * S + k) * S + z
-        memo = self._exact_proper
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        C = self._C
-        Cx, Cz, Ck1 = C[x], C[z], C[k - 1]
-        total = 0
-        for k2 in range(1, k + 1):
-            rest = self._exact_proper_(t, x, k - k2, z)
-            if not rest:
-                continue
-            b = Ck1[k2 - 1] * rest
-            acc = 0
-            for x2 in range(1, x):  # proper contact: x2 < x
-                s = self._single_(t, x2, k2)
-                if s:
-                    acc += (Cx[x2] - Cz[x2]) * s
-            total += b * acc
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _single_(self, t: int, x: int, k: int) -> int:
-        if t == 0 or k == 0:
-            return 0
-        S = self._stride
-        key = (t * S + x) * S + k
-        memo = self._single
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        Ck = self._C[k]
-        total = 0
-        # Last layer has some size l; its label set is interchangeable.
-        # Sizes with x + l > omega contribute nothing.
-        for l in range(1, min(k, self.omega - x) + 1):
-            p = self._pinned_(t, x, l, k - l)
-            if p:
-                total += Ck[l] * p
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _multi_(self, t: int, x: int, k: int) -> int:
-        if t == 0 or k == 0:
-            return 0
-        S = self._stride
-        key = (t * S + x) * S + k
-        memo = self._multi
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        Ck1 = self._C[k - 1]
-        total = 0
-        for k2 in range(1, k):
-            s = self._single_(t, x, k2)
-            if s:
-                rest = self._single_(t, x, k - k2) + self._multi_(t, x, k - k2)
-                if rest:
-                    total += Ck1[k2 - 1] * s * rest
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _pinned_(self, t: int, x: int, l: int, k: int) -> int:
-        if x + l > self.omega:
-            return 0
-        if t == 1:
-            return 1 if k == 0 else 0
-        if k == 0:
-            return 0
-        S = self._stride
-        key = ((t * S + x) * S + l) * S + k
-        memo = self._pinned
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        Ck = self._C[k]
-        total = 0
-        # k2 free vertices sit in components finishing exactly at t-1; the
-        # rest evaporates at least two rounds earlier, with the whole layer
-        # absorbed into its root.
-        for k2 in range(1, k + 1):
-            a = self._pinned_exact_(t, x, l, k2)
-            if a:
-                total += Ck[k2] * a * self._within_(t - 2, x + l, k - k2, x)
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _pinned_exact_(self, t: int, x: int, l: int, k: int) -> int:
-        if t == 1 or k == 0:
-            return 0
-        S = self._stride
-        key = ((t * S + x) * S + l) * S + k
-        memo = self._pinned_exact
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        Ck = self._C[k]
-        xl = x + l
-        # Zero, one, or at least two components see all of root-plus-layer.
-        total = self._pinned_proper_z_(t, x, l, k, x)
-        for k2 in range(1, k + 1):
-            s1 = self._single_(t - 1, xl, k2)
-            if s1:
-                p = self._pinned_proper_z_(t, x, l, k - k2, x)
-                if p:
-                    total += Ck[k2] * s1 * p
-            m = self._multi_(t - 1, xl, k2)
-            if m:
-                gp = self._exact_proper_(t - 1, xl, k - k2, x)
-                if gp:
-                    total += Ck[k2] * m * gp
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _pinned_proper_z_(self, t: int, x: int, l: int, k: int, z: int) -> int:
-        if t == 1 or k == 0:
-            return 0
-        S = self._stride
-        key = (((t * S + x) * S + l) * S + k) * S + z
-        memo = self._pinned_proper_z
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        if self.factored:
-            total = self._pinned_proper_factored(t, x, l, k, z)
-        else:
-            total = self._pinned_proper_direct(t, x, l, k, z)
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _pinned_proper_factored(self, t: int, x: int, l: int, k: int, z: int) -> int:
-        Ck1 = self._C[k - 1]
-        single = self._single_
-        inner = self._inner_
-        xl1 = x + l - 1
-        total = 0
-        for k2 in range(1, k + 1):
-            b = Ck1[k2 - 1]
-            kr = k - k2
-            acc = 0
-            for r in range(1, xl1 + 1):
-                s = single(t - 1, r, k2)
-                if s:
-                    h = inner(t, x, l, z, r, kr)
-                    if h:
-                        acc += s * h
-            if acc:
-                total += b * acc
-        return total
-
-    def _pinned_proper_direct(self, t: int, x: int, l: int, k: int, z: int) -> int:
-        C = self._C
-        Ck1, Cl, Cx, Cz = C[k - 1], C[l], C[x], C[z]
-        single = self._single_
-        total = 0
-        # Component with the lowest free label: k2 vertices, touching x2 root
-        # labels and l2 layer labels, a proper nonempty part of root+layer.
-        for k2 in range(1, k + 1):
-            b = Ck1[k2 - 1]
-            kr = k - k2
-            for l2 in range(l + 1):
-                rest = (self._pinned_proper_z_(t, x + l2, l - l2, kr, z) if l2 < l
-                        else self._exact_proper_(t - 1, x + l, kr, z))
-                if not rest:
-                    continue
-                w_layer = Cl[l2] * rest
-                for x2 in range(x + 1):
-                    if not 0 < x2 + l2 < x + l:
-                        continue
-                    w = Cx[x2] if l2 > 0 else Cx[x2] - Cz[x2]
-                    if not w:
-                        continue
-                    s = single(t - 1, x2 + l2, k2)
-                    if s:
-                        total += b * w_layer * w * s
-        return total
-
-    def _inner_(self, t: int, x: int, l: int, z: int, r: int, k: int) -> int:
-        S = self._stride
-        key = ((((t * S + x) * S + l) * S + z) * S + r) * S + k
-        memo = self._inner
-        got = memo.get(key)
-        if got is not None:
-            return got
-        self._enter()
-        C = self._C
-        Cl, Cx, Cz = C[l], C[x], C[z]
-        total = 0
-        for l2 in range(max(0, r - x), min(r, l) + 1):
-            w = Cx[r - l2] if l2 > 0 else Cx[r] - Cz[r]
-            if not w:
-                continue
-            rest = (self._pinned_proper_z_(t, x + l2, l - l2, k, z) if l2 < l
-                    else self._exact_proper_(t - 1, x + l, k, z))
-            if rest:
-                total += Cl[l2] * w * rest
-        self._depth -= 1
-        return _put(memo, key, total)
-
-    def _enter(self) -> None:
-        self._depth += 1
-        if self._depth > self._depth_limit:
-            raise DepthGuardError(
-                f"recursion depth exceeded {self._depth_limit}; "
-                "the evaluation order is broken")
+        return self._all[n]
 
     # -- diagnostics -----------------------------------------------------------
 
     def table_sizes(self) -> dict[str, int]:
-        """Number of stored entries per memo table (for perf inspection)."""
+        """Number of stored cells per table (for perf inspection)."""
+        def cells(rows) -> int:
+            if rows is None:
+                return 0
+            if rows and isinstance(rows[0], int):
+                return len(rows)
+            return sum(cells(r) for r in rows)
+
         return {
-            "within": len(self._within),
-            "exact": len(self._exact),
-            "exact_proper": len(self._exact_proper),
-            "single": len(self._single),
-            "multi": len(self._multi),
-            "pinned": len(self._pinned),
-            "pinned_exact": len(self._pinned_exact),
-            "pinned_proper_z": len(self._pinned_proper_z),
-            "inner": len(self._inner),
+            "within": cells(self._within),
+            "exact": cells(self._exact),
+            "exact_proper": cells(self._exact_proper),
+            "single": cells(self._single),
+            "multi": cells(self._multi),
+            "pinned": cells(self._pinned),
+            "pinned_exact": cells(self._pinned_exact),
+            "pinned_proper_z": cells(self._pinned_proper),
         }
+
+    # -- the fill ----------------------------------------------------------------
+
+    def _fill(self) -> None:
+        n, w = self.n_max, self._w
+        hulls = range(1, w + 1)
+        self._single = [[[0] * (n - x + 1) for x in range(w)]]
+        self._multi = [[[0] * (n - x + 1) for x in range(w)]]
+        self._within = [[None] + [[[1] + [0] * (n - x) for _ in range(x)] for x in hulls]]
+        self._exact = [None]
+        self._exact_proper = [None]
+        self._pinned = [None]
+        self._pinned_exact = [None]
+        self._pinned_proper = [None]
+        weights = (None, None)  # round 0 has no component at all
+        t = 0
+        while True:
+            t += 1
+            self._fill_pinned(t, weights)
+            weights = self._fill_root(t)
+            if weights[0] is None:
+                break
+        self._last = t
+
+        self._connected = [0] + [sum(self._single[r][0][m] for r in range(1, t + 1))
+                                 for m in range(1, n + 1)]
+        a = [1]
+        for m in range(1, n + 1):
+            a.append(sum(self._C[m - 1][k - 1] * self._connected[k] * a[m - k]
+                         for k in range(1, m + 1)))
+        self._all = a
+
+    def _fill_pinned(self, t: int, weights: tuple) -> None:
+        """Phase A of round t: pinned_proper_z, pinned_exact, pinned.
+
+        ``weights`` are the component weights of round t - 1 (:meth:`_weights`).
+        """
+        n, w = self.n_max, self._w
+        prev = t - 1
+        proper = [[None] * (w - x + 1) for x in range(w)]
+        exact = [[None] * (w - x + 1) for x in range(w)]
+        pinned = [[None] * (w - x + 1) for x in range(w)]
+        for hull in range(1, w + 1):
+            K = n - hull
+            rows = {}
+            for z in range(hull):
+                rest = self._exact_proper[prev][hull][z] if prev else None
+                chain = self._pinned_proper_chain(t, hull, z, z, weights, rest)
+                for x in range(z, hull):
+                    rows[x, z] = chain[x]
+            for x in range(hull - 1, -1, -1):
+                l = hull - x
+                proper[x][l] = [rows[x, z] for z in range(x + 1)]
+                own = rows[x, x]
+                row = own
+                if prev and hull < w:
+                    # Zero, one, or at least two components see all of the hull.
+                    one = self._conv(self._single[prev][hull], own, K, 1)
+                    more = self._conv(self._multi[prev][hull],
+                                      self._exact_proper[prev][hull][x], K, 1)
+                    row = [a + b + c for a, b, c in zip(own, one, more)]
+                exact[x][l] = row
+                if t == 1:
+                    pinned[x][l] = [1] + [0] * K
+                else:
+                    pinned[x][l] = self._conv(row, self._within[t - 2][hull][x], K, 1)
+        self._pinned_proper.append(proper)
+        self._pinned_exact.append(exact)
+        self._pinned.append(pinned)
+
+    def _fill_root(self, t: int) -> tuple:
+        """Phase B of round t; returns the round's component weights."""
+        n, w, C = self.n_max, self._w, self._C
+        pinned = self._pinned[t]
+        single = []
+        for x in range(w):
+            row = [0] * (n - x + 1)
+            for l in range(1, w - x + 1):
+                # The last layer has l labels, chosen among the k free ones.
+                row[l:] = [r + C[k][l] * v
+                           for k, (r, v) in enumerate(zip(row[l:], pinned[x][l]), l)]
+            single.append(row)
+        self._single.append(single)
+
+        weights = self._weights(t, w)
+        lo, wg = weights
+        # multi(t, x, k): the component with the lowest free label, then one or
+        # more further components (single + multi at fewer free vertices).
+        self._multi.append([self._first_component_row(
+            0, [(wg[0][x], 1, single[x]), (wg[0][x], 1, None)], n - x, lo)
+            if wg else [0] * (n - x + 1) for x in range(w)])
+        exact = [None]
+        exact_proper = [None]
+        within = [None]
+        for hull in range(1, w + 1):
+            K = n - hull
+            e_rows, ep_rows, w_rows = [], [], []
+            for z in range(hull):
+                e, ep = self._exact_rows(hull, z, weights)
+                e_rows.append(e)
+                ep_rows.append(ep)
+                w_rows.append(self._conv(e, self._within[t - 1][hull][z], K, 0))
+            exact.append(e_rows)
+            exact_proper.append(ep_rows)
+            within.append(w_rows)
+        self._exact.append(exact)
+        self._exact_proper.append(exact_proper)
+        self._within.append(within)
+        return weights
+
+    # -- row code shared by the fill and the rows past omega -------------------
+
+    def _weights(self, t: int, top: int) -> tuple:
+        """(lo, wg): the weights of one component finishing in round t.
+
+        lo is the smallest k with some single(t, ., k) nonzero: every such
+        component has at least lo vertices.  With the Pascal sums
+        G[x][m][k2] = sum over x2 <= x of C(x, x2) single(t, x2 + m, k2) for
+        x + m <= top (Pascal's rule: G[x][m] = G[x-1][m] + G[x-1][m+1]),
+        wg[x][m][k - lo] lists C(k-1, k2-1) G[x][m][k2] for k2 = lo..k, or
+        wg[x][m] is None where G[x][m] is zero.  (None, None) if single(t) is
+        all zero.
+
+        The root-contact sum of exact(t, X, ., z) is G[X][0] - G[z][0]; the
+        layer-contact sums of pinned_proper_z(t + 1, ...) are G[x][l2].
+        """
+        n, C = self.n_max, self._C
+        s = [self._single[t][m] if m < self._w else [0] * (n - m + 1) for m in range(top + 1)]
+        firsts = [row.index(next(filter(None, row))) for row in s if any(row)]
+        if not firsts:
+            return None, None
+        lo = min(firsts)
+        g = [s]
+        for x in range(1, top + 1):
+            below = g[-1]
+            g.append([[a + b for a, b in zip(below[m], below[m + 1])]
+                      for m in range(top - x + 1)])
+        return lo, [[[list(map(mul, C[k - 1][lo - 1:k], row[lo:k + 1]))
+                      for k in range(lo, len(row))] if any(row) else None
+                     for row in gx] for gx in g]
+
+    def _exact_rows(self, hull: int, z: int, weights: tuple) -> tuple:
+        """exact(t, hull, ., z) and exact_proper(t, hull, ., z), from the weights
+        of round t.
+
+        The first free component has k2 vertices and root contact x2; summed
+        over x2, its weight is the root-contact sum G[hull][0] - G[z][0], and
+        the proper form leaves out the x2 = hull term G[0][hull].
+        """
+        K = self.n_max - hull
+        lo, wg = weights
+        if lo is None:
+            row = [1] + [0] * K
+            return row, row
+        terms = [(wg[hull][0], 1, None), (wg[z][0], -1, None)]
+        exact = self._first_component_row(1, terms, K, lo)
+        if wg[0][hull] is None:
+            return exact, exact
+        terms.append((wg[0][hull], -1, None))
+        return exact, self._first_component_row(1, terms, K, lo)
+
+    def _pinned_proper_chain(self, t: int, hull: int, z: int, x_low: int, weights: tuple,
+                             rest: list[int] | None) -> dict[int, list[int]]:
+        """pinned_proper_z(t, x, hull - x, ., z) rows for x = hull-1 down to x_low.
+
+        ``weights`` are those of round t - 1 and ``rest`` is
+        exact_proper(t - 1, hull, ., z).  The row at x reads the rows at
+        larger x of the same chain, so the chain runs x descending.
+        """
+        K = self.n_max - hull
+        lo, wg = weights
+        chain: dict[int, list[int]] = {}
+        for x in range(hull - 1, x_low - 1, -1):
+            if lo is None or lo > K:
+                chain[x] = [0] * (K + 1)
+                continue
+            l = hull - x
+            rests = [None] + [chain[x + l2] for l2 in range(1, l)] + [rest]
+            if not self.factored:
+                chain[x] = self._pinned_proper_direct(t, x, l, z, K, rests)
+                continue
+            # The component with the lowest free label touches x2 root labels
+            # and l2 layer labels.  Grouped by l2, its weights summed over x2
+            # are Pascal sums of round t - 1:
+            #   l2 = 0:      G[x][0] - G[z][0]  (it escapes [z]; rest is this row)
+            #   0 < l2 < l:  C(l, l2) G[x][l2]  (the touched labels join the root)
+            #   l2 = l:      G[x][l] - G[0][hull]  (x2 < x; rest is exact_proper)
+            Cl = self._C[l]
+            terms = [(wg[x][0], 1, None), (wg[z][0], -1, None)]
+            terms += [(wg[x][l2], Cl[l2], rests[l2]) for l2 in range(1, l)]
+            terms += [(wg[x][l], 1, rest), (wg[0][hull], -1, rest)]
+            chain[x] = self._first_component_row(0, terms, K, lo)
+        return chain
+
+    def _pinned_proper_direct(self, t: int, x: int, l: int, z: int, K: int,
+                              rests: list) -> list[int]:
+        C = self._C
+        Cl, Cx, Cz = C[l], C[x], C[z]
+        single = [self._single[t - 1][r] if r < self._w else None for r in range(x + l)]
+        row = [0] * (K + 1)
+        rests = [row] + rests[1:]
+        for k in range(1, K + 1):
+            Ck1 = C[k - 1]
+            total = 0
+            # Component with the lowest free label: k2 vertices, touching x2 root
+            # labels and l2 layer labels, a proper nonempty part of root+layer.
+            for k2 in range(1, k + 1):
+                b = Ck1[k2 - 1]
+                kr = k - k2
+                for l2 in range(l + 1):
+                    rest = rests[l2][kr]
+                    if not rest:
+                        continue
+                    w_layer = Cl[l2] * rest
+                    for x2 in range(x + 1):
+                        if not 0 < x2 + l2 < x + l or single[x2 + l2] is None:
+                            continue
+                        w = Cx[x2] if l2 > 0 else Cx[x2] - Cz[x2]
+                        if not w:
+                            continue
+                        s = single[x2 + l2][k2]
+                        if s:
+                            total += b * w_layer * w * s
+            row[k] = total
+        return row
+
+    @staticmethod
+    def _first_component_row(first: int, terms: list, K: int, lo: int | None) -> list[int]:
+        """row[0] = first; row[k] = sum over (wt, scale, r) in terms of
+        scale * sum over k2 = lo..k of wt[k - lo][k2 - lo] * r[k - k2].
+
+        With the weights of :meth:`_weights` this splits off the component
+        holding the lowest free label (k2 vertices) from the rest r, where
+        r = None stands for the row itself at fewer free vertices.  Terms
+        whose weights are None (zero) are skipped.
+        """
+        row = [first] + [0] * K
+        if lo is None:
+            return row
+        terms = [(wt, scale, r) for wt, scale, r in terms if wt is not None]
+        for j in range(K - lo + 1):
+            total = 0
+            for wt, scale, r in terms:
+                total += scale * sum(map(mul, wt[j], (row if r is None else r)[j::-1]))
+            row[lo + j] = total
+        return row
+
+    def _conv(self, a: list[int], b: list[int], K: int, lo: int) -> list[int]:
+        """Binomial convolution c[k] = sum over k2 = lo..k of C(k, k2) a[k2] b[k-k2]."""
+        C = self._C
+        return [sum(map(mul, map(mul, C[k][lo:k + 1], a[lo:k + 1]), b[k - lo::-1]))
+                if k >= lo else 0 for k in range(K + 1)]
+
+    # -- rows past omega, on request -------------------------------------------
+
+    def _far_exact(self, t: int, hull: int, z: int, proper: bool) -> list[int]:
+        return self._exact_rows(hull, z, self._weights(t, hull))[proper]
+
+    def _far_within(self, t: int, hull: int, z: int) -> list[int]:
+        K = self.n_max - hull
+        row = [1] + [0] * K
+        for r in range(1, t + 1):
+            row = self._conv(self._far_exact(r, hull, z, False), row, K, 0)
+        return row
+
+    def _far_pinned_proper(self, t: int, x: int, l: int, z: int) -> list[int]:
+        hull = x + l
+        if t == 1:
+            return [0] * (self.n_max - hull + 1)
+        rest = self._far_exact(t - 1, hull, z, True)
+        return self._pinned_proper_chain(t, hull, z, x, self._weights(t - 1, hull), rest)[x]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +574,12 @@ _context_cache: dict[tuple[int, int], CountingContext] = {}
 
 
 def get_context(n_max: int, omega: int | None = None) -> CountingContext:
-    """A shared context per (n_max, omega); fills are reused across calls."""
+    """A shared context per (n_max, omega); fills are reused across calls.
+
+    Keeps the CACHE_SIZE most recently created contexts.  Raises ValueError
+    above the EXACT_LIMIT budget; build ``CountingContext(n, omega,
+    allow_large=True)`` to run such a fill.
+    """
     if omega is None:
         omega = n_max
     omega_eff = min(omega, n_max) if n_max >= 1 else max(omega, 1)
@@ -526,6 +587,8 @@ def get_context(n_max: int, omega: int | None = None) -> CountingContext:
     ctx = _context_cache.get(key)
     if ctx is None:
         ctx = CountingContext(n_max, omega_eff if n_max >= 1 else None)
+        if len(_context_cache) >= CACHE_SIZE:
+            del _context_cache[next(iter(_context_cache))]
         _context_cache[key] = ctx
     return ctx
 

@@ -2,7 +2,7 @@
 
 Every random decision inverts one term choice of the counting recurrences, so
 the output distribution is exactly uniform: all branch weights are products of
-memoized counts and binomial coefficients, chosen with exact integer draws.
+table counts and binomial coefficients, chosen with exact integer draws.
 No floating point appears anywhere on the sampling path.
 """
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb
 
+from .counting import CACHE_SIZE, EXACT_LIMIT
 from .graphs import LabeledGraph, complement, complete_graph
 from .sampling import RandomStream, categorical, sample_subset
 
@@ -278,13 +279,6 @@ def approx_count_split(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRESH
     return total
 
 
-# Largest n that the approximate entry points hand to the exact engine below
-# their dispatch floor.  The exact fill takes about half a minute at n = 30
-# (2-core x86-64, CPython 3.11) and its entry count grows about as n**5.5, so
-# a larger n fails fast instead.
-EXACT_LIMIT = 30
-
-
 def _check_exact_limit(n: int, floor: int, exact_call: str) -> None:
     if n > EXACT_LIMIT:
         raise ValueError(
@@ -306,7 +300,7 @@ def approx_count_chordal(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRE
     if n < floor:
         if n == 0:
             return 1
-        _check_exact_limit(n, floor, f"count_all({n})")
+        _check_exact_limit(n, floor, f"CountingContext({n}, allow_large=True).count_all({n})")
         from .counting import get_context
 
         return get_context(n, n).count_all(n)
@@ -475,6 +469,8 @@ def _split_plan(n: int, eps_work: Fraction) -> _SplitPlan:
         q1_weights=q1_weights,
         cap=REJECTION_CAP_FACTOR * ceil(1 / (1 - eps_work)),
     )
+    if len(_plan_cache) >= CACHE_SIZE:
+        del _plan_cache[next(iter(_plan_cache))]
     _plan_cache[(n, eps_work)] = plan
     return plan
 
@@ -485,7 +481,7 @@ def sample_split_draw(n: int, eps, rng: RandomStream,
 
     Output distribution is within total variation eps of uniform over split
     graphs; expected number of build-and-check iterations is at most 2.  The
-    stratum weights for a given (n, eps) are computed once and cached.
+    stratum weights of the last CACHE_SIZE (n, eps) pairs built are cached.
     """
     eps = as_epsilon(eps)
     floor = threshold_f(eps / 2, thresholds)
@@ -543,6 +539,7 @@ def approx_sample_chordal(n: int, eps, rng: RandomStream,
 
         if n == 0:
             return LabeledGraph(())
-        _check_exact_limit(n, floor, f"sample_chordal({n})")
+        _check_exact_limit(n, floor,
+                           f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))")
         return ChordalSampler(get_context(n, n)).sample_chordal(n, rng)
     return sample_split_approx(n, eps / 2, rng, thresholds)

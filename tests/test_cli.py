@@ -1,7 +1,11 @@
 import json
 import re
+import time
+
+import pytest
 
 from chordal_lab.cli import main
+from chordal_lab.counting import CountingContext
 from chordal_lab.graphs import from_edge_list_text, is_chordal, max_clique_size, split_partition
 
 
@@ -42,6 +46,33 @@ class TestCount:
     def test_connected_rejects_n0(self, capsys):
         code, _, err = run_cli(["count", "--n", "0", "--connected"], capsys)
         assert code == 1 and "n >= 1" in err
+
+    @pytest.mark.parametrize("command", ["count", "sample", "tables"])
+    def test_refuses_a_runaway_fill(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run_cli([command, "--n", "40"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert "--allow-large" in err
+
+    def test_bounded_color_budget_is_allowed(self, capsys):
+        code, out, _ = run_cli(["count", "--n", "40", "--omega", "3"], capsys)
+        assert code == 0
+        assert out == f"{CountingContext(40, 3).count_all(40)}\n"
+
+    @pytest.mark.parametrize("argv", [["count", "--n", "30"],
+                                      ["count", "--n", "40", "--allow-large"]])
+    def test_fill_starts(self, capsys, monkeypatch, argv):
+        # stop each fill as it starts: only the admission is under test
+        class FillStarted(Exception):
+            pass
+
+        def stop(self):
+            raise FillStarted
+
+        monkeypatch.setattr(CountingContext, "_fill", stop)
+        with pytest.raises(FillStarted):
+            main(argv)
 
 
 class TestSample:

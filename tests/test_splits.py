@@ -408,3 +408,21 @@ class TestApproxSampleChordal:
             a = approx_sample_chordal(n, "1e-3", RandomStream(9))
             b = approx_sample_chordal(n, "1e-3", RandomStream(9))
             assert a == b
+
+
+class TestPlanCache:
+    def test_a_fifth_plan_drops_the_oldest(self, monkeypatch):
+        import chordal_lab.splits as splits
+
+        monkeypatch.setattr(splits, "_plan_cache", {})
+        rng = RandomStream(3)
+        keys = []
+        for n in range(70, 75):
+            sample_split_draw(n, "1e-2", rng)
+            keys.append((n, Fraction(1, 200)))
+        assert list(splits._plan_cache) == keys[1:]
+
+    def test_exact_limit_is_the_counting_limit(self):
+        import chordal_lab.counting as counting
+
+        assert EXACT_LIMIT is counting.EXACT_LIMIT
