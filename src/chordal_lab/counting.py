@@ -30,10 +30,10 @@ round and an earlier phase, or of a row the current phase has completed, or
 of entries of the row being filled at fewer free vertices.  The fill stops
 after the first round whose ``single`` table is all zero: every later round
 is zero too, apart from ``within`` (which keeps its last value) and the
-k = 0 bases.  Rows whose root or root-plus-layer exceeds omega are never read
-by the fill or the sampler; the accessors compute them on request with the
-same row code and do not store them.  A constructed context is therefore
-filled and immutable, and may be read from any number of threads.
+k = 0 bases.  Rows whose root clique, or root plus layer, is larger than
+omega are empty, since every graph there contains that clique; the accessors
+return 0 for them and nothing stores them.  A constructed context is
+therefore filled and immutable, and may be read from any number of threads.
 
 All arithmetic is exact; values grow to roughly 2**(n*n).
 """
@@ -45,7 +45,8 @@ from typing import Iterator, Sequence
 
 # The counted class kinds and the names of their arguments, in order.
 # ``CountingContext.count_<kind>`` counts a class and
-# ``ChordalSampler._sample_<kind>`` samples it.
+# ``ChordalSampler._unrank_<kind>`` maps each rank below that count to one
+# member.
 CLASS_ARGS = {
     "within": "txkz", "exact": "txkz", "exact_proper": "txkz",
     "exact_single": "txk", "exact_multi": "txk",
@@ -169,28 +170,27 @@ class CountingContext:
         part must keep a neighbor among root labels z+1..x.
         """
         self._check(t >= 0, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
-        t = min(t, self._last)
         if x > self._w:
-            return self._far_within(t, x, z)[k]
-        return self._within[t][x][z][k]
+            return 0
+        return self._within[min(t, self._last)][x][z][k]
 
     def count_exact(self, t: int, x: int, k: int, z: int) -> int:
         """Like :meth:`count_within`, but every free component finishes in
         exactly round t.  A bare root (k = 0) counts once."""
         self._check(t >= 1, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
+        if x > self._w:
+            return 0
         if t > self._last:
             return 1 if k == 0 else 0
-        if x > self._w:
-            return self._far_exact(t, x, z, False)[k]
         return self._exact[t][x][z][k]
 
     def count_exact_proper(self, t: int, x: int, k: int, z: int) -> int:
         """Like :meth:`count_exact`, with no component adjacent to the whole root."""
         self._check(t >= 1, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
+        if x > self._w:
+            return 0
         if t > self._last:
             return 1 if k == 0 else 0
-        if x > self._w:
-            return self._far_exact(t, x, z, True)[k]
         return self._exact_proper[t][x][z][k]
 
     def count_exact_single(self, t: int, x: int, k: int) -> int:
@@ -223,31 +223,23 @@ class CountingContext:
         """Like :meth:`count_pinned`, but every component outside root-plus-layer
         finishes exactly in round t-1, and at least one such component exists."""
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        if t > self._last:
+        if t > self._last or x + l > self._w:
             return 0
-        if x + l > self._w:
-            # No component sees all of a hull larger than omega (single and
-            # multi vanish there), so only the proper part remains.
-            return self._far_pinned_proper(t, x, l, x)[k]
         return self._pinned_exact[t][x][l][k]
 
     def count_pinned_proper(self, t: int, x: int, l: int, k: int) -> int:
         """Like :meth:`count_pinned_exact`, with no component adjacent to all of
         root-plus-layer."""
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        if t > self._last:
+        if t > self._last or x + l > self._w:
             return 0
-        if x + l > self._w:
-            return self._far_pinned_proper(t, x, l, x)[k]
         return self._pinned_proper[t][x][l][x][k]
 
     def count_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int) -> int:
         """Five-argument form: connectivity is required only outside [z]."""
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, 0 <= z <= x, x + l + k <= self.n_max)
-        if t > self._last:
+        if t > self._last or x + l > self._w:
             return 0
-        if x + l > self._w:
-            return self._far_pinned_proper(t, x, l, z)[k]
         return self._pinned_proper[t][x][l][z][k]
 
     @staticmethod
@@ -340,7 +332,7 @@ class CountingContext:
             rows = {}
             for z in range(hull):
                 rest = self._exact_proper[prev][hull][z] if prev else None
-                chain = self._pinned_proper_chain(t, hull, z, z, weights, rest)
+                chain = self._pinned_proper_chain(t, hull, z, weights, rest)
                 for x in range(z, hull):
                     rows[x, z] = chain[x]
             for x in range(hull - 1, -1, -1):
@@ -377,7 +369,7 @@ class CountingContext:
             single.append(row)
         self._single.append(single)
 
-        weights = self._weights(t, w)
+        weights = self._weights(t)
         lo, wg = weights
         # multi(t, x, k): the component with the lowest free label, then one or
         # more further components (single + multi at fewer free vertices).
@@ -403,15 +395,15 @@ class CountingContext:
         self._within.append(within)
         return weights
 
-    # -- row code shared by the fill and the rows past omega -------------------
+    # -- row code ----------------------------------------------------------------
 
-    def _weights(self, t: int, top: int) -> tuple:
+    def _weights(self, t: int) -> tuple:
         """(lo, wg): the weights of one component finishing in round t.
 
         lo is the smallest k with some single(t, ., k) nonzero: every such
         component has at least lo vertices.  With the Pascal sums
         G[x][m][k2] = sum over x2 <= x of C(x, x2) single(t, x2 + m, k2) for
-        x + m <= top (Pascal's rule: G[x][m] = G[x-1][m] + G[x-1][m+1]),
+        x + m <= omega (Pascal's rule: G[x][m] = G[x-1][m] + G[x-1][m+1]),
         wg[x][m][k - lo] lists C(k-1, k2-1) G[x][m][k2] for k2 = lo..k, or
         wg[x][m] is None where G[x][m] is zero.  (None, None) if single(t) is
         all zero.
@@ -419,8 +411,8 @@ class CountingContext:
         The root-contact sum of exact(t, X, ., z) is G[X][0] - G[z][0]; the
         layer-contact sums of pinned_proper_z(t + 1, ...) are G[x][l2].
         """
-        n, C = self.n_max, self._C
-        s = [self._single[t][m] if m < self._w else [0] * (n - m + 1) for m in range(top + 1)]
+        n, C, top = self.n_max, self._C, self._w
+        s = self._single[t] + [[0] * (n - top + 1)]
         firsts = [row.index(next(filter(None, row))) for row in s if any(row)]
         if not firsts:
             return None, None
@@ -454,9 +446,9 @@ class CountingContext:
         terms.append((wg[0][hull], -1, None))
         return exact, self._first_component_row(1, terms, K, lo)
 
-    def _pinned_proper_chain(self, t: int, hull: int, z: int, x_low: int, weights: tuple,
+    def _pinned_proper_chain(self, t: int, hull: int, z: int, weights: tuple,
                              rest: list[int] | None) -> dict[int, list[int]]:
-        """pinned_proper_z(t, x, hull - x, ., z) rows for x = hull-1 down to x_low.
+        """pinned_proper_z(t, x, hull - x, ., z) rows for x = hull-1 down to z.
 
         ``weights`` are those of round t - 1 and ``rest`` is
         exact_proper(t - 1, hull, ., z).  The row at x reads the rows at
@@ -465,7 +457,7 @@ class CountingContext:
         K = self.n_max - hull
         lo, wg = weights
         chain: dict[int, list[int]] = {}
-        for x in range(hull - 1, x_low - 1, -1):
+        for x in range(hull - 1, z - 1, -1):
             if lo is None or lo > K:
                 chain[x] = [0] * (K + 1)
                 continue
@@ -491,7 +483,7 @@ class CountingContext:
                               rests: list) -> list[int]:
         C = self._C
         Cl, Cx, Cz = C[l], C[x], C[z]
-        single = [self._single[t - 1][r] if r < self._w else None for r in range(x + l)]
+        single = self._single[t - 1]
         row = [0] * (K + 1)
         rests = [row] + rests[1:]
         for k in range(1, K + 1):
@@ -508,7 +500,7 @@ class CountingContext:
                         continue
                     w_layer = Cl[l2] * rest
                     for x2 in range(x + 1):
-                        if not 0 < x2 + l2 < x + l or single[x2 + l2] is None:
+                        if not 0 < x2 + l2 < x + l:
                             continue
                         w = Cx[x2] if l2 > 0 else Cx[x2] - Cz[x2]
                         if not w:
@@ -545,25 +537,6 @@ class CountingContext:
         C = self._C
         return [sum(map(mul, map(mul, C[k][lo:k + 1], a[lo:k + 1]), b[k - lo::-1]))
                 if k >= lo else 0 for k in range(K + 1)]
-
-    # -- rows past omega, on request -------------------------------------------
-
-    def _far_exact(self, t: int, hull: int, z: int, proper: bool) -> list[int]:
-        return self._exact_rows(hull, z, self._weights(t, hull))[proper]
-
-    def _far_within(self, t: int, hull: int, z: int) -> list[int]:
-        K = self.n_max - hull
-        row = [1] + [0] * K
-        for r in range(1, t + 1):
-            row = self._conv(self._far_exact(r, hull, z, False), row, K, 0)
-        return row
-
-    def _far_pinned_proper(self, t: int, x: int, l: int, z: int) -> list[int]:
-        hull = x + l
-        if t == 1:
-            return [0] * (self.n_max - hull + 1)
-        rest = self._far_exact(t - 1, hull, z, True)
-        return self._pinned_proper_chain(t, hull, z, x, self._weights(t - 1, hull), rest)[x]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Exact uniform sampling of w-colorable labeled (connected) chordal graphs.
 
-Every random decision inverts one term choice of the counting recurrences, so
-the output distribution is exactly uniform: all branch weights are products of
-table counts and binomial coefficients, chosen with exact integer draws.
-No floating point appears anywhere on the sampling path.
+The sampler unranks (Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978,
+ch. 13): the recurrence that counts a class splits the ranks [0, count) into
+one block per term, and a term's block into the ranks of its parts and the
+indices of their label subsets.  Every rank below the count thus names one
+member, distinct ranks name distinct members, and a sample is the member of
+one exact uniform rank.  No floating point appears anywhere on the path.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .counting import CountingContext, class_params
 # The sampler builds its one graph with LabeledGraph; the other four names stay
@@ -62,40 +63,45 @@ class RandomStream:
         return RandomStream(mix)
 
 
-def uniform_below(bound: int, rng: RandomStream) -> int:
-    return rng.uniform_below(bound)
+def _pick(weights: Sequence[int], r: int) -> tuple[int, int]:
+    """(i, r - sum(weights[:i])) for the term i whose block of ranks holds r."""
+    for i, w in enumerate(weights):
+        if r < w:
+            return i, r
+        r -= w
+    raise AssertionError("rank outside the class: the weights sum below it")
 
 
-@dataclass(frozen=True)
-class WeightedChoice:
-    """A finite distribution with exact nonnegative integer weights."""
+def _split(pool: list[int], size: int, r: int) -> tuple[list[int], list[int]]:
+    """The size-subset of the pool with colex rank r, and the rest, both in pool order.
 
-    weights: tuple[int, ...]
-    total: int
-
-    @staticmethod
-    def of(weights: Iterable[int]) -> "WeightedChoice":
-        ws = tuple(weights)
-        if any(w < 0 for w in ws):
-            raise ValueError("weights must be nonnegative")
-        total = sum(ws)
-        if total <= 0:
-            raise ValueError("total weight must be positive")
-        return WeightedChoice(ws, total)
-
-    def draw(self, rng: RandomStream) -> int:
-        u = rng.uniform_below(self.total)
-        acc = 0
-        for i, w in enumerate(self.weights):
-            acc += w
-            if u < acc:
-                return i
-        raise AssertionError("unreachable: weights summed below total")
+    In colex order the subsets of pool[:j] hold exactly the ranks below
+    C(j, size), so scanning down, pool[j] is taken iff r >= C(j, size); once
+    r is 0, the rest of the subset is the first size labels left.
+    """
+    chosen: list[int] = []
+    rest: list[int] = []
+    j = len(pool)
+    while r:
+        j -= 1
+        c = comb(j, size)
+        if r >= c:
+            r -= c
+            size -= 1
+            chosen.append(pool[j])
+        else:
+            rest.append(pool[j])
+    return pool[:size] + chosen[::-1], pool[size:j] + rest[::-1]
 
 
 def categorical(weights: Sequence[int], rng: RandomStream) -> int:
     """Index i with probability weights[i] / sum(weights); zero weights never win."""
-    return WeightedChoice.of(weights).draw(rng)
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("total weight must be positive")
+    return _pick(weights, rng.uniform_below(total))[0]
 
 
 def sample_subset(pool: Sequence[int], k: int, rng: RandomStream) -> list[int]:
@@ -114,38 +120,6 @@ def sample_subset(pool: Sequence[int], k: int, rng: RandomStream) -> list[int]:
     return chosen
 
 
-def sample_subset_containing(pool: Sequence[int], k: int, required: int,
-                             rng: RandomStream) -> list[int]:
-    """Uniform k-subset of the pool conditioned on containing ``required``."""
-    rest = [e for e in pool if e != required]
-    if len(rest) == len(pool):
-        raise ValueError(f"required element {required} not in pool")
-    sub = sample_subset(rest, k - 1, rng)
-    sub.append(required)
-    sub.sort()
-    return sub
-
-
-def sample_subset_escaping_prefix(x: int, size: int, z: int, rng: RandomStream) -> list[int]:
-    """Uniform size-subset of [1, x] that is not contained in [1, z].
-
-    Draws the number of elements above z with its exact hypergeometric-style
-    weight, then fills both parts uniformly; no rejection needed.
-    """
-    hi = x - z
-    weights = [comb(hi, j) * comb(z, size - j) for j in range(1, min(hi, size) + 1)]
-    j = categorical(weights, rng) + 1
-    top = sample_subset(range(z + 1, x + 1), j, rng)
-    low = sample_subset(range(1, z + 1), size - j, rng)
-    return sorted(low + top)
-
-
-def _complement(pool: Sequence[int], chosen: Sequence[int]) -> list[int]:
-    """The pool without the chosen labels, in pool order."""
-    taken = set(chosen)
-    return [v for v in pool if v not in taken]
-
-
 class ChordalSampler:
     """Uniform sampler over the graph classes of a filled counting context.
 
@@ -154,11 +128,16 @@ class ChordalSampler:
     big-integer weight terms evaluated since construction (a proxy for
     arithmetic work per sample).
 
-    ``_sample_<kind>`` samples the class ``CountingContext.count_<kind>``
-    counts.  It takes the arguments ``CLASS_ARGS[kind]`` names, then
-    ``labels`` (``labels[i]`` is the label of canonical vertex i + 1), an
-    ``edges`` list it appends to, and ``rng``.  Each branch draws the labels
-    of its parts before recursing, so a sample builds one graph, at the end.
+    :meth:`unrank` maps each rank below a class's count to one member; a
+    sample is the member of one uniform rank.  ``_unrank_<kind>`` unranks the
+    class ``CountingContext.count_<kind>`` counts.  It takes the arguments
+    ``CLASS_ARGS[kind]`` names (or ``n`` for "all" and "connected"), then the
+    rank ``r``, ``labels`` (``labels[i]`` is the label of canonical vertex
+    i + 1) and an ``edges`` list it appends to.  At each node it picks the
+    term whose block holds r, then splits the remainder by divmod into the
+    indices of the parts' label subsets and the parts' own ranks, so the
+    parts receive their labels before they recurse and a sample builds one
+    graph, at the end.
     """
 
     def __init__(self, ctx: CountingContext):
@@ -169,89 +148,110 @@ class ChordalSampler:
 
     def sample_chordal(self, n: int, rng: RandomStream) -> LabeledGraph:
         """Uniform w-colorable labeled chordal graph with vertex set [n]."""
-        if not 0 <= n <= self.ctx.n_max:
-            raise ValueError(f"n must be in [0, {self.ctx.n_max}]")
-        ctx = self.ctx
-        edges: list[tuple[int, int]] = []
-        rest = list(range(1, n + 1))
-        # Split off the component holding the first remaining label, as
-        # count_all does, until no label is left.
-        while rest:
-            m = len(rest)
-            weights = [ctx.binomial(m - 1, k - 1) * ctx.count_connected(k)
-                       * ctx.count_all(m - k) for k in range(1, m + 1)]
-            self.ops += m
-            k = categorical(weights, rng) + 1
-            assert sum(weights) == ctx.count_all(m)
-            component = sample_subset_containing(rest, k, rest[0], rng)
-            self._sample_connected_on(component, edges, rng)
-            rest = _complement(rest, component)
-        return LabeledGraph(range(1, n + 1), edges)
+        return self.sample_class("all", (n,), rng)
 
     def sample_connected(self, n: int, rng: RandomStream) -> LabeledGraph:
         """Uniform w-colorable labeled *connected* chordal graph on [n]."""
-        if not 1 <= n <= self.ctx.n_max:
-            raise ValueError(f"n must be in [1, {self.ctx.n_max}]")
-        if self.ctx.count_connected(n) == 0:
-            raise ValueError(f"no connected chordal graph on [{n}] is {self.ctx.omega}-colorable")
-        edges: list[tuple[int, int]] = []
-        self._sample_connected_on(list(range(1, n + 1)), edges, rng)
-        return LabeledGraph(range(1, n + 1), edges)
+        return self.sample_class("connected", (n,), rng)
 
     def sample_class(self, kind: str, args: Sequence[int], rng: RandomStream) -> LabeledGraph:
-        """Uniform member of one counted class, e.g. ("pinned", (t, x, l, k)).
+        """Uniform member of one class :meth:`unrank` accepts, e.g.
+        ("pinned", (t, x, l, k)).
 
         Raises if the kind is unknown, the argument count is wrong, or the
         class is empty (count zero).
         """
-        _, x, l, k, _ = class_params(kind, args)
-        if getattr(self.ctx, "count_" + kind)(*args) == 0:
-            raise ValueError(f"class {kind}{tuple(args)} is empty")
-        labels = list(range(1, x + l + k + 1))
+        count, _ = self._class(kind, args)
+        if count == 0:
+            raise ValueError(f"class {kind}{tuple(args)} is empty at omega = {self.ctx.omega}")
+        return self.unrank(kind, args, rng.uniform_below(count))
+
+    def unrank(self, kind: str, args: Sequence[int], r: int) -> LabeledGraph:
+        """The member of rank r of one counted class, for 0 <= r < its count.
+
+        ``kind`` is a ``CLASS_ARGS`` kind, or "all" / "connected" with
+        ``args = (n,)``; ``count_<kind>(*args)`` is the class size.  Distinct
+        ranks give distinct graphs.  Raises ValueError for an unknown kind, a
+        wrong argument count, or a rank outside [0, count).
+        """
+        count, size = self._class(kind, args)
+        if not 0 <= r < count:
+            raise ValueError(f"rank {r} outside [0, {count}) of class {kind}{tuple(args)}")
+        labels = list(range(1, size + 1))
         edges: list[tuple[int, int]] = []
-        getattr(self, "_sample_" + kind)(*args, labels, edges, rng)
+        getattr(self, "_unrank_" + kind)(*args, r, labels, edges)
         return LabeledGraph(labels, edges)
 
-    def _sample_connected_on(self, labels: list[int], edges: list, rng: RandomStream) -> None:
-        ctx = self.ctx
-        n = len(labels)
-        weights = [ctx.count_exact_single(t, 0, n) for t in range(1, n + 1)]
-        self.ops += n
-        t = categorical(weights, rng) + 1
-        self._sample_exact_single(t, 0, n, labels, edges, rng)
+    def _class(self, kind: str, args: Sequence[int]) -> tuple[int, int]:
+        """(count, vertex count) of a class, validating the kind and arguments."""
+        if kind in ("all", "connected"):
+            if len(args) != 1:
+                raise ValueError(f"class kind {kind!r} takes the 1 argument (n), got {len(args)}")
+            size = args[0]
+        else:
+            _, x, l, k, _ = class_params(kind, args)
+            size = x + l + k
+        return getattr(self.ctx, "count_" + kind)(*args), size
 
     # -- one procedure per counted class --------------------------------------
 
-    def _sample_within(self, t: int, x: int, k: int, z: int, labels: list[int],
-                       edges: list, rng: RandomStream) -> None:
+    def _unrank_all(self, n: int, r: int, labels: list[int], edges: list) -> None:
+        # Split off the component holding the first remaining label, as
+        # count_all does, until no label is left.
         ctx = self.ctx
-        if t == 0 and k == 0:
-            edges.extend(combinations(labels, 2))
-            return
-        # Zero factors short-circuit left to right in fill order, so weighing
-        # a filled context never writes to it.
-        weights = []
-        for k2 in range(k + 1):
-            a = ctx.count_exact(t, x, k2, z)
-            weights.append(ctx.binomial(k, k2) * a
-                           * ctx.count_within(t - 1, x, k - k2, z) if a else 0)
-        self.ops += k + 1
-        k2 = categorical(weights, rng)
+        rest = labels
+        while rest:
+            m = len(rest)
+            weights = [comb(m - 1, k - 1) * ctx.count_connected(k)
+                       * ctx.count_all(m - k) for k in range(1, m + 1)]
+            self.ops += m
+            k, r = _pick(weights, r)
+            k += 1
+            r, s = divmod(r, comb(m - 1, k - 1))
+            r, r_comp = divmod(r, ctx.count_connected(k))
+            first = rest[0]
+            component, rest = _split(rest[1:], k - 1, s)
+            self._unrank_connected(k, r_comp, [first] + component, edges)
+
+    def _unrank_connected(self, n: int, r: int, labels: list[int], edges: list) -> None:
+        ctx = self.ctx
+        weights = [ctx.count_exact_single(t, 0, n) for t in range(1, n + 1)]
+        self.ops += n
+        t, r = _pick(weights, r)
+        self._unrank_exact_single(t + 1, 0, n, r, labels, edges)
+
+    def _unrank_within(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
+                       edges: list) -> None:
+        # The k2 free vertices whose components finish in round t, then the
+        # rest within t - 1 rounds, looping (t may exceed the last round by
+        # far) until no free vertex is left.
+        ctx = self.ctx
         root, free = labels[:x], labels[x:]
-        chosen = sample_subset(free, k2, rng)
-        self._sample_exact(t, x, k2, z, root + chosen, edges, rng)
-        self._sample_within(t - 1, x, k - k2, z, root + _complement(free, chosen), edges, rng)
+        while free:
+            k = len(free)
+            exact = [ctx.count_exact(t, x, k2, z) for k2 in range(k + 1)]
+            weights = [comb(k, k2) * a * ctx.count_within(t - 1, x, k - k2, z) if a else 0
+                       for k2, a in enumerate(exact)]
+            self.ops += k + 1
+            k2, r = _pick(weights, r)
+            r, s = divmod(r, comb(k, k2))
+            r, r_exact = divmod(r, exact[k2])
+            chosen, free = _split(free, k2, s)
+            if chosen:
+                self._unrank_exact(t, x, k2, z, r_exact, root + chosen, edges)
+            t -= 1
+        edges.extend(combinations(root, 2))
 
-    def _sample_exact(self, t: int, x: int, k: int, z: int, labels: list[int],
-                      edges: list, rng: RandomStream) -> None:
-        self._sample_root_components(False, t, x, k, z, labels, edges, rng)
+    def _unrank_exact(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
+                      edges: list) -> None:
+        self._unrank_root_components(False, t, x, k, z, r, labels, edges)
 
-    def _sample_exact_proper(self, t: int, x: int, k: int, z: int, labels: list[int],
-                             edges: list, rng: RandomStream) -> None:
-        self._sample_root_components(True, t, x, k, z, labels, edges, rng)
+    def _unrank_exact_proper(self, t: int, x: int, k: int, z: int, r: int,
+                             labels: list[int], edges: list) -> None:
+        self._unrank_root_components(True, t, x, k, z, r, labels, edges)
 
-    def _sample_root_components(self, proper: bool, t: int, x: int, k: int, z: int,
-                                labels: list[int], edges: list, rng: RandomStream) -> None:
+    def _unrank_root_components(self, proper: bool, t: int, x: int, k: int, z: int, r: int,
+                                labels: list[int], edges: list) -> None:
         """The exact and exact_proper classes: split off the component holding
         the first free vertex, with root contact x2 (below x if proper)."""
         ctx = self.ctx
@@ -259,168 +259,182 @@ class ChordalSampler:
             edges.extend(combinations(labels, 2))
             return
         count_rest = ctx.count_exact_proper if proper else ctx.count_exact
-        top = x - 1 if proper else x
-        pairs = []
+        # Root contacts of x2 labels that escape the first z.
+        contacts = [comb(x, x2) - comb(z, x2) for x2 in range(x if proper else x + 1)]
+        terms = []
         weights = []
         for k2 in range(1, k + 1):
             rest = count_rest(t, x, k - k2, z)
             if not rest:
                 continue
-            b = ctx.binomial(k - 1, k2 - 1)
-            for x2 in range(1, top + 1):
-                w = ((ctx.binomial(x, x2) - ctx.binomial(z, x2)) * b
-                     * ctx.count_exact_single(t, x2, k2) * rest)
-                if w:
-                    pairs.append((k2, x2))
-                    weights.append(w)
-        self.ops += k * max(top, 0)
-        k2, x2 = pairs[categorical(weights, rng)]
+            b = comb(k - 1, k2 - 1)
+            for x2 in range(1, len(contacts)):
+                single = ctx.count_exact_single(t, x2, k2)
+                if single:
+                    terms.append((k2, x2, b, single))
+                    weights.append(contacts[x2] * b * single * rest)
+        self.ops += k * (len(contacts) - 1)
+        i, r = _pick(weights, r)
+        k2, x2, b, single = terms[i]
+        r, c = divmod(r, contacts[x2])
+        r, s = divmod(r, b)
+        r_rest, r_comp = divmod(r, single)
         root, free = labels[:x], labels[x:]
-        contact = [root[i - 1] for i in sample_subset_escaping_prefix(x, x2, z, rng)]
-        component = sample_subset_containing(free, k2, free[0], rng)
-        self._sample_exact_single(t, x2, k2, contact + component, edges, rng)
-        self._sample_root_components(proper, t, x, k - k2, z,
-                                     root + _complement(free, component), edges, rng)
+        # In colex order the subsets inside root[:z] take the ranks below C(z, x2).
+        contact, _ = _split(root, x2, comb(z, x2) + c)
+        component, rest = _split(free[1:], k2 - 1, s)
+        self._unrank_exact_single(t, x2, k2, r_comp, contact + [free[0]] + component, edges)
+        self._unrank_root_components(proper, t, x, k - k2, z, r_rest, root + rest, edges)
 
-    def _sample_exact_single(self, t: int, x: int, k: int, labels: list[int],
-                             edges: list, rng: RandomStream) -> None:
+    def _unrank_exact_single(self, t: int, x: int, k: int, r: int, labels: list[int],
+                             edges: list) -> None:
         ctx = self.ctx
-        weights = [ctx.binomial(k, l) * ctx.count_pinned(t, x, l, k - l)
+        weights = [comb(k, l) * ctx.count_pinned(t, x, l, k - l)
                    for l in range(1, k + 1)]
         self.ops += k
-        l = categorical(weights, rng) + 1
-        root, free = labels[:x], labels[x:]
-        layer = sample_subset(free, l, rng)
-        self._sample_pinned(t, x, l, k - l, root + layer + _complement(free, layer), edges, rng)
+        l, r = _pick(weights, r)
+        l += 1
+        r, s = divmod(r, comb(k, l))
+        layer, rest = _split(labels[x:], l, s)
+        self._unrank_pinned(t, x, l, k - l, r, labels[:x] + layer + rest, edges)
 
-    def _sample_exact_multi(self, t: int, x: int, k: int, labels: list[int],
-                            edges: list, rng: RandomStream) -> None:
+    def _unrank_exact_multi(self, t: int, x: int, k: int, r: int, labels: list[int],
+                            edges: list) -> None:
+        # The component holding the first free vertex, then one further
+        # component (the first k - 1 blocks) or at least two (the last k - 1).
         ctx = self.ctx
         w_one = []
         w_more = []
         for k2 in range(1, k):
-            b = ctx.binomial(k - 1, k2 - 1) * ctx.count_exact_single(t, x, k2)
-            w_one.append(b * ctx.count_exact_single(t, x, k - k2) if b else 0)
-            w_more.append(b * ctx.count_exact_multi(t, x, k - k2) if b else 0)
+            b = comb(k - 1, k2 - 1)
+            single = ctx.count_exact_single(t, x, k2)
+            w_one.append(b * single * ctx.count_exact_single(t, x, k - k2) if single else 0)
+            w_more.append(b * single * ctx.count_exact_multi(t, x, k - k2) if single else 0)
         self.ops += 2 * k
-        s1 = sum(w_one)
-        one = rng.uniform_below(s1 + sum(w_more)) < s1
-        k2 = categorical(w_one if one else w_more, rng) + 1
+        i, r = _pick(w_one + w_more, r)
+        k2 = i % (k - 1) + 1
+        r, s = divmod(r, comb(k - 1, k2 - 1))
+        r_rest, r_comp = divmod(r, ctx.count_exact_single(t, x, k2))
         root, free = labels[:x], labels[x:]
-        component = sample_subset_containing(free, k2, free[0], rng)
-        rest = root + _complement(free, component)
-        self._sample_exact_single(t, x, k2, root + component, edges, rng)
-        if one:
-            self._sample_exact_single(t, x, k - k2, rest, edges, rng)
+        component, rest = _split(free[1:], k2 - 1, s)
+        self._unrank_exact_single(t, x, k2, r_comp, root + [free[0]] + component, edges)
+        if i < k - 1:
+            self._unrank_exact_single(t, x, k - k2, r_rest, root + rest, edges)
         else:
-            self._sample_exact_multi(t, x, k - k2, rest, edges, rng)
+            self._unrank_exact_multi(t, x, k - k2, r_rest, root + rest, edges)
 
-    def _sample_pinned(self, t: int, x: int, l: int, k: int, labels: list[int],
-                       edges: list, rng: RandomStream) -> None:
+    def _unrank_pinned(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
+                       edges: list) -> None:
         ctx = self.ctx
         if t == 1 and k == 0:
             edges.extend(combinations(labels, 2))
             return
-        weights = []
-        for k2 in range(1, k + 1):
-            a = ctx.count_pinned_exact(t, x, l, k2)
-            weights.append(ctx.binomial(k, k2) * a
-                           * ctx.count_within(t - 2, x + l, k - k2, x) if a else 0)
+        exact = [ctx.count_pinned_exact(t, x, l, k2) for k2 in range(1, k + 1)]
+        weights = [comb(k, k2) * a * ctx.count_within(t - 2, x + l, k - k2, x) if a else 0
+                   for k2, a in enumerate(exact, 1)]
         self.ops += k
-        k2 = categorical(weights, rng) + 1
-        hull, free = labels[:x + l], labels[x + l:]
-        chosen = sample_subset(free, k2, rng)
-        self._sample_pinned_exact(t, x, l, k2, hull + chosen, edges, rng)
-        self._sample_within(t - 2, x + l, k - k2, x, hull + _complement(free, chosen),
-                            edges, rng)
+        i, r = _pick(weights, r)
+        k2 = i + 1
+        r, s = divmod(r, comb(k, k2))
+        r_rest, r_exact = divmod(r, exact[i])
+        hull = labels[:x + l]
+        chosen, rest = _split(labels[x + l:], k2, s)
+        self._unrank_pinned_exact(t, x, l, k2, r_exact, hull + chosen, edges)
+        self._unrank_within(t - 2, x + l, k - k2, x, r_rest, hull + rest, edges)
 
-    def _sample_pinned_exact(self, t: int, x: int, l: int, k: int, labels: list[int],
-                             edges: list, rng: RandomStream) -> None:
+    def _unrank_pinned_exact(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
+                             edges: list) -> None:
+        # No component outside the hull sees all of it (the pinned_proper
+        # block), or the first k2 free vertices chosen hold exactly one such
+        # component (the next k blocks) or at least two (the last k).
         ctx = self.ctx
+        proper = ctx.count_pinned_proper(t, x, l, k)
+        self.ops += 1
+        if r < proper:
+            self._unrank_pinned_proper(t, x, l, k, r, labels, edges)
+            return
+        r -= proper
         xl = x + l
-        s1 = ctx.count_pinned_proper(t, x, l, k)
         w_one = []
         w_more = []
         for k2 in range(1, k + 1):
-            b = ctx.binomial(k, k2)
+            b = comb(k, k2)
             one = ctx.count_exact_single(t - 1, xl, k2)
-            w_one.append(b * one * ctx.count_pinned_proper(t, x, l, k - k2)
-                         if one else 0)
             more = ctx.count_exact_multi(t - 1, xl, k2)
+            w_one.append(b * one * ctx.count_pinned_proper(t, x, l, k - k2) if one else 0)
+            # more is 0 at t = 1, below the rounds exact_proper accepts.
             w_more.append(b * more * ctx.count_exact_proper(t - 1, xl, k - k2, x)
                           if more else 0)
-        self.ops += 2 * k + 1
-        s2 = sum(w_one)
-        s3 = sum(w_more)
-        u = rng.uniform_below(s1 + s2 + s3)
-        if u < s1:
-            self._sample_pinned_proper(t, x, l, k, labels, edges, rng)
-            return
-        one = u < s1 + s2
-        k2 = categorical(w_one if one else w_more, rng) + 1
-        hull, free = labels[:xl], labels[xl:]
-        chosen = sample_subset(free, k2, rng)
-        rest = hull + _complement(free, chosen)
-        if one:
-            self._sample_exact_single(t - 1, xl, k2, hull + chosen, edges, rng)
-            self._sample_pinned_proper(t, x, l, k - k2, rest, edges, rng)
+        self.ops += 2 * k
+        i, r = _pick(w_one + w_more, r)
+        k2 = i % k + 1
+        r, s = divmod(r, comb(k, k2))
+        hull = labels[:xl]
+        chosen, rest = _split(labels[xl:], k2, s)
+        if i < k:
+            r_rest, r_seeing = divmod(r, ctx.count_exact_single(t - 1, xl, k2))
+            self._unrank_exact_single(t - 1, xl, k2, r_seeing, hull + chosen, edges)
+            self._unrank_pinned_proper(t, x, l, k - k2, r_rest, hull + rest, edges)
         else:
-            self._sample_exact_multi(t - 1, xl, k2, hull + chosen, edges, rng)
-            self._sample_exact_proper(t - 1, xl, k - k2, x, rest, edges, rng)
+            r_rest, r_seeing = divmod(r, ctx.count_exact_multi(t - 1, xl, k2))
+            self._unrank_exact_multi(t - 1, xl, k2, r_seeing, hull + chosen, edges)
+            self._unrank_exact_proper(t - 1, xl, k - k2, x, r_rest, hull + rest, edges)
 
-    def _sample_pinned_proper(self, t: int, x: int, l: int, k: int, labels: list[int],
-                              edges: list, rng: RandomStream) -> None:
-        self._sample_pinned_proper_z(t, x, l, k, x, labels, edges, rng)
+    def _unrank_pinned_proper(self, t: int, x: int, l: int, k: int, r: int,
+                              labels: list[int], edges: list) -> None:
+        self._unrank_pinned_proper_z(t, x, l, k, x, r, labels, edges)
 
-    def _sample_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int,
-                                labels: list[int], edges: list, rng: RandomStream) -> None:
+    def _unrank_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int, r: int,
+                                labels: list[int], edges: list) -> None:
+        # The component holding the first free vertex has k2 vertices and
+        # touches x2 root labels and l2 layer labels, a proper nonempty part
+        # of root-plus-layer.  If it misses the layer, its root contact must
+        # escape the first z root labels.
         ctx = self.ctx
-        triples = []
+        contacts = ([comb(x, x2) - comb(z, x2) for x2 in range(x + 1)],
+                    [comb(x, x2) for x2 in range(x + 1)])
+        terms = []
         weights = []
         for k2 in range(1, k + 1):
-            b = ctx.binomial(k - 1, k2 - 1)
-            kr = k - k2
-            for x2 in range(x + 1):
-                for l2 in range(l + 1):
-                    if not 0 < x2 + l2 < x + l:
-                        continue
-                    s = ctx.count_exact_single(t - 1, x2 + l2, k2)
-                    if not s:
-                        continue
-                    if l2 > 0:
-                        w_root = ctx.binomial(x, x2)
-                    else:
-                        w_root = ctx.binomial(x, x2) - ctx.binomial(z, x2)
-                    if not w_root:
-                        continue
-                    rest = (ctx.count_pinned_proper_z(t, x + l2, l - l2, kr, z) if l2 < l
-                            else ctx.count_exact_proper(t - 1, x + l, kr, z))
-                    if not rest:
-                        continue
-                    triples.append((k2, x2, l2))
-                    weights.append(b * ctx.binomial(l, l2) * s * w_root * rest)
+            singles = [ctx.count_exact_single(t - 1, m, k2) for m in range(x + l)]
+            if not any(singles):  # always so at t = 1, below exact_proper's rounds
+                continue
+            b = comb(k - 1, k2 - 1)
+            for l2 in range(l + 1):
+                rest = (ctx.count_pinned_proper_z(t, x + l2, l - l2, k - k2, z) if l2 < l
+                        else ctx.count_exact_proper(t - 1, x + l, k - k2, z))
+                if not rest:
+                    continue
+                share = b * comb(l, l2) * rest
+                for x2 in range(x + 1 if l2 < l else x):
+                    w = contacts[l2 > 0][x2] * singles[x2 + l2]
+                    if w:
+                        terms.append((k2, x2, l2, b, singles[x2 + l2]))
+                        weights.append(w * share)
         self.ops += k * (x + 1) * (l + 1)
-        k2, x2, l2 = triples[categorical(weights, rng)]
+        i, r = _pick(weights, r)
+        k2, x2, l2, b, single = terms[i]
+        r, c = divmod(r, contacts[l2 > 0][x2])
+        r, c_layer = divmod(r, comb(l, l2))
+        r, s = divmod(r, b)
+        r_rest, r_comp = divmod(r, single)
 
-        # Label choices for the component's root contact (x2 in the held root,
-        # l2 in the pinned layer) and for its own vertices.  The [1, z] prefix
-        # is positional, so contacts that must escape it are drawn as positions.
+        # The [1, z] prefix is positional: a contact that must escape it has
+        # colex rank at least C(z, x2).
         root, layer, free = labels[:x], labels[x:x + l], labels[x + l:]
-        if l2 > 0:
-            contact = sample_subset(root, x2, rng)
-        else:
-            contact = [root[i - 1] for i in sample_subset_escaping_prefix(x, x2, z, rng)]
-        layer_contact = sample_subset(layer, l2, rng)
-        component = sample_subset_containing(free, k2, free[0], rng)
-        rest = _complement(free, component)
-        self._sample_exact_single(t - 1, x2 + l2, k2, contact + layer_contact + component,
-                                  edges, rng)
+        contact, _ = _split(root, x2, c if l2 else comb(z, x2) + c)
+        layer_contact, layer_rest = _split(layer, l2, c_layer)
+        component, rest = _split(free[1:], k2 - 1, s)
+        self._unrank_exact_single(t - 1, x2 + l2, k2, r_comp,
+                                  contact + layer_contact + [free[0]] + component, edges)
         if l2 < l:
             # The touched layer labels join the root; the rest stay the layer.
-            hull = root + layer_contact + _complement(layer, layer_contact)
-            self._sample_pinned_proper_z(t, x + l2, l - l2, k - k2, z, hull + rest, edges, rng)
+            hull = root + layer_contact + layer_rest
+            self._unrank_pinned_proper_z(t, x + l2, l - l2, k - k2, z, r_rest, hull + rest,
+                                         edges)
         else:
-            self._sample_exact_proper(t - 1, x + l, k - k2, z, root + layer + rest, edges, rng)
+            self._unrank_exact_proper(t - 1, x + l, k - k2, z, r_rest, root + layer + rest,
+                                      edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordal_lab.counting import CountingContext
+from chordal_lab.counting import CLASS_ARGS, CountingContext, class_params, get_context
 from chordal_lab.graphs import (
     is_chordal,
     is_connected,
@@ -21,14 +22,10 @@ from chordal_lab.bruteforce import (
 from chordal_lab.sampling import (
     ChordalSampler,
     RandomStream,
-    WeightedChoice,
     categorical,
     sample_chordal,
     sample_connected_chordal,
     sample_subset,
-    sample_subset_containing,
-    sample_subset_escaping_prefix,
-    uniform_below,
 )
 
 
@@ -106,10 +103,7 @@ class TestCategorical:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            WeightedChoice.of([1, -1])
-
-    def test_uniform_below_helper(self):
-        assert 0 <= uniform_below(10, RandomStream(3)) < 10
+            categorical([1, -1], RandomStream(1))
 
 
 class TestSubsetSampling:
@@ -125,23 +119,6 @@ class TestSubsetSampling:
         exp = n / 10
         for c in counts.values():
             assert abs(c - exp) < 4 * math.sqrt(n * 0.1 * 0.9)
-
-    def test_containing(self):
-        rng = RandomStream(12)
-        for _ in range(200):
-            s = sample_subset_containing(range(1, 8), 3, 4, rng)
-            assert 4 in s and len(s) == 3
-
-    def test_escaping_prefix_support(self):
-        rng = RandomStream(13)
-        # subsets of [4] of size 2 not inside [2]: 5 of the 6 pairs qualify
-        counts = Counter(tuple(sample_subset_escaping_prefix(4, 2, 2, rng))
-                         for _ in range(25000))
-        assert (1, 2) not in counts
-        assert len(counts) == 5
-        exp = 25000 / 5
-        for c in counts.values():
-            assert abs(c - exp) < 4 * math.sqrt(25000 * 0.2 * 0.8)
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +325,133 @@ class TestUniformity:
         assert len(support) == 4
         res = uniformity_test(samples, support)
         assert res.passed, (res.statistic, res.threshold)
+
+
+BIJECTION_N = 5
+
+
+def _class_tuples(ctx: CountingContext, n: int):
+    """(kind, args) of every class the accessors accept on at most n vertices,
+    with t <= n + 1."""
+    for kind, names in CLASS_ARGS.items():
+        count = getattr(ctx, "count_" + kind)
+        ranges = [range(n + 2) if c == "t" else range(n + 1) for c in names]
+        for args in product(*ranges):
+            _, x, l, k, _ = class_params(kind, args)
+            if x + l + k > n:
+                continue
+            try:
+                count(*args)
+            except ValueError:
+                continue
+            yield kind, args
+
+
+class TestUnrankBijection:
+    """Unranking every rank below a class's count gives that many distinct
+    members, so a uniform rank gives an exactly uniform member."""
+
+    @pytest.mark.parametrize("omega", range(1, BIJECTION_N + 1))
+    def test_every_class_at_n_max_5(self, omega):
+        ctx = CountingContext(BIJECTION_N, omega)
+        s = ChordalSampler(ctx)
+        nonempty = set()
+        for kind, args in _class_tuples(ctx, BIJECTION_N):
+            count = getattr(ctx, "count_" + kind)(*args)
+            graphs = {s.unrank(kind, args, r) for r in range(count)}
+            assert len(graphs) == count, (kind, args)
+            for g in graphs:
+                assert check_class_membership(kind, args, g, omega), (kind, args, g)
+            if count:
+                nonempty.add(kind)
+        # At omega = 1 the members are single vertices and bare roots, so the
+        # classes that need two components, or a component beside a pinned
+        # layer, are empty.
+        empty = {"exact_multi", "pinned_exact", "pinned_proper", "pinned_proper_z"}
+        assert set(CLASS_ARGS) - nonempty == (empty if omega == 1 else set())
+
+    @staticmethod
+    def _check_top_level(kinds: tuple, n: int, omega: int) -> None:
+        ctx = get_context(BIJECTION_N + 1, omega)
+        s = ChordalSampler(ctx)
+        chordal = brute_counts(n, include_graphs=True).chordal_graphs
+        for kind in kinds:
+            count = getattr(ctx, "count_" + kind)(n)
+            got = [bitmask_of(s.unrank(kind, (n,), r)) for r in range(count)]
+            want = {m for m, mc, conn in chordal
+                    if mc <= omega and (conn or kind == "all")}
+            assert len(got) == len(want) and set(got) == want, (kind, n, omega)
+
+    @pytest.mark.parametrize("n", range(BIJECTION_N + 1))
+    def test_all_and_connected_match_enumeration(self, n):
+        kinds = ("all", "connected") if n else ("all",)
+        for omega in range(1, BIJECTION_N + 1):
+            self._check_top_level(kinds, n, omega)
+
+    def test_all_at_n_6(self):
+        # 18,154 chordal graphs on [6]; the block of those with one component
+        # unranks every connected graph on [6] as well.
+        self._check_top_level(("all",), BIJECTION_N + 1, BIJECTION_N + 1)
+
+
+class TestUnrankDomain:
+    def test_rank_outside_the_class(self, ctx5):
+        s = ChordalSampler(ctx5)
+        for kind, args in [("exact", (1, 2, 3, 1)), ("all", (5,)), ("connected", (4,))]:
+            count = getattr(ctx5, "count_" + kind)(*args)
+            assert s.unrank(kind, args, count - 1) != s.unrank(kind, args, 0)
+            for r in (-1, count):
+                with pytest.raises(ValueError, match="rank"):
+                    s.unrank(kind, args, r)
+
+    def test_empty_class_has_no_rank(self, ctx5):
+        assert ctx5.count_exact_single(3, 0, 2) == 0
+        with pytest.raises(ValueError, match="rank"):
+            ChordalSampler(ctx5).unrank("exact_single", (3, 0, 2), 0)
+
+    def test_unknown_kind(self, ctx5):
+        with pytest.raises(ValueError, match="unknown class kind"):
+            ChordalSampler(ctx5).unrank("nope", (1, 2), 0)
+
+    def test_rounds_far_past_the_last(self, ctx5):
+        # within keeps its last round's count for every later t, and unranking
+        # it does not recurse once per round
+        args = (2000, 2, 3, 1)
+        count = ctx5.count_within(*args)
+        assert count == ctx5.count_within(5, 2, 3, 1)
+        s = ChordalSampler(ctx5)
+        graphs = {s.unrank("within", args, r) for r in range(count)}
+        assert len(graphs) == count
+        assert all(check_class_membership("within", args, g, 5) for g in graphs)
+
+    @pytest.mark.parametrize("kind,args", [
+        ("pinned", (2, 0, 1)), ("exact", (1, 2, 3, 1, 0)), ("all", (3, 1)), ("connected", ()),
+    ])
+    def test_wrong_arity(self, ctx5, kind, args):
+        with pytest.raises(ValueError, match="argument"):
+            ChordalSampler(ctx5).unrank(kind, args, 0)
+
+
+class TestOneDrawPerSample:
+    @pytest.mark.parametrize("kind", ["all", "connected"])
+    def test_one_uniform_draw(self, monkeypatch, kind):
+        ctx = get_context(12)
+        sampler = ChordalSampler(ctx)
+        draw = sampler.sample_chordal if kind == "all" else sampler.sample_connected
+        bounds = []
+        below = RandomStream.uniform_below
+
+        def counted(self, bound):
+            bounds.append(bound)
+            return below(self, bound)
+
+        monkeypatch.setattr(RandomStream, "uniform_below", counted)
+        rng = RandomStream(12)
+        for _ in range(5):
+            bounds.clear()
+            g = draw(12, rng)
+            assert bounds == [getattr(ctx, "count_" + kind)(12)]
+            assert is_chordal(g)
 
 
 class TestOperationBudget:
