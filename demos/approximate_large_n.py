@@ -22,11 +22,10 @@ from chordal_lab import (
     approx_count_chordal,
     decimal_string,
     sample_split_draw,
-    split_count_q0_full,
-    split_count_q0_truncated,
     split_partition,
     threshold_g,
 )
+from chordal_lab.splits import split_count_q0_full, split_count_q0_truncated
 
 print("== Approximate counts of labeled chordal graphs (eps = 1e-6) ==")
 print("   (below the dispatch boundary the exact algorithm would run instead)")

@@ -43,20 +43,12 @@ from .sampling import (
 )
 from .splits import (
     SplitDraw,
-    SplitThresholds,
     approx_count_chordal,
     approx_count_split,
     approx_sample_chordal,
     as_epsilon,
     sample_split_approx,
     sample_split_draw,
-    split_count_q0_full,
-    split_count_q0_truncated,
-    split_count_q1_full,
-    split_count_q1_truncated,
-    split_count_q_ge2_exact,
-    split_count_q_ge2_truncated,
-    split_count_q_mid_full,
     threshold_f,
     threshold_g,
 )
@@ -72,7 +64,6 @@ __all__ = [
     "RandomStream",
     "SplitDraw",
     "SplitPartition",
-    "SplitThresholds",
     "approx_count_chordal",
     "approx_count_split",
     "approx_sample_chordal",
@@ -102,13 +93,6 @@ __all__ = [
     "sample_split_approx",
     "sample_split_draw",
     "sample_subset",
-    "split_count_q0_full",
-    "split_count_q0_truncated",
-    "split_count_q1_full",
-    "split_count_q1_truncated",
-    "split_count_q_ge2_exact",
-    "split_count_q_ge2_truncated",
-    "split_count_q_mid_full",
     "split_partition",
     "threshold_f",
     "threshold_g",

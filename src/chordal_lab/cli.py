@@ -18,12 +18,7 @@ from .counting import CountingContext
 from .decimal_text import decimal_string
 from .graphs import LabeledGraph, to_edge_list_text, to_json_dict
 from .sampling import ChordalSampler, RandomStream
-from .splits import (
-    DEFAULT_THRESHOLDS,
-    approx_count_chordal,
-    approx_sample_chordal,
-    as_epsilon,
-)
+from .splits import approx_count_chordal, approx_sample_chordal, as_epsilon
 
 
 class CliError(Exception):
@@ -121,7 +116,7 @@ def cmd_tables(args: argparse.Namespace, out: IO[str]) -> None:
 
 def cmd_approx_count(args: argparse.Namespace, out: IO[str]) -> None:
     eps = _parse_epsilon(args.epsilon)
-    value = approx_count_chordal(args.n, eps, DEFAULT_THRESHOLDS)
+    value = approx_count_chordal(args.n, eps)
     out.write(decimal_string(value) + "\n")
 
 
@@ -131,7 +126,7 @@ def cmd_approx_sample(args: argparse.Namespace, out: IO[str]) -> None:
 
     def gen():
         for _ in range(args.count):
-            yield approx_sample_chordal(args.n, eps, rng, DEFAULT_THRESHOLDS)
+            yield approx_sample_chordal(args.n, eps, rng)
 
     _emit_graphs(gen(), args.format, out)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Sequence
 
@@ -137,7 +137,9 @@ class ChordalSampler:
     term whose block holds r, then splits the remainder by divmod into the
     indices of the parts' label subsets and the parts' own ranks, so the
     parts receive their labels before they recurse and a sample builds one
-    graph, at the end.
+    graph, at the end.  Each edge is appended once: the clique on the class's
+    given labels (``labels[:x]``, or ``labels[:x + l]`` where the kind has a
+    layer) by :meth:`unrank`, a layer's edges where the layer is picked.
     """
 
     def __init__(self, ctx: CountingContext):
@@ -161,7 +163,7 @@ class ChordalSampler:
         Raises if the kind is unknown, the argument count is wrong, or the
         class is empty (count zero).
         """
-        count, _ = self._class(kind, args)
+        count = self._class(kind, args)[0]
         if count == 0:
             raise ValueError(f"class {kind}{tuple(args)} is empty at omega = {self.ctx.omega}")
         return self.unrank(kind, args, rng.uniform_below(count))
@@ -174,24 +176,25 @@ class ChordalSampler:
         ranks give distinct graphs.  Raises ValueError for an unknown kind, a
         wrong argument count, or a rank outside [0, count).
         """
-        count, size = self._class(kind, args)
+        count, size, hull = self._class(kind, args)
         if not 0 <= r < count:
             raise ValueError(f"rank {r} outside [0, {count}) of class {kind}{tuple(args)}")
         labels = list(range(1, size + 1))
-        edges: list[tuple[int, int]] = []
+        edges = list(combinations(labels[:hull], 2))
         getattr(self, "_unrank_" + kind)(*args, r, labels, edges)
         return LabeledGraph(labels, edges)
 
-    def _class(self, kind: str, args: Sequence[int]) -> tuple[int, int]:
-        """(count, vertex count) of a class, validating the kind and arguments."""
+    def _class(self, kind: str, args: Sequence[int]) -> tuple[int, int, int]:
+        """(count, vertex count, given clique size x + l) of a class, validating
+        the kind and arguments."""
         if kind in ("all", "connected"):
             if len(args) != 1:
                 raise ValueError(f"class kind {kind!r} takes the 1 argument (n), got {len(args)}")
-            size = args[0]
+            size, hull = args[0], 0
         else:
             _, x, l, k, _ = class_params(kind, args)
-            size = x + l + k
-        return getattr(self.ctx, "count_" + kind)(*args), size
+            size, hull = x + l + k, x + l
+        return getattr(self.ctx, "count_" + kind)(*args), size, hull
 
     # -- one procedure per counted class --------------------------------------
 
@@ -240,7 +243,6 @@ class ChordalSampler:
             if chosen:
                 self._unrank_exact(t, x, k2, z, r_exact, root + chosen, edges)
             t -= 1
-        edges.extend(combinations(root, 2))
 
     def _unrank_exact(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
                       edges: list) -> None:
@@ -256,7 +258,6 @@ class ChordalSampler:
         the first free vertex, with root contact x2 (below x if proper)."""
         ctx = self.ctx
         if k == 0:
-            edges.extend(combinations(labels, 2))
             return
         count_rest = ctx.count_exact_proper if proper else ctx.count_exact
         # Root contacts of x2 labels that escape the first z.
@@ -295,8 +296,11 @@ class ChordalSampler:
         l, r = _pick(weights, r)
         l += 1
         r, s = divmod(r, comb(k, l))
+        root = labels[:x]
         layer, rest = _split(labels[x:], l, s)
-        self._unrank_pinned(t, x, l, k - l, r, labels[:x] + layer + rest, edges)
+        edges.extend(product(layer, root))
+        edges.extend(combinations(layer, 2))
+        self._unrank_pinned(t, x, l, k - l, r, root + layer + rest, edges)
 
     def _unrank_exact_multi(self, t: int, x: int, k: int, r: int, labels: list[int],
                             edges: list) -> None:
@@ -327,7 +331,6 @@ class ChordalSampler:
                        edges: list) -> None:
         ctx = self.ctx
         if t == 1 and k == 0:
-            edges.extend(combinations(labels, 2))
             return
         exact = [ctx.count_pinned_exact(t, x, l, k2) for k2 in range(1, k + 1)]
         weights = [comb(k, k2) * a * ctx.count_within(t - 2, x + l, k - k2, x) if a else 0

@@ -6,9 +6,10 @@ organized by their questioning set Q (the vertices that can sit on either side
 of a split partition): the |Q| >= 2 stratum has a closed-form exact count, the
 |Q| in {0, 1} strata have two-sided sums that are themselves sharp
 approximations, and each sum concentrates on a narrow window of terms around
-its peak, which is all the fast path evaluates.  At large n even that window
-is skipped for |Q| >= 2: an exact-integer bound shows the whole stratum below
-a fixed 1/1024 slice of the epsilon budget.
+its peak, which is all the fast path evaluates.  The approximate count and
+the split sampler both leave the |Q| >= 2 stratum out: an exact-integer bound
+on it, checked on every call by ``_check_q_ge2_negligible``, stays below a
+fixed 1/1024 slice of the epsilon budget wherever the split path runs.
 
 Every quantity here is exact integer or rational arithmetic; accuracy targets
 (epsilon) enter only through exactly-computed integer truncation bounds.
@@ -16,28 +17,22 @@ Every quantity here is exact integer or rational arithmetic; accuracy targets
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import ceil, comb
 
 from .counting import CACHE_SIZE, EXACT_LIMIT
-from .graphs import LabeledGraph, complement, complete_graph
+# Nothing here calls ``complement``; it stays importable from here because
+# the benchmark's tracer wraps it by name.
+from .graphs import LabeledGraph, complement, complete_graph  # noqa: F401
 from .sampling import RandomStream, categorical, sample_subset
 
-# The |Q| in {0,1} stratum sums and the window-truncation bound are proven for
-# all sufficiently large n; these floors are where the proofs are known to
-# hold.  The dispatch floor (n3) covers the "almost every chordal graph is
-# split" tail bound.  All three are engineering defaults and configurable.
-@dataclass(frozen=True)
-class SplitThresholds:
-    n1: int = 65
-    n2: int = 65
-    n3: int = 65
-
-
-DEFAULT_THRESHOLDS = SplitThresholds()
+# Smallest n the split path serves, at any epsilon.  Assumed, not proven
+# here: the two-sided |Q| in {0, 1} sums stand in for the true stratum counts,
+# their windows keep (1 - eps) of them, and the non-split chordal graphs are a
+# negligible share, all from n = 65 on.  Leaving out the |Q| >= 2 stratum is
+# proven instead (see ``_check_q_ge2_negligible``).
+SPLIT_FLOOR = 65
 
 REJECTION_CAP_FACTOR = 64
 
@@ -75,34 +70,24 @@ def ceil_log2_inverse(eps: Fraction) -> int:
     return _ceil_log(Fraction(2), 1 / eps)
 
 
-def threshold_f(eps, thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> int:
+def threshold_f(eps) -> int:
     """Smallest n for which the truncated split count carries its guarantee."""
     eps = as_epsilon(eps)
     log_term = _ceil_log(Fraction(3, 2), (1 / eps) ** 3)  # ceil(3*log_{3/2}(1/eps))
-    return max(thresholds.n1, thresholds.n2, log_term)
+    return max(SPLIT_FLOOR, log_term)
 
 
-def threshold_g(eps, thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> int:
+def threshold_g(eps) -> int:
     """Smallest n for which split counting stands in for chordal counting."""
     eps = as_epsilon(eps)
     two = 2 / eps
-    return max(
-        thresholds.n1,
-        thresholds.n2,
-        thresholds.n3,
-        _ceil_log(Fraction(10, 9), two),
-        _ceil_log(Fraction(3, 2), two ** 3),
-    )
+    return max(SPLIT_FLOOR, _ceil_log(Fraction(10, 9), two),
+               _ceil_log(Fraction(3, 2), two ** 3))
 
 
 # ---------------------------------------------------------------------------
 # Exact and full sums
 # ---------------------------------------------------------------------------
-
-def _q_mid_term(n: int, q: int, c: int) -> int:
-    # 0**0 == 1 covers the q = n, c = 0 corner.
-    return comb(n, q) * comb(n - q, c) * (2 ** (n - c - q) - 1) ** c
-
 
 def _q_mid_sum(n: int, cells) -> int:
     """Sum of the |Q| >= 2 stratum terms over the given (q, c) cells.
@@ -247,7 +232,37 @@ def split_count_q1_truncated(n: int, eps) -> int:
 SKIP_SHARE = Fraction(1, 1024)
 
 
-def approx_count_split(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> int:
+def _check_q_ge2_negligible(n: int, delta: Fraction, rest: int) -> None:
+    """Raise AssertionError unless U(n) <= delta * rest, exactly.
+
+    U(n) = split_count_q_ge2_bound(n) bounds the whole |Q| >= 2 stratum, and
+    ``rest`` is a window total that includes the |Q| = 0 window.  The split
+    path calls this with delta = eps * SKIP_SHARE (eps / 1024) at some n >=
+    threshold_f(eps), and there the check always passes:
+
+    - U(n) = 3 * C(n, 2) * 2^(floor(n^2/4) - 1), since s + floor(s^2/4) =
+      floor(n^2/4) - 1 for s = n - 2.
+    - The |Q| = 0 window always holds c = m = floor(n/2).  That term is
+      C(n, m) * (2^m - 1)^(n - m) >= 2^n/(n + 1) * 2^floor(n^2/4) / 2:
+      C(n, m) is the largest of n + 1 binomials summing to 2^n, m * (n - m)
+      = floor(n^2/4), and (1 - 2^-m)^(n - m) >= 1 - (n - m) * 2^-m >= 1/2
+      for n >= 6.
+    - So U <= 3 * C(n, 2) * (n + 1) * 2^-n * rest < 1.5 * n^3 * 2^-n * rest.
+    - n >= threshold_f(eps) = max(65, ceil(3 * log_{3/2}(1/eps))) gives
+      eps >= (3/2)^(-n/3) >= 2^(-0.2 * n), and 1536 * n^3 <= 2^(0.8 * n)
+      for every n >= 65 (2^52 against 2^28.7 at n = 65, and the ratio grows).
+      Hence 1536 * n^3 <= eps * 2^n, that is 1.5 * n^3 * 2^-n <= eps/1024,
+      and U <= (eps/1024) * rest.
+
+    The check is exact integer arithmetic and costs one shift and a few
+    multiplies, so it runs on every call instead of trusting the proof.
+    """
+    if split_count_q_ge2_bound(n) * delta.denominator > delta.numerator * rest:
+        raise AssertionError(
+            f"the |Q| >= 2 bound at n = {n} exceeds {delta} of the window total")
+
+
+def approx_count_split(n: int, eps) -> int:
     """(1 - eps)-approximation from below of the two-sided split-graph sum.
 
     The result R satisfies (1 - eps) * F <= R <= F, where
@@ -256,26 +271,24 @@ def approx_count_split(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRESH
 
     Budget split: delta = eps * SKIP_SHARE (eps / 1024) and eps_w = eps - delta.
     The |Q| = 0 and |Q| = 1 windows are taken at eps_w, so each keeps at least
-    (1 - eps_w) of its full sum.  The |Q| >= 2 window (at eps_w too) is added
-    only when U = split_count_q_ge2_bound(n) exceeds delta * (q0 + q1 + 2);
-    otherwise the whole stratum is left out, and F - R <= eps_w * F + U
-    <= (eps_w + delta) * F = eps * F.  The two |Q| = n graphs are always
-    counted.  At the eps = 5e-4 that approx-count at 1e-3 uses, eps_w gives
-    the same window widths as eps.
+    (1 - eps_w) of its full sum, and the two |Q| = n graphs are counted.  The
+    |Q| >= 2 stratum is left out: ``_check_q_ge2_negligible`` proves, and
+    checks, U <= delta * R, so F - R <= eps_w * F + U <= eps * F.  At the
+    eps = 5e-4 that approx-count at 1e-3 uses, eps_w gives the same window
+    widths as eps.
 
-    Requires n >= threshold_f(eps).  The window bounds hold from the
-    eps-independent floors n1 and n2 on; the eps-dependent part of the floor
-    is where the two-sided sums approximate the true stratum counts to eps.
+    Requires n >= threshold_f(eps).  The window bounds are assumed from
+    SPLIT_FLOOR on; the eps-dependent part of the floor is where the two-sided
+    sums approximate the true stratum counts to eps.
     """
     eps = as_epsilon(eps)
-    floor = threshold_f(eps, thresholds)
+    floor = threshold_f(eps)
     if n < floor:
         raise ValueError(f"approx split counting needs n >= {floor} at this epsilon")
     delta = eps * SKIP_SHARE
     eps_w = eps - delta
     total = split_count_q0_truncated(n, eps_w) + split_count_q1_truncated(n, eps_w) + 2
-    if split_count_q_ge2_bound(n) * delta.denominator > delta.numerator * total:
-        total += split_count_q_ge2_truncated(n, eps_w)
+    _check_q_ge2_negligible(n, delta, total)
     return total
 
 
@@ -287,7 +300,7 @@ def _check_exact_limit(n: int, floor: int, exact_call: str) -> None:
             "engine anyway (its fill may take hours)")
 
 
-def approx_count_chordal(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> int:
+def approx_count_chordal(n: int, eps) -> int:
     """(1 +- eps)-approximation of the number of n-vertex labeled chordal graphs.
 
     Below the dispatch floor the answer is computed exactly (unconditionally
@@ -296,7 +309,7 @@ def approx_count_chordal(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRE
     exact fill that could take hours.
     """
     eps = as_epsilon(eps)
-    floor = threshold_g(eps, thresholds)
+    floor = threshold_g(eps)
     if n < floor:
         if n == 0:
             return 1
@@ -304,7 +317,7 @@ def approx_count_chordal(n: int, eps, thresholds: SplitThresholds = DEFAULT_THRE
         from .counting import get_context
 
         return get_context(n, n).count_all(n)
-    return approx_count_split(n, eps / 2, thresholds)
+    return approx_count_split(n, eps / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +334,7 @@ class SplitDraw:
     """
 
     graph: LabeledGraph
-    branch: str  # "q0" | "q1" | "q_mid" | "q_full"
+    branch: str  # "q0" | "q1" | "q_full"
     q: int
     c: int
     iterations: int
@@ -332,33 +345,6 @@ class SplitDraw:
 
 def _subset_from_mask(pool: list[int], mask: int) -> list[int]:
     return [e for i, e in enumerate(pool) if mask >> i & 1]
-
-
-def _build_q_mid(n: int, q: int, c: int, rng: RandomStream) -> SplitDraw:
-    # Q-is-a-clique shape: clique on Q u C, each C vertex wired to a nonempty
-    # subset of I; flipping a fair coin to complement covers the mirror shape.
-    labels = list(range(1, n + 1))
-    q_labels = sample_subset(labels, q, rng)
-    rest = [v for v in labels if v not in set(q_labels)]
-    c_labels = sample_subset(rest, c, rng)
-    i_labels = [v for v in rest if v not in set(c_labels)]
-    edges = []
-    hub = sorted(q_labels + c_labels)
-    for i, u in enumerate(hub):
-        for v in hub[i + 1:]:
-            edges.append((u, v))
-    if c_labels:
-        m = len(i_labels)
-        for v in c_labels:
-            mask = 1 + rng.uniform_below(2 ** m - 1)
-            edges.extend((v, u) for u in _subset_from_mask(i_labels, mask))
-    g = LabeledGraph(labels, edges)
-    cyan, indigo = frozenset(c_labels), frozenset(i_labels)
-    if rng.bits(1):
-        g = complement(g)
-        cyan, indigo = indigo, cyan
-    return SplitDraw(graph=g, branch="q_mid", q=q, c=c, iterations=0,
-                     cyan=cyan, indigo=indigo, swing=frozenset(q_labels))
 
 
 def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> SplitDraw | None:
@@ -412,40 +398,17 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
 class _SplitPlan:
     """Precomputed stratum weights for one (n, working epsilon).
 
-    The |Q| >= 2 branch is proposed with weight ``ge2_bound`` = U(n), an
-    upper bound on its window's total w_mid, and a proposal is kept with
-    probability w_mid / U.  Each loop iteration therefore returns that branch
-    with probability w_mid / (w0 + w1 + U + 2), in the same proportion to the
-    other branches as a proposal with weight w_mid, so the output
-    distribution is unchanged.  w_mid and the per-cell weights are
-    only computed if the branch is ever proposed; U is about 2^-976 of the
-    total at n = 1000, so at realistic sizes that never happens.
+    The |Q| = 0 and |Q| = 1 windows with their per-cell weights; the |Q| >= 2
+    stratum is left out under the bound ``_check_q_ge2_negligible`` checks
+    when the plan is built.
     """
 
-    n: int
     w0: int
     w1: int
-    ge2_bound: int
-    mid_cells: tuple[tuple[int, int], ...]
     q01_cells: tuple[int, ...]
     q0_weights: tuple[int, ...]
     q1_weights: tuple[int, ...]
     cap: int
-    mid_weights: tuple[int, ...] | None = None
-    mid_bounds: tuple[int, ...] | None = None
-
-    def mid_cell_weights(self) -> tuple[int, ...]:
-        if self.mid_weights is None:
-            self.mid_weights = tuple(_q_mid_term(self.n, q, c) for q, c in self.mid_cells)
-        return self.mid_weights
-
-    def mid_cell_at(self, r: int) -> int | None:
-        """Index of the |Q| >= 2 cell that r in [0, U) falls in, each cell
-        covering twice its weight (both Q shapes); None past w_mid."""
-        if self.mid_bounds is None:
-            self.mid_bounds = tuple(accumulate(2 * w for w in self.mid_cell_weights()))
-        i = bisect_right(self.mid_bounds, r)
-        return i if i < len(self.mid_bounds) else None
 
 
 _plan_cache: dict[tuple[int, Fraction], _SplitPlan] = {}
@@ -459,51 +422,47 @@ def _split_plan(n: int, eps_work: Fraction) -> _SplitPlan:
     q0_weights = tuple(_q0_term(n, c) for c in q01_cells)
     q1_weights = tuple(_q1_term(n, c) for c in q01_cells)
     plan = _SplitPlan(
-        n=n,
         w0=sum(q0_weights),
         w1=sum(q1_weights),
-        ge2_bound=split_count_q_ge2_bound(n),
-        mid_cells=tuple(_q_mid_window_cells(n, eps_work)),
         q01_cells=q01_cells,
         q0_weights=q0_weights,
         q1_weights=q1_weights,
         cap=REJECTION_CAP_FACTOR * ceil(1 / (1 - eps_work)),
     )
+    _check_q_ge2_negligible(n, eps_work * SKIP_SHARE, plan.w0 + plan.w1 + 2)
     if len(_plan_cache) >= CACHE_SIZE:
         del _plan_cache[next(iter(_plan_cache))]
     _plan_cache[(n, eps_work)] = plan
     return plan
 
 
-def sample_split_draw(n: int, eps, rng: RandomStream,
-                      thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> SplitDraw:
+def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
     """Approximately uniform n-vertex labeled split graph, with bookkeeping.
 
-    Output distribution is within total variation eps of uniform over split
-    graphs; expected number of build-and-check iterations is at most 2.  The
-    stratum weights of the last CACHE_SIZE (n, eps) pairs built are cached.
+    Each iteration picks |Q| = 0, |Q| = 1 or |Q| = n in proportion to the
+    window totals w0, w1 and 2, at eps_work = min(eps/2, 1/3).  The windows
+    miss at most eps_work of the two-sided sums, and the left-out |Q| >= 2
+    stratum at most eps_work/1024 of the total (checked when the plan is
+    built), so the output is within total variation eps_work + eps_work/1024
+    <= eps of uniform over split graphs.  The expected number of
+    build-and-check iterations is at most 2.  The plans of the last
+    CACHE_SIZE (n, eps) pairs built are cached.
     """
     eps = as_epsilon(eps)
-    floor = threshold_f(eps / 2, thresholds)
+    floor = threshold_f(eps / 2)
     if n < floor:
         raise ValueError(f"approx split sampling needs n >= {floor} at this epsilon")
     eps_work = min(eps / 2, Fraction(1, 3))
     plan = _split_plan(n, eps_work)
     for iteration in range(1, plan.cap + 1):
-        case = categorical([plan.w0, plan.w1, plan.ge2_bound, 2], rng)
-        if case == 3:
+        case = categorical([plan.w0, plan.w1, 2], rng)
+        if case == 2:
             labels = range(1, n + 1)
             g = complete_graph(labels) if rng.bits(1) else LabeledGraph(labels)
             return SplitDraw(graph=g, branch="q_full", q=n, c=0, iterations=iteration,
                              cyan=frozenset(), indigo=frozenset(),
                              swing=frozenset(labels))
-        if case == 2:
-            cell = plan.mid_cell_at(rng.uniform_below(plan.ge2_bound))
-            if cell is None:
-                continue
-            q, c = plan.mid_cells[cell]
-            draw = _build_q_mid(n, q, c, rng)
-        elif case == 0:
+        if case == 0:
             c = plan.q01_cells[categorical(plan.q0_weights, rng)]
             draw = _build_low_q(n, c, with_witness=False, rng=rng)
         else:
@@ -513,17 +472,16 @@ def sample_split_draw(n: int, eps, rng: RandomStream,
             draw.iterations = iteration
             return draw
     raise RejectionCapError(
-        f"no draw accepted within {plan.cap} iterations; thresholds are misconfigured")
+        f"no draw accepted within {plan.cap} iterations at n = {n}; the cover checks "
+        "reject far more often than the split floor assumes")
 
 
-def sample_split_approx(n: int, eps, rng: RandomStream,
-                        thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> LabeledGraph:
+def sample_split_approx(n: int, eps, rng: RandomStream) -> LabeledGraph:
     """Approximately uniform n-vertex labeled split graph."""
-    return sample_split_draw(n, eps, rng, thresholds).graph
+    return sample_split_draw(n, eps, rng).graph
 
 
-def approx_sample_chordal(n: int, eps, rng: RandomStream,
-                          thresholds: SplitThresholds = DEFAULT_THRESHOLDS) -> LabeledGraph:
+def approx_sample_chordal(n: int, eps, rng: RandomStream) -> LabeledGraph:
     """Random n-vertex labeled chordal graph within total variation eps of uniform.
 
     Below the dispatch floor this is the exact uniform sampler; above it, a
@@ -532,7 +490,7 @@ def approx_sample_chordal(n: int, eps, rng: RandomStream,
     exact fill that could take hours.
     """
     eps = as_epsilon(eps)
-    floor = threshold_g(eps / 2, thresholds)
+    floor = threshold_g(eps / 2)
     if n < floor:
         from .counting import get_context
         from .sampling import ChordalSampler
@@ -542,4 +500,4 @@ def approx_sample_chordal(n: int, eps, rng: RandomStream,
         _check_exact_limit(n, floor,
                            f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))")
         return ChordalSampler(get_context(n, n)).sample_chordal(n, rng)
-    return sample_split_approx(n, eps / 2, rng, thresholds)
+    return sample_split_approx(n, eps / 2, rng)

@@ -13,7 +13,6 @@ from chordal_lab.bruteforce import split_class_counts
 from chordal_lab.sampling import RandomStream
 from chordal_lab.splits import (
     EXACT_LIMIT,
-    SplitThresholds,
     approx_count_chordal,
     approx_count_split,
     approx_sample_chordal,
@@ -32,7 +31,6 @@ from chordal_lab.splits import (
     threshold_f,
     threshold_g,
 )
-from chordal_lab.splits import _build_q_mid
 
 # Frozen brute-force stratification of split graphs: n -> (total, q0, q1, qge2)
 BRUTE_SPLIT_CLASSES = {
@@ -78,11 +76,6 @@ class TestThresholds:
     def test_g_dominates_f_of_half(self):
         for e in (Fraction(1, 2 ** 10), Fraction(1, 1000), Fraction(1, 7)):
             assert threshold_g(e) >= threshold_f(e / 2)
-
-    def test_custom_thresholds(self):
-        th = SplitThresholds(n1=10, n2=10, n3=10)
-        assert threshold_f(Fraction(1, 2), th) == max(10, 3)
-        assert threshold_g(Fraction(999, 1000), th) >= 10
 
 
 class TestExactStratumCounts:
@@ -140,8 +133,8 @@ class TestLowQSums:
 
 class TestApproxCountSplit:
     def test_definitional_identity(self):
-        # windows at eps_w = eps - eps/1024; the |Q| >= 2 window joins only
-        # when its stratum bound exceeds eps/1024 of the rest
+        # windows at eps_w = eps - eps/1024; the |Q| >= 2 stratum is left
+        # out because its bound is at most eps/1024 of the rest
         def rest(n, eps_w):
             return (split_count_q0_truncated(n, eps_w)
                     + split_count_q1_truncated(n, eps_w) + 2)
@@ -150,12 +143,6 @@ class TestApproxCountSplit:
         eps_w = eps - eps / 1024
         assert split_count_q_ge2_bound(n) <= eps / 1024 * rest(n, eps_w)
         assert approx_count_split(n, eps) == rest(n, eps_w)
-
-        n, eps, th = 10, Fraction(1, 2), SplitThresholds(10, 10, 10)
-        eps_w = eps - eps / 1024
-        assert split_count_q_ge2_bound(n) > eps / 1024 * rest(n, eps_w)
-        assert approx_count_split(n, eps, th) == (
-            rest(n, eps_w) + split_count_q_ge2_truncated(n, eps_w))
 
     @pytest.mark.parametrize("n, eps", [
         (70, Fraction(1, 2 ** 7)),
@@ -195,6 +182,49 @@ class TestApproxCountSplit:
     def test_below_floor_rejected(self):
         with pytest.raises(ValueError):
             approx_count_split(40, "0.5")
+
+
+GUARD_EPSILONS = ([Fraction(999, 1000)] + [Fraction(1, 2 ** e) for e in range(1, 61)]
+                  + [Fraction(1, 10 ** e) for e in range(1, 13)])
+
+
+class TestQGe2Guard:
+    """The |Q| >= 2 stratum is left out of both the count and the sampler
+    under U(n) <= (eps/1024) * window total, proven for every n the split
+    path accepts and checked on every call."""
+
+    def test_guard_passes_at_every_floor(self, monkeypatch):
+        import chordal_lab.splits as splits
+
+        checked = []
+        guard = splits._check_q_ge2_negligible
+
+        def counting_guard(n, delta, rest):
+            checked.append(n)
+            guard(n, delta, rest)
+
+        monkeypatch.setattr(splits, "_check_q_ge2_negligible", counting_guard)
+        monkeypatch.setattr(splits, "_plan_cache", {})
+        calls = 0
+        for eps in GUARD_EPSILONS:
+            floor = threshold_f(eps)
+            for n in (floor, floor + 1):
+                assert approx_count_split(n, eps) > 0
+                splits._plan_cache.clear()
+                splits._split_plan(n, min(eps, Fraction(1, 3)))
+                calls += 2
+        assert len(checked) == calls
+
+    def test_guard_is_live(self, monkeypatch):
+        import chordal_lab.splits as splits
+
+        monkeypatch.setattr(splits, "split_count_q_ge2_bound", lambda n: 1 << (n * n))
+        monkeypatch.setattr(splits, "_plan_cache", {})
+        with pytest.raises(AssertionError, match=r"\|Q\| >= 2 bound at n = 70"):
+            approx_count_split(70, "1e-2")
+        with pytest.raises(AssertionError, match=r"\|Q\| >= 2 bound at n = 70"):
+            sample_split_draw(70, "1e-2", RandomStream(1))
+        assert splits._plan_cache == {}
 
 
 class TestApproxCountChordal:
@@ -251,23 +281,7 @@ class TestSplitSampler:
                     assert all(g.neighbors(v) & d.indigo for v in d.cyan)
                 else:
                     assert all(d.cyan - g.neighbors(u) for u in d.indigo)
-            if d.branch == "q_mid":
-                sp = split_partition(g)
-                assert sp.questioning == d.swing
         assert branch_seen  # at least one branch exercised
-
-    def test_mid_builder_matches_recognition(self):
-        # the |Q| >= 2 stratum is exponentially rare against |Q| <= 1, so
-        # exercise its cell builder directly: the recognized classification
-        # of every built graph equals the drawn label sets
-        rng = RandomStream(11)
-        for q, c in ((2, 0), (2, 3), (3, 2), (4, 0)):
-            for _ in range(25):
-                d = _build_q_mid(10, q, c, rng)
-                sp = split_partition(d.graph)
-                assert sp.questioning == d.swing
-                assert sp.always_clique == d.cyan
-                assert sp.always_independent == d.indigo
 
     def test_expected_iterations_small(self):
         rng = RandomStream(987)
@@ -296,8 +310,7 @@ class TestSplitSampler:
         eps = as_epsilon("0.25")
         eps_work = min(eps / 2, Fraction(1, 3))
         _plan_cache[(n, eps_work)] = _SplitPlan(
-            n=n, w0=0, w1=0, ge2_bound=0, mid_cells=(), q01_cells=(),
-            q0_weights=(), q1_weights=(), cap=4)
+            w0=0, w1=0, q01_cells=(), q0_weights=(), q1_weights=(), cap=4)
         try:
             rng = RandomStream(1234)
             outcomes = Counter()
@@ -311,70 +324,6 @@ class TestSplitSampler:
         finally:
             del _plan_cache[(n, eps_work)]
         assert abs(outcomes["full"] - 200) < 4 * (400 * 0.25) ** 0.5
-
-    def test_q_ge2_proposal_kept_in_proportion(self):
-        # the |Q| >= 2 branch is proposed with its stratum bound U and kept
-        # with probability w_mid / U; inject a plan with U well above w_mid
-        # and check the kept branches split as w_mid : 2, the same as a
-        # proposal with weight w_mid itself would give
-        from chordal_lab.splits import _SplitPlan, _plan_cache, as_epsilon
-
-        n = 70
-        eps = as_epsilon("0.25")
-        eps_work = min(eps / 2, Fraction(1, 3))
-        w_mid = 2 * 3
-        _plan_cache[(n, eps_work)] = _SplitPlan(
-            n=n, w0=0, w1=0, ge2_bound=16, mid_cells=((2, 3),), q01_cells=(),
-            q0_weights=(), q1_weights=(), cap=64, mid_weights=(3,))
-        try:
-            rng = RandomStream(4321)
-            branches = Counter()
-            iterations = 0
-            for _ in range(800):
-                d = sample_split_draw(n, eps, rng)
-                branches[d.branch] += 1
-                iterations += d.iterations
-                if d.branch == "q_mid":
-                    assert (d.q, d.c) == (2, 3)
-        finally:
-            del _plan_cache[(n, eps_work)]
-        assert set(branches) <= {"q_mid", "q_full"}
-        p = w_mid / (w_mid + 2)
-        assert abs(branches["q_mid"] - 800 * p) < 4 * (800 * p * (1 - p)) ** 0.5
-        # each iteration keeps a draw with probability (w_mid + 2) / (U + 2)
-        keep = (w_mid + 2) / (16 + 2)
-        sigma = (800 * (1 - keep)) ** 0.5 / keep
-        assert abs(iterations - 800 / keep) < 4 * sigma
-
-
-class TestCellNeighborhoodLaw:
-    def test_mid_cell_neighborhoods_uniform_nonempty(self):
-        # inside one (q, c) cell, clique-side vertices get i.i.d. uniform
-        # nonempty neighborhoods in the independent side; pool by position
-        import math
-        from itertools import combinations
-
-        rng = RandomStream(246)
-        n, q, c = 8, 2, 2
-        counts = Counter()
-        for _ in range(6000):
-            d = _build_q_mid(n, q, c, rng)
-            if len(d.cyan) != c:
-                continue  # complemented mirror shape obeys the dual law
-            pos = {v: i for i, v in enumerate(sorted(d.indigo))}
-            for v in d.cyan:
-                nb = frozenset(pos[u] for u in d.graph.neighbors(v) & d.indigo)
-                assert nb, "clique-side neighborhoods must be nonempty"
-                counts[nb] += 1
-        m = n - q - c
-        support = [frozenset(s) for size in range(1, m + 1)
-                   for s in combinations(range(m), size)]
-        assert set(counts) <= set(support)
-        total = sum(counts.values())
-        p = 1 / len(support)
-        sigma = math.sqrt(total * p * (1 - p))
-        for s in support:
-            assert abs(counts[s] - total * p) < 4 * sigma, sorted(s)
 
 
 class TestApproxSampleChordal:
