@@ -6,10 +6,12 @@ organized by their questioning set Q (the vertices that can sit on either side
 of a split partition): the |Q| >= 2 stratum has a closed-form exact count, the
 |Q| in {0, 1} strata have two-sided sums that are themselves sharp
 approximations, and each sum concentrates on a narrow window of terms around
-its peak, which is all the fast path evaluates.  The approximate count and
-the split sampler both leave the |Q| >= 2 stratum out: an exact-integer bound
-on it, checked on every call by ``_check_q_ge2_negligible``, stays below a
-fixed 1/1024 slice of the epsilon budget wherever the split path runs.
+its peak, which is all the fast path evaluates: an exact tail bound, checked
+on every call by ``split_windows``, certifies that each window keeps (1 - eps)
+of its sum.  The approximate count and the split sampler both leave the
+|Q| >= 2 stratum out: an exact-integer bound on it, checked on every call by
+``_check_q_ge2_negligible``, stays below a fixed 1/1024 slice of the epsilon
+budget wherever the split path runs.
 
 Every quantity here is exact integer or rational arithmetic; accuracy targets
 (epsilon) enter only through exactly-computed integer truncation bounds.
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from functools import cache
+from math import ceil, comb, isqrt
 
 from .counting import CACHE_SIZE, EXACT_LIMIT
 # Nothing here calls ``complement``; it stays importable from here because
@@ -29,9 +32,14 @@ from .sampling import RandomStream, categorical, sample_subset
 
 # Smallest n the split path serves, at any epsilon.  Assumed, not proven
 # here: the two-sided |Q| in {0, 1} sums stand in for the true stratum counts,
-# their windows keep (1 - eps) of them, and the non-split chordal graphs are a
-# negligible share, all from n = 65 on.  Leaving out the |Q| >= 2 stratum is
-# proven instead (see ``_check_q_ge2_negligible``).
+# and the non-split chordal graphs are a negligible share, both from n = 65
+# on.  The second assumption is false at the floor itself (an open defect):
+# the exact engine puts the non-split share of labeled chordal graphs at
+# 13.7 % for n = 65, so approx_count_chordal(65, eps) is 13.7 % low at every
+# eps it accepts, which breaks eps = 0.1 and 1e-2.  Proven and checked on
+# every call instead: each window keeps (1 - eps) of its two-sided sum (see
+# ``split_windows``), and leaving out the |Q| >= 2 stratum costs at most
+# eps/1024 (see ``_check_q_ge2_negligible``).
 SPLIT_FLOOR = 65
 
 REJECTION_CAP_FACTOR = 64
@@ -157,27 +165,35 @@ def split_count_q_ge2_bound(n: int) -> int:
     return 3 * comb(n, 2) << (s + s * s // 4)
 
 
-def _q0_term(n: int, c: int) -> int:
-    """Term c of the two-sided |Q| = 0 sum: C(n, c) * (2^m - 1)^(n - m).
+def _low_q_terms(n: int):
+    """Term functions (q0, q1) of the two-sided |Q| = 0 and |Q| = 1 sums at
+    n vertices, each taking the clique size c.
 
-    m = min(c, n - c): the smaller side's size sets the base, the larger
-    side's size the exponent.
+    Term c of the |Q| = 0 sum is C(n, c) * (2^m - 1)^(n - m) with m = min(c,
+    n - c): the smaller side's size sets the base, the larger side's size the
+    exponent.  Term c of the |Q| = 1 sum is n choices of the witness times
+    the |Q| = 0 term at c on the other n - 1 vertices, n * C(n - 1, c) *
+    (2^m - 1)^(n - 1 - m) with m = min(c, n - 1 - c).  A term depends on c
+    only through m, so mirror terms (c <-> n - c, c <-> n - 1 - c) are equal.
+    Both strata rest on the power P(m) = (2^m - 1)^(n - 1 - m), and the
+    |Q| = 0 term is C(n, m) * (P * 2^m - P).  So one pair of functions
+    computes each term once and calls ``pow`` (the module-level name) once
+    per distinct m; their memos live as long as the functions do.
     """
-    m = min(c, n - c)
-    return comb(n, c) * (2 ** m - 1) ** (n - m)
+    @cache
+    def power(m: int) -> int:
+        return pow((1 << m) - 1, n - 1 - m)
 
+    @cache
+    def q0_at(m: int) -> int:
+        p = power(m)
+        return comb(n, m) * ((p << m) - p)
 
-def _q1_term(n: int, c: int) -> int:
-    """Term c of the two-sided |Q| = 1 sum: n choices of the witness times
-    the |Q| = 0 term on the other n - 1 vertices."""
-    return n * _q0_term(n - 1, c)
+    @cache
+    def q1_at(m: int) -> int:
+        return n * comb(n - 1, m) * power(m)
 
-
-def _low_q_window(n: int, eps: Fraction) -> range:
-    """Clique sizes c kept by both the |Q| = 0 and the |Q| = 1 window:
-    ceil(log2(1/eps)) + 2 either side of n/2, inside the full range 2..n-2."""
-    pad = ceil_log2_inverse(eps) + 2
-    return range(max(2, n // 2 - pad), min((n + 1) // 2 + pad, n - 2) + 1)
+    return (lambda c: q0_at(min(c, n - c))), (lambda c: q1_at(min(c, n - 1 - c)))
 
 
 def split_count_q0_full(n: int) -> int:
@@ -187,12 +203,14 @@ def split_count_q0_full(n: int) -> int:
     most a factor 1 + (2/3)**(n/3)-ish; the truncated variant keeps a
     (1 - eps) fraction of it.
     """
-    return sum(_q0_term(n, c) for c in range(2, n - 1))
+    q0, _ = _low_q_terms(n)
+    return sum(q0(c) for c in range(2, n - 1))
 
 
 def split_count_q1_full(n: int) -> int:
     """Two-sided sum for the |Q| = 1 stratum, untruncated."""
-    return sum(_q1_term(n, c) for c in range(2, n - 1))
+    _, q1 = _low_q_terms(n)
+    return sum(q1(c) for c in range(2, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +238,94 @@ def split_count_q_ge2_truncated(n: int, eps) -> int:
     return 2 * _q_mid_sum(n, _q_mid_window_cells(n, eps))
 
 
+def _term_bound(N: int, c: int) -> int:
+    """b_c = C(N, c) * 2^(m(N - m)), m = min(c, N - c): at least the |Q| = 0
+    term at c on N vertices, because 2^m - 1 < 2^m."""
+    m = min(c, N - c)
+    return comb(N, c) << m * (N - m)
+
+
+def _tail_bound(N: int, lo: int, hi: int, last: int) -> int:
+    """Upper bound on the |Q| = 0 terms on N vertices at c = 2..last outside
+    lo..hi, for lo - 1 <= N/2 <= hi + 1: (terms left out) * b at the first
+    left-out index, on each side (see ``split_windows``)."""
+    bound = 0
+    if lo > 2:
+        bound += (lo - 2) * _term_bound(N, lo - 1)
+    if hi < last:
+        bound += (last - hi) * _term_bound(N, hi + 1)
+    return bound
+
+
+@dataclass(frozen=True)
+class SplitWindows:
+    """The certified |Q| = 0 and |Q| = 1 windows at one (n, eps): the clique
+    sizes c kept by both, the terms of each stratum at those c, and the two
+    window sums."""
+
+    cells: range
+    q0_terms: tuple[int, ...]
+    q1_terms: tuple[int, ...]
+    w0: int
+    w1: int
+
+
+def split_windows(n: int, eps) -> SplitWindows:
+    """The |Q| = 0 and |Q| = 1 windows around n/2, each certified to keep at
+    least (1 - eps) of its two-sided sum.
+
+    Both sums run over c = 2..n-2, and both windows keep the same clique
+    sizes lo..hi.  The pad either side of n/2 starts at
+    ceil(sqrt(log2(1/eps))), because terms fall by about d^2 bits at distance
+    d from the middle, and grows by one until both tail bounds below are at
+    most eps times their window sums, compared in exact integers.  At
+    lo = 2 and hi = n - 2 both tails are empty, so the loop ends.
+
+    Proof of the tail bounds.  On N vertices let b_c = C(N, c) * 2^(m(N-m)),
+    m = min(c, N - c).
+    - b_c bounds the |Q| = 0 term at c, since (2^m - 1)^(N-m) < 2^(m(N-m)).
+    - b_c = b_(N-c), and for c + 1 <= N/2 the ratio b_(c+1)/b_c =
+      (N - c)/(c + 1) * 2^(N-2c-1) is at least 1.  So b does not decrease
+      up to N/2 and does not increase after it.
+    - The |Q| = 0 terms live on N = n vertices; the |Q| = 1 terms are n times
+      the |Q| = 0 terms on N = n - 1, over c = 2..N-1, which holds c = N - 1
+      but not c = 1.  When terms below lo are left out, lo <= floor(n/2),
+      so every such c is at most (n - 1)/2 and its term is at most b_(lo-1)
+      for either N; when terms above hi are left out, hi >= ceil(n/2), so
+      every such c is at least n/2 and its term is at most b_(hi+1).  Hence each stratum's tail is at most
+      (lo - 2) * b_(lo-1) + (n - 2 - hi) * b_(hi+1), times n for |Q| = 1.
+    - Full sum = window + tail <= (1 + eps) * window, so the window keeps at
+      least 1/(1 + eps) >= 1 - eps of the full sum.
+
+    Each call builds its windows from scratch and caches nothing, and calls
+    ``pow`` once per distinct m = min(c, n - c) or min(c, n - 1 - c) of the
+    kept cells (see ``_low_q_terms``).
+    """
+    eps = as_epsilon(eps)
+    q0, q1 = _low_q_terms(n)
+    pad = isqrt(ceil_log2_inverse(eps) - 1) + 1  # ceil(sqrt(log2(1/eps)))
+    lo, hi = max(2, n // 2 - pad), min((n + 1) // 2 + pad, n - 2)
+    while True:
+        cells = range(lo, hi + 1)
+        q0_terms = tuple(q0(c) for c in cells)
+        q1_terms = tuple(q1(c) for c in cells)
+        w0, w1 = sum(q0_terms), sum(q1_terms)
+        tail0 = _tail_bound(n, lo, hi, n - 2)
+        tail1 = n * _tail_bound(n - 1, lo, hi, n - 2)
+        if (tail0 * eps.denominator <= eps.numerator * w0
+                and tail1 * eps.denominator <= eps.numerator * w1):
+            return SplitWindows(cells, q0_terms, q1_terms, w0, w1)
+        lo, hi = max(2, lo - 1), min(hi + 1, n - 2)
+
+
 def split_count_q0_truncated(n: int, eps) -> int:
-    return sum(_q0_term(n, c) for c in _low_q_window(n, as_epsilon(eps)))
+    """|Q| = 0 window sum; at least (1 - eps) of the full sum, certified."""
+    return split_windows(n, eps).w0
 
 
 def split_count_q1_truncated(n: int, eps) -> int:
-    return sum(_q1_term(n, c) for c in _low_q_window(n, as_epsilon(eps)))
+    """|Q| = 1 window sum; at least (1 - eps) of the full sum, certified."""
+    return split_windows(n, eps).w1
 
 
 # Share of the epsilon budget that leaving out the |Q| >= 2 stratum may use.
@@ -270,24 +370,25 @@ def approx_count_split(n: int, eps) -> int:
         + split_count_q1_full(n) + 2.
 
     Budget split: delta = eps * SKIP_SHARE (eps / 1024) and eps_w = eps - delta.
-    The |Q| = 0 and |Q| = 1 windows are taken at eps_w, so each keeps at least
-    (1 - eps_w) of its full sum, and the two |Q| = n graphs are counted.  The
-    |Q| >= 2 stratum is left out: ``_check_q_ge2_negligible`` proves, and
-    checks, U <= delta * R, so F - R <= eps_w * F + U <= eps * F.  At the
-    eps = 5e-4 that approx-count at 1e-3 uses, eps_w gives the same window
-    widths as eps.
+    The |Q| = 0 and |Q| = 1 windows come from one ``split_windows(n, eps_w)``
+    call, which certifies on every call that each keeps at least (1 - eps_w)
+    of its full sum, and the two |Q| = n graphs are counted.  The |Q| >= 2
+    stratum is left out: ``_check_q_ge2_negligible`` proves, and checks,
+    U <= delta * R, so F - R <= eps_w * F + U <= eps * F.  Both steps are
+    proven and checked, so this bound on F holds unconditionally.
 
-    Requires n >= threshold_f(eps).  The window bounds are assumed from
-    SPLIT_FLOOR on; the eps-dependent part of the floor is where the two-sided
-    sums approximate the true stratum counts to eps.
+    Requires n >= threshold_f(eps).  What is assumed is that F stands in for
+    the number of chordal graphs: that the two-sided sums approximate the
+    true stratum counts, and that non-split chordal graphs are negligible
+    (see SPLIT_FLOOR).
     """
     eps = as_epsilon(eps)
     floor = threshold_f(eps)
     if n < floor:
         raise ValueError(f"approx split counting needs n >= {floor} at this epsilon")
     delta = eps * SKIP_SHARE
-    eps_w = eps - delta
-    total = split_count_q0_truncated(n, eps_w) + split_count_q1_truncated(n, eps_w) + 2
+    windows = split_windows(n, eps - delta)
+    total = windows.w0 + windows.w1 + 2
     _check_q_ge2_negligible(n, delta, total)
     return total
 
@@ -394,45 +495,23 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
                      swing=frozenset(white))
 
 
-@dataclass
-class _SplitPlan:
-    """Precomputed stratum weights for one (n, working epsilon).
+# The sampler's windows for the last CACHE_SIZE (n, working epsilon) pairs.
+_plan_cache: dict[tuple[int, Fraction], SplitWindows] = {}
 
-    The |Q| = 0 and |Q| = 1 windows with their per-cell weights; the |Q| >= 2
-    stratum is left out under the bound ``_check_q_ge2_negligible`` checks
-    when the plan is built.
+
+def _split_plan(n: int, eps_work: Fraction) -> SplitWindows:
+    """The windows the sampler draws from at (n, eps_work), cached.
+
+    The |Q| >= 2 stratum is left out under the bound
+    ``_check_q_ge2_negligible`` checks before the windows are cached.
     """
-
-    w0: int
-    w1: int
-    q01_cells: tuple[int, ...]
-    q0_weights: tuple[int, ...]
-    q1_weights: tuple[int, ...]
-    cap: int
-
-
-_plan_cache: dict[tuple[int, Fraction], _SplitPlan] = {}
-
-
-def _split_plan(n: int, eps_work: Fraction) -> _SplitPlan:
     plan = _plan_cache.get((n, eps_work))
-    if plan is not None:
-        return plan
-    q01_cells = tuple(_low_q_window(n, eps_work))
-    q0_weights = tuple(_q0_term(n, c) for c in q01_cells)
-    q1_weights = tuple(_q1_term(n, c) for c in q01_cells)
-    plan = _SplitPlan(
-        w0=sum(q0_weights),
-        w1=sum(q1_weights),
-        q01_cells=q01_cells,
-        q0_weights=q0_weights,
-        q1_weights=q1_weights,
-        cap=REJECTION_CAP_FACTOR * ceil(1 / (1 - eps_work)),
-    )
-    _check_q_ge2_negligible(n, eps_work * SKIP_SHARE, plan.w0 + plan.w1 + 2)
-    if len(_plan_cache) >= CACHE_SIZE:
-        del _plan_cache[next(iter(_plan_cache))]
-    _plan_cache[(n, eps_work)] = plan
+    if plan is None:
+        plan = split_windows(n, eps_work)
+        _check_q_ge2_negligible(n, eps_work * SKIP_SHARE, plan.w0 + plan.w1 + 2)
+        if len(_plan_cache) >= CACHE_SIZE:
+            del _plan_cache[next(iter(_plan_cache))]
+        _plan_cache[(n, eps_work)] = plan
     return plan
 
 
@@ -441,12 +520,15 @@ def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
 
     Each iteration picks |Q| = 0, |Q| = 1 or |Q| = n in proportion to the
     window totals w0, w1 and 2, at eps_work = min(eps/2, 1/3).  The windows
-    miss at most eps_work of the two-sided sums, and the left-out |Q| >= 2
-    stratum at most eps_work/1024 of the total (checked when the plan is
-    built), so the output is within total variation eps_work + eps_work/1024
-    <= eps of uniform over split graphs.  The expected number of
-    build-and-check iterations is at most 2.  The plans of the last
-    CACHE_SIZE (n, eps) pairs built are cached.
+    miss at most eps_work of the two-sided sums (``split_windows`` certifies
+    this when the plan is built), and the left-out |Q| >= 2 stratum at most
+    eps_work/1024 of the total (checked at the same time), so the output is
+    within total variation eps_work + eps_work/1024 <= eps of the uniform
+    distribution over the graphs the two-sided sums count.  That this is
+    uniform over split graphs assumes the two-sided sums equal the true
+    stratum counts (see SPLIT_FLOOR).  The expected number of build-and-check
+    iterations is at most 2.  The plans of the last CACHE_SIZE (n, eps) pairs
+    built are cached.
     """
     eps = as_epsilon(eps)
     floor = threshold_f(eps / 2)
@@ -454,7 +536,8 @@ def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
         raise ValueError(f"approx split sampling needs n >= {floor} at this epsilon")
     eps_work = min(eps / 2, Fraction(1, 3))
     plan = _split_plan(n, eps_work)
-    for iteration in range(1, plan.cap + 1):
+    cap = REJECTION_CAP_FACTOR * ceil(1 / (1 - eps_work))
+    for iteration in range(1, cap + 1):
         case = categorical([plan.w0, plan.w1, 2], rng)
         if case == 2:
             labels = range(1, n + 1)
@@ -463,16 +546,16 @@ def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
                              cyan=frozenset(), indigo=frozenset(),
                              swing=frozenset(labels))
         if case == 0:
-            c = plan.q01_cells[categorical(plan.q0_weights, rng)]
+            c = plan.cells[categorical(plan.q0_terms, rng)]
             draw = _build_low_q(n, c, with_witness=False, rng=rng)
         else:
-            c = plan.q01_cells[categorical(plan.q1_weights, rng)]
+            c = plan.cells[categorical(plan.q1_terms, rng)]
             draw = _build_low_q(n, c, with_witness=True, rng=rng)
         if draw is not None:
             draw.iterations = iteration
             return draw
     raise RejectionCapError(
-        f"no draw accepted within {plan.cap} iterations at n = {n}; the cover checks "
+        f"no draw accepted within {cap} iterations at n = {n}; the cover checks "
         "reject far more often than the split floor assumes")
 
 

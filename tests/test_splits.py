@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -28,6 +29,7 @@ from chordal_lab.splits import (
     split_count_q_ge2_exact,
     split_count_q_ge2_truncated,
     split_count_q_mid_full,
+    split_windows,
     threshold_f,
     threshold_g,
 )
@@ -105,6 +107,17 @@ class TestLowQSums:
         # only c = 2 contributes at n = 4
         assert split_count_q0_full(4) == 6 * (2 ** 2 - 1) ** 2 == 54
 
+    def test_full_sums_match_direct_formula(self):
+        # the sums share one power per base; check them term by term against
+        # the textbook form C(N, c) * (2^m - 1)^(N - m), m = min(c, N - c)
+        def term(N, c):
+            m = min(c, N - c)
+            return comb(N, c) * (2 ** m - 1) ** (N - m)
+
+        for n in range(0, 61):
+            assert split_count_q0_full(n) == sum(term(n, c) for c in range(2, n - 1)), n
+            assert split_count_q1_full(n) == n * sum(term(n - 1, c) for c in range(2, n - 1)), n
+
     def test_q1_empty_ranges(self):
         assert split_count_q1_full(3) == 0
 
@@ -129,6 +142,131 @@ class TestLowQSums:
         n = 80
         eps = Fraction(1, 2)
         assert 0 < split_count_q_ge2_truncated(n, eps) <= split_count_q_mid_full(n)
+
+
+CERTIFIED_GRID = [(n, Fraction(1, 2 ** e)) for n in (70, 100, 200) for e in (7, 20, 60)]
+
+
+def full_sum(n):
+    """F: both two-sided sums in full, the |Q| >= 2 window terms and |Q| = n."""
+    return (split_count_q_mid_full(n) + split_count_q0_full(n)
+            + split_count_q1_full(n) + 2)
+
+
+class TestCertifiedWindows:
+    """``split_windows`` widens each window until an exact tail bound proves
+    it keeps (1 - eps) of its two-sided sum; these check the outcome against
+    the full sums in exact rationals, and the two lemmas the bound rests on."""
+
+    @pytest.mark.parametrize("n, eps", CERTIFIED_GRID)
+    def test_windows_keep_promised_fraction(self, n, eps):
+        windows = split_windows(n, eps)
+        for window, full in ((windows.w0, split_count_q0_full(n)),
+                             (windows.w1, split_count_q1_full(n))):
+            assert (1 - eps) * full <= window <= full
+        assert windows.w0 == split_count_q0_truncated(n, eps)
+        assert windows.w1 == split_count_q1_truncated(n, eps)
+        assert (sum(windows.q0_terms), sum(windows.q1_terms)) == (windows.w0, windows.w1)
+
+    @pytest.mark.parametrize("n, eps", CERTIFIED_GRID)
+    def test_approx_count_within_eps_of_full(self, n, eps):
+        if n < threshold_f(eps):
+            with pytest.raises(ValueError):
+                approx_count_split(n, eps)
+            return
+        assert (1 - eps) * full_sum(n) <= approx_count_split(n, eps) <= full_sum(n)
+
+    @pytest.mark.parametrize("n, eps", CERTIFIED_GRID)
+    def test_fresh_plan_uses_the_windows(self, n, eps, monkeypatch):
+        import chordal_lab.splits as splits
+
+        # the |Q| >= 2 guard has its own tests and refuses n below its floor;
+        # this one is about the windows the plan draws from
+        monkeypatch.setattr(splits, "_check_q_ge2_negligible", lambda n, delta, rest: None)
+        monkeypatch.setattr(splits, "_plan_cache", {})
+        plan = splits._split_plan(n, eps)
+        assert plan.w0 == split_count_q0_truncated(n, eps)
+        assert plan.w1 == split_count_q1_truncated(n, eps)
+        assert plan == split_windows(n, eps)
+
+    def test_term_bound_lemmas(self):
+        # b_c = C(N, c) * 2^(m(N - m)), m = min(c, N - c), lies above the
+        # |Q| = 0 term at c and does not decrease for c <= N/2
+        from chordal_lab.splits import _term_bound
+
+        for N in range(201):
+            bounds = [_term_bound(N, c) for c in range(N + 1)]
+            for c in range(N + 1):
+                m = min(c, N - c)
+                assert comb(N, c) * (2 ** m - 1) ** (N - m) <= bounds[c], (N, c)
+            for c in range(N // 2):
+                assert bounds[c] <= bounds[c + 1], (N, c)
+
+    def test_tail_bounds_cover_every_left_out_term(self):
+        # each stratum's actual range: c = 2..n-2 on N = n vertices for
+        # |Q| = 0, and on N = n - 1 (c = N - 1 in, c = 1 out) for |Q| = 1
+        from chordal_lab.splits import _tail_bound
+
+        def term(N, c):
+            m = min(c, N - c)
+            return comb(N, c) * (2 ** m - 1) ** (N - m)
+
+        for n in range(4, 41):
+            for lo in range(2, n // 2 + 1):
+                for hi in range((n + 1) // 2, n - 1):
+                    outside = [c for c in range(2, n - 1) if not lo <= c <= hi]
+                    tail0 = sum(term(n, c) for c in outside)
+                    tail1 = sum(n * term(n - 1, c) for c in outside)
+                    assert tail0 <= _tail_bound(n, lo, hi, n - 2), (n, lo, hi)
+                    assert tail1 <= n * _tail_bound(n - 1, lo, hi, n - 2), (n, lo, hi)
+
+    def test_windows_are_narrow(self):
+        # ceil(sqrt(log2(1/eps))) = 4 either side of n/2 at the eps_w that
+        # approx-count --epsilon 1e-3 uses, against 13 before certification
+        eps = Fraction(1, 2000) * Fraction(1023, 1024)
+        assert split_windows(1000, eps).cells == range(496, 505)
+        for n in (70, 100, 200):
+            cells = split_windows(n, Fraction(1, 2 ** 60)).cells
+            assert len(cells) < 2 * (60 + 2), n
+
+    def test_tiny_n_windows_are_the_whole_range(self):
+        for n in range(10):
+            windows = split_windows(n, "1e-3")
+            assert windows.cells == range(2, max(2, n - 1))
+            assert (windows.w0, windows.w1) == (split_count_q0_full(n),
+                                                split_count_q1_full(n))
+
+    def test_certificate_is_live(self, monkeypatch):
+        import chordal_lab.splits as splits
+
+        n, eps = 70, Fraction(1, 2 ** 7)
+        assert len(split_windows(n, eps).cells) < n - 3
+        monkeypatch.setattr(splits, "_term_bound", lambda N, c: 1 << (N * N))
+        windows = split_windows(n, eps)
+        assert windows.cells == range(2, n - 1)
+        assert windows.w0 == split_count_q0_full(n)
+        assert windows.w1 == split_count_q1_full(n)
+
+    def test_one_pow_per_distinct_base_and_no_cache(self, monkeypatch):
+        # every big power goes through the module-level name ``pow``
+        import chordal_lab.splits as splits
+
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        n = 1000
+        cells = split_windows(n, Fraction(1, 2000) * Fraction(1023, 1024)).cells
+        distinct_m = {min(c, n - c) for c in cells} | {min(c, n - 1 - c) for c in cells}
+        monkeypatch.setattr(splits, "pow", counting_pow, raising=False)
+        first = approx_count_chordal(n, "1e-3")
+        assert len(calls) == len(distinct_m) == 6
+        assert len({args[0] for args in calls}) == len(calls)
+        calls.clear()
+        assert approx_count_chordal(n, "1e-3") == first
+        assert len(calls) == 6
 
 
 class TestApproxCountSplit:
@@ -304,13 +442,13 @@ class TestSplitSampler:
         from collections import Counter
 
         from chordal_lab.graphs import complete_graph, LabeledGraph
-        from chordal_lab.splits import _SplitPlan, _plan_cache, as_epsilon
+        from chordal_lab.splits import SplitWindows, _plan_cache, as_epsilon
 
         n = 70
         eps = as_epsilon("0.25")
         eps_work = min(eps / 2, Fraction(1, 3))
-        _plan_cache[(n, eps_work)] = _SplitPlan(
-            w0=0, w1=0, q01_cells=(), q0_weights=(), q1_weights=(), cap=4)
+        _plan_cache[(n, eps_work)] = SplitWindows(
+            cells=range(0), q0_terms=(), q1_terms=(), w0=0, w1=0)
         try:
             rng = RandomStream(1234)
             outcomes = Counter()
