@@ -147,16 +147,12 @@ class TestLowQSums:
 CERTIFIED_GRID = [(n, Fraction(1, 2 ** e)) for n in (70, 100, 200) for e in (7, 20, 60)]
 
 
-def full_sum(n):
-    """F: both two-sided sums in full, the |Q| >= 2 window terms and |Q| = n."""
-    return (split_count_q_mid_full(n) + split_count_q0_full(n)
-            + split_count_q1_full(n) + 2)
-
-
 class TestCertifiedWindows:
     """``split_windows`` widens each window until an exact tail bound proves
     it keeps (1 - eps) of its two-sided sum; these check the outcome against
-    the full sums in exact rationals, and the two lemmas the bound rests on."""
+    the full sums in exact rationals, and the two lemmas the bound rests on.
+    ``TestApproxCountSplit::test_within_budget_of_full_sum`` checks the count
+    against F at every point of the grid that the split floor accepts."""
 
     @pytest.mark.parametrize("n, eps", CERTIFIED_GRID)
     def test_windows_keep_promised_fraction(self, n, eps):
@@ -167,14 +163,6 @@ class TestCertifiedWindows:
         assert windows.w0 == split_count_q0_truncated(n, eps)
         assert windows.w1 == split_count_q1_truncated(n, eps)
         assert (sum(windows.q0_terms), sum(windows.q1_terms)) == (windows.w0, windows.w1)
-
-    @pytest.mark.parametrize("n, eps", CERTIFIED_GRID)
-    def test_approx_count_within_eps_of_full(self, n, eps):
-        if n < threshold_f(eps):
-            with pytest.raises(ValueError):
-                approx_count_split(n, eps)
-            return
-        assert (1 - eps) * full_sum(n) <= approx_count_split(n, eps) <= full_sum(n)
 
     @pytest.mark.parametrize("n, eps", CERTIFIED_GRID)
     def test_fresh_plan_uses_the_windows(self, n, eps, monkeypatch):
