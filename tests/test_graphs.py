@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from chordal_lab.graphs import (
     from_edge_list_text,
     from_json_dict,
     glue,
+    graph_from_neighbors,
     is_chordal,
     is_clique,
     is_connected,
@@ -32,6 +35,36 @@ from conftest import adjacency_masks_of, has_long_induced_cycle, random_chordal_
 
 def path(*labels):
     return LabeledGraph(labels, list(zip(labels, labels[1:])))
+
+
+def random_labeled_graph(seed: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Labels and edges of a seeded G(n, p) graph, with gapped labels on odd seeds."""
+    rnd = random.Random(seed)
+    n = rnd.randrange(0, 40)
+    labels = rnd.sample(range(1, 4 * n + 2), n) if seed % 2 else list(range(1, n + 1))
+    p = rnd.choice([0.0, 0.05, 0.2, 0.5, 0.9, 1.0])
+    edges = [(u, v) if rnd.random() < 0.5 else (v, u)
+             for u, v in combinations(labels, 2) if rnd.random() < p]
+    return labels, edges
+
+
+def neighbor_lists(labels, edges) -> dict[int, list[int]]:
+    nbrs: dict[int, list[int]] = {v: [] for v in labels}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def seed_edges(g: LabeledGraph) -> list[tuple[int, int]]:
+    """``LabeledGraph.edges`` as first written: collect (min, max) pairs, sort."""
+    return sorted((v, u) for v in g.vertices for u in g.neighbors(v) if v < u)
+
+
+def seed_edge_list_text(g: LabeledGraph) -> str:
+    """``to_edge_list_text`` as first written: one line per sorted edge."""
+    lines = [f"{g.n} {g.edge_count()}"] + [f"{u} {v}" for u, v in seed_edges(g)]
+    return "\n".join(lines) + "\n"
 
 
 class TestLabeledGraph:
@@ -72,6 +105,59 @@ class TestLabeledGraph:
         g = path(1, 2, 3)
         h = g.induced([1, 2])
         assert h.vertices == (1, 2) and h.edges() == [(1, 2)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_edges_match_sorted_pairs(self, seed):
+        g = LabeledGraph(*random_labeled_graph(seed))
+        assert g.edges() == seed_edges(g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_hash_agrees_across_constructions(self, seed):
+        labels, edges = random_labeled_graph(seed)
+        g1 = LabeledGraph(labels, edges)
+        g2 = graph_from_neighbors(reversed(labels), neighbor_lists(labels, edges))
+        g3 = LabeledGraph(labels, [(v, u) for u, v in reversed(edges)])
+        assert g1 == g2 == g3 and hash(g1) == hash(g2) == hash(g3)
+
+
+class TestGraphFromNeighbors:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_edge_constructor(self, seed):
+        labels, edges = random_labeled_graph(seed)
+        g = graph_from_neighbors(labels, neighbor_lists(labels, edges))
+        want = LabeledGraph(labels, edges)
+        assert g == want
+        assert g.vertices == want.vertices and g.edges() == want.edges()
+        assert all(type(g.neighbors(v)) is frozenset for v in g.vertices)
+
+    def test_missing_keys_are_isolated_vertices(self):
+        g = graph_from_neighbors([5, 2, 9], {2: [9], 9: {2}})
+        assert g == LabeledGraph([2, 5, 9], [(2, 9)])
+
+    @pytest.mark.parametrize("label", ["3", 2.0, None])
+    def test_rejects_non_int_label(self, label):
+        with pytest.raises(ValueError, match="positive integers"):
+            graph_from_neighbors([1, label], {})
+
+    def test_rejects_label_zero(self):
+        with pytest.raises(ValueError, match="positive integers"):
+            graph_from_neighbors([0, 1], {1: []})
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            graph_from_neighbors([1, 2], {1: [1, 2], 2: [1]})
+
+    def test_rejects_neighbour_outside_vertex_set(self):
+        with pytest.raises(ValueError, match="outside the vertex set"):
+            graph_from_neighbors([1, 2], {1: [2, 3], 2: [1]})
+
+    def test_rejects_key_outside_vertex_set(self):
+        with pytest.raises(ValueError, match="not a vertex"):
+            graph_from_neighbors([1, 2], {1: [], 3: []})
+
+    def test_rejects_asymmetric_input(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            graph_from_neighbors([1, 2, 3], {1: [2, 3], 2: [1], 3: []})
 
 
 class TestPhiMap:
@@ -402,6 +488,20 @@ class TestComplement:
         g = random_chordal_graph(5, 6)
         assert complement(complement(g)) == g
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_definition(self, seed):
+        labels, edges = random_labeled_graph(seed)
+        g = LabeledGraph(labels, edges)
+        want = LabeledGraph(labels, [(u, v) for u, v in combinations(sorted(labels), 2)
+                                     if not g.has_edge(u, v)])
+        assert complement(g) == want
+
+    @pytest.mark.parametrize("labels", [[], [4], [3, 1, 2], [9, 2, 40, 7]])
+    def test_complete_graph_has_every_pair(self, labels):
+        g = complete_graph(labels)
+        assert g == LabeledGraph(labels, combinations(labels, 2))
+        assert g.edges() == list(combinations(sorted(labels), 2))
+
 
 class TestSerialization:
     def test_edge_list_roundtrip(self):
@@ -417,6 +517,18 @@ class TestSerialization:
     def test_edge_list_header_mismatch(self):
         with pytest.raises(ValueError):
             from_edge_list_text("2 1\n")
+
+    @pytest.mark.parametrize("seed", range(0, 80, 2))
+    def test_edge_list_text_matches_one_line_per_sorted_edge(self, seed):
+        # Even seeds give labels 1..n; densities reach both sides of the
+        # per-vertex join threshold.
+        g = LabeledGraph(*random_labeled_graph(seed))
+        assert to_edge_list_text(g) == seed_edge_list_text(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 18, 40])
+    def test_edge_list_text_of_complete_and_empty_graphs(self, n):
+        for g in (complete_graph(range(1, n + 1)), LabeledGraph(range(1, n + 1))):
+            assert to_edge_list_text(g) == seed_edge_list_text(g)
 
     def test_json_roundtrip(self):
         g = LabeledGraph([2, 5, 9], [(2, 5), (5, 9)])

@@ -6,16 +6,18 @@ import pytest
 
 from chordal_lab.counting import CountingContext
 from chordal_lab.graphs import (
+    LabeledGraph,
     is_clique,
     is_independent_set,
     split_partition,
 )
 from chordal_lab.bruteforce import split_class_counts
-from chordal_lab.sampling import RandomStream
+from chordal_lab.sampling import RandomStream, sample_subset
 from chordal_lab.splits import (
     EXACT_LIMIT,
     approx_count_chordal,
     approx_count_split,
+    _build_low_q,
     approx_sample_chordal,
     as_epsilon,
     ceil_log2_inverse,
@@ -450,6 +452,67 @@ class TestSplitSampler:
         finally:
             del _plan_cache[(n, eps_work)]
         assert abs(outcomes["full"] - 200) < 4 * (400 * 0.25) ** 0.5
+
+
+def edge_list_build_low_q(n, c, with_witness, rng):
+    """``_build_low_q`` as first written, listing every edge pair: the reference
+    for the per-vertex assembly.  Returns (graph, cyan, indigo, swing) or None."""
+    labels = list(range(1, n + 1))
+    if with_witness:
+        white = sample_subset(labels, 1, rng)
+        pool = [v for v in labels if v != white[0]]
+        half = (n - 1) // 2
+    else:
+        white = []
+        pool = labels
+        half = n // 2
+    cyan = sample_subset(pool, c, rng)
+    indigo = [v for v in pool if v not in set(cyan)]
+    edges = []
+    for i, u in enumerate(cyan):
+        edges.extend((u, v) for v in cyan[i + 1:])
+    if white:
+        edges.extend((white[0], v) for v in cyan)
+    if c <= half:
+        cyan_hit = set()
+        for u in indigo:
+            mask = rng.uniform_below(2 ** c - 1)
+            nbrs = [e for i, e in enumerate(cyan) if mask >> i & 1]
+            cyan_hit.update(nbrs)
+            edges.extend((u, v) for v in nbrs)
+        ok = len(cyan_hit) == c
+    else:
+        m = len(indigo)
+        hit_by_all = (1 << m) - 1
+        for u in cyan:
+            mask = 1 + rng.uniform_below(2 ** m - 1)
+            hit_by_all &= mask
+            edges.extend((u, v) for i, v in enumerate(indigo) if mask >> i & 1)
+        ok = hit_by_all == 0
+    if not ok:
+        return None
+    return LabeledGraph(labels, edges), frozenset(cyan), frozenset(indigo), frozenset(white)
+
+
+class TestBuildLowQ:
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_matches_edge_list_reference(self, n):
+        accepted = rejected = 0
+        for c in range(2, n - 1):
+            for with_witness in (False, True):
+                for seed in range(20):
+                    rng_ref, rng = RandomStream(seed), RandomStream(seed)
+                    want = edge_list_build_low_q(n, c, with_witness, rng_ref)
+                    draw = _build_low_q(n, c, with_witness, rng)
+                    if want is None:
+                        assert draw is None
+                        rejected += 1
+                    else:
+                        assert (draw.graph, draw.cyan, draw.indigo, draw.swing) == want
+                        accepted += 1
+                    # the same draws, in the same order, were taken
+                    assert rng.bits(64) == rng_ref.bits(64)
+        assert accepted and rejected
 
 
 class TestApproxSampleChordal:
