@@ -525,8 +525,9 @@ class TestSerialization:
         g = LabeledGraph(*random_labeled_graph(seed))
         assert to_edge_list_text(g) == seed_edge_list_text(g)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 17, 18, 40])
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 40])
     def test_edge_list_text_of_complete_and_empty_graphs(self, n):
+        # K_10 has 4.5 edges per vertex and K_11 5: either side of the threshold.
         for g in (complete_graph(range(1, n + 1)), LabeledGraph(range(1, n + 1))):
             assert to_edge_list_text(g) == seed_edge_list_text(g)
 
