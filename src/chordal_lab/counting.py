@@ -547,17 +547,25 @@ _context_cache: dict[tuple[int, int], CountingContext] = {}
 
 
 def get_context(n_max: int, omega: int | None = None) -> CountingContext:
-    """A shared context per (n_max, omega); fills are reused across calls.
+    """A shared context that counts every size up to n_max at omega; fills
+    are reused across calls.
 
-    Keeps the CACHE_SIZE most recently created contexts.  Raises ValueError
-    above the EXACT_LIMIT budget; build ``CountingContext(n, omega,
-    allow_large=True)`` to run such a fill.
+    Table values do not depend on a context's ``n_max``, so any cached
+    context with ``ctx.n_max >= n_max`` whose effective omega agrees at
+    n_max, ``min(ctx.omega, n_max) == min(omega, n_max)``, serves the call;
+    its ``n_max`` and ``omega`` may be larger than asked.  Keeps the
+    CACHE_SIZE most recently created contexts.  Raises ValueError above the
+    EXACT_LIMIT budget; build ``CountingContext(n, omega, allow_large=True)``
+    to run such a fill.
     """
     if omega is None:
         omega = n_max
     omega_eff = min(omega, n_max) if n_max >= 1 else max(omega, 1)
     key = (n_max, omega_eff)
     ctx = _context_cache.get(key)
+    if ctx is None and n_max >= 0:
+        ctx = next((c for c in _context_cache.values()
+                    if c.n_max >= n_max and min(c.omega, n_max) == min(omega, n_max)), None)
     if ctx is None:
         ctx = CountingContext(n_max, omega_eff if n_max >= 1 else None)
         if len(_context_cache) >= CACHE_SIZE:
@@ -581,5 +589,6 @@ def count_all(n: int, omega: int | None = None) -> int:
 def connected_count_rows(n_max: int, omega: int | None = None) -> Iterator[tuple[int, int, int, int]]:
     """Rows (n, omega, connected_count, all_count) for n = 1..n_max."""
     ctx = get_context(n_max, omega)
+    omega_eff = min(ctx.omega, n_max)
     for n in range(1, n_max + 1):
-        yield n, ctx.omega, ctx.count_connected(n), ctx.count_all(n)
+        yield n, omega_eff, ctx.count_connected(n), ctx.count_all(n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
 from itertools import combinations, product
 from math import comb
 from typing import Sequence
@@ -22,6 +23,13 @@ from .counting import CountingContext, class_params
 from .graphs import LabeledGraph, complete_graph, glue, phi_map, relabel  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
+
+# Weights a sampler's plan cache keeps, over all its plans (the cache bound
+# beside counting.CACHE_SIZE).  The largest plan at n = omega = 30 holds 956.
+# 2**13 entries retain 0.5-0.7 MB (64-bit CPython 3.11) and keep most of the
+# gain; 2**14 and 2**15 ran faster but raised the peak RSS of 10 s of
+# sampling at n = 40, omega = 3 by 8-10 % (from 26.7 MB).
+PLAN_ENTRIES = 1 << 13
 
 
 class RandomStream:
@@ -123,10 +131,9 @@ def sample_subset(pool: Sequence[int], k: int, rng: RandomStream) -> list[int]:
 class ChordalSampler:
     """Uniform sampler over the graph classes of a filled counting context.
 
-    The context is only read; any number of samplers may share one context as
-    long as each owns its own :class:`RandomStream`.  ``ops`` counts the
-    big-integer weight terms evaluated since construction (a proxy for
-    arithmetic work per sample).
+    The context is only read, so any number of samplers may share one
+    context.  A sampler itself is owned by one thread at a time, with its own
+    :class:`RandomStream`: it keeps a cache of plans that every draw updates.
 
     :meth:`unrank` maps each rank below a class's count to one member; a
     sample is the member of one uniform rank.  ``_unrank_<kind>`` unranks the
@@ -140,11 +147,32 @@ class ChordalSampler:
     graph, at the end.  Each edge is appended once: the clique on the class's
     given labels (``labels[:x]``, or ``labels[:x + l]`` where the kind has a
     layer) by :meth:`unrank`, a layer's edges where the layer is picked.
+
+    A node's terms and their weights are its *plan*, built by
+    ``_weigh_<kind>`` through the validating ``count_*`` accessors the first
+    time the node is met and kept in a least-recently-used cache.  The cache
+    holds at most ``PLAN_ENTRIES`` stored weights in all, under a megabyte
+    at the sizes measured; a draw that meets an evicted node weighs it again.
+    ``ops`` counts the weight terms plan builds have evaluated since
+    construction, so a draw that meets only cached nodes adds none, and
+    :meth:`plan_stats` reports the cache.
     """
 
     def __init__(self, ctx: CountingContext):
         self.ctx = ctx
         self.ops = 0
+        self._plans: dict[tuple, tuple[int, ...]] = {}  # least recently used first
+        # Every term index is below (n_max + 1)**3.
+        self._shift = 3 * (ctx.n_max + 1).bit_length()
+        self._mask = (1 << self._shift) - 1
+        self._entries = 0
+        self._hits = 0
+        self._misses = 0
+
+    def plan_stats(self) -> dict[str, int]:
+        """Plans and weight entries cached now; plan lookups that hit and missed."""
+        return {"plans": len(self._plans), "entries": self._entries,
+                "hits": self._hits, "misses": self._misses}
 
     # -- entry points --------------------------------------------------------
 
@@ -196,7 +224,62 @@ class ChordalSampler:
             size, hull = x + l + k, x + l
         return getattr(self.ctx, "count_" + kind)(*args), size, hull
 
+    # -- plans ---------------------------------------------------------------
+
+    def _term(self, key: tuple, r: int) -> tuple[int, int]:
+        """(term, r minus the weights of the terms before it) for the term
+        whose block of ranks holds r at node ``key`` = (kind, *args).
+
+        A node's plan is a tuple with one int per nonzero-weight term,
+        ``start << shift | term``, where start is the sum of the weights
+        before the term.  The last start at most r begins the block holding
+        r, and bisect_right finds it.  A zero-weight term has an empty block,
+        so leaving it out picks the same term as scanning every weight in
+        order would.
+        """
+        plans = self._plans
+        plan = plans.get(key)
+        if plan is None:
+            plan = self._build(key)
+        else:
+            plans[key] = plans.pop(key)  # now the most recently used
+            self._hits += 1
+        f = plan[bisect_right(plan, r << self._shift | self._mask) - 1]
+        return f & self._mask, r - (f >> self._shift)
+
+    def _build(self, key: tuple) -> tuple[int, ...]:
+        """Weigh a node with ``_weigh_<kind>``, cache its plan and evict the
+        least recently used plans until at most PLAN_ENTRIES weights are kept."""
+        self._misses += 1
+        kind, *args = key
+        plan = []
+        start = 0
+        for term, w in getattr(self, "_weigh_" + kind)(*args):
+            if w:
+                plan.append(start << self._shift | term)
+                start += w
+        if start != getattr(self.ctx, "count_" + kind)(*args):
+            raise AssertionError(f"the weights of {kind}{tuple(args)} do not sum to its count")
+        plan = tuple(plan)
+        plans = self._plans
+        plans[key] = plan
+        self._entries += len(plan)
+        while self._entries > PLAN_ENTRIES:
+            self._entries -= len(plans.pop(next(iter(plans))))
+        return plan
+
     # -- one procedure per counted class --------------------------------------
+    #
+    # _weigh_<kind> yields (term, weight) for each term of a node, in the
+    # order that fixes the blocks of ranks; _unrank_<kind> decodes the term
+    # _term picks.  A term is a small int: a part size, or several small
+    # indices packed by mixed radix.
+
+    def _weigh_all(self, m: int):
+        ctx = self.ctx
+        self.ops += m
+        for k in range(1, m + 1):
+            yield k, comb(m - 1, k - 1) * ctx.count_connected(k) * ctx.count_all(m - k)
 
     def _unrank_all(self, n: int, r: int, labels: list[int], edges: list) -> None:
         # Split off the component holding the first remaining label, as
@@ -205,23 +288,29 @@ class ChordalSampler:
         rest = labels
         while rest:
             m = len(rest)
-            weights = [comb(m - 1, k - 1) * ctx.count_connected(k)
-                       * ctx.count_all(m - k) for k in range(1, m + 1)]
-            self.ops += m
-            k, r = _pick(weights, r)
-            k += 1
+            k, r = self._term(("all", m), r)
             r, s = divmod(r, comb(m - 1, k - 1))
             r, r_comp = divmod(r, ctx.count_connected(k))
             first = rest[0]
             component, rest = _split(rest[1:], k - 1, s)
             self._unrank_connected(k, r_comp, [first] + component, edges)
 
-    def _unrank_connected(self, n: int, r: int, labels: list[int], edges: list) -> None:
+    def _weigh_connected(self, n: int):
         ctx = self.ctx
-        weights = [ctx.count_exact_single(t, 0, n) for t in range(1, n + 1)]
         self.ops += n
-        t, r = _pick(weights, r)
-        self._unrank_exact_single(t + 1, 0, n, r, labels, edges)
+        for t in range(1, n + 1):
+            yield t, ctx.count_exact_single(t, 0, n)
+
+    def _unrank_connected(self, n: int, r: int, labels: list[int], edges: list) -> None:
+        t, r = self._term(("connected", n), r)
+        self._unrank_exact_single(t, 0, n, r, labels, edges)
+
+    def _weigh_within(self, t: int, x: int, k: int, z: int):
+        ctx = self.ctx
+        self.ops += k + 1
+        for k2 in range(k + 1):
+            a = ctx.count_exact(t, x, k2, z)
+            yield k2, comb(k, k2) * a * ctx.count_within(t - 1, x, k - k2, z) if a else 0
 
     def _unrank_within(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
                        edges: list) -> None:
@@ -232,13 +321,9 @@ class ChordalSampler:
         root, free = labels[:x], labels[x:]
         while free:
             k = len(free)
-            exact = [ctx.count_exact(t, x, k2, z) for k2 in range(k + 1)]
-            weights = [comb(k, k2) * a * ctx.count_within(t - 1, x, k - k2, z) if a else 0
-                       for k2, a in enumerate(exact)]
-            self.ops += k + 1
-            k2, r = _pick(weights, r)
+            k2, r = self._term(("within", t, x, k, z), r)
             r, s = divmod(r, comb(k, k2))
-            r, r_exact = divmod(r, exact[k2])
+            r, r_exact = divmod(r, ctx.count_exact(t, x, k2, z))
             chosen, free = _split(free, k2, s)
             if chosen:
                 self._unrank_exact(t, x, k2, z, r_exact, root + chosen, edges)
@@ -252,34 +337,41 @@ class ChordalSampler:
                              labels: list[int], edges: list) -> None:
         self._unrank_root_components(True, t, x, k, z, r, labels, edges)
 
-    def _unrank_root_components(self, proper: bool, t: int, x: int, k: int, z: int, r: int,
-                                labels: list[int], edges: list) -> None:
-        """The exact and exact_proper classes: split off the component holding
-        the first free vertex, with root contact x2 (below x if proper)."""
+    def _weigh_exact(self, t: int, x: int, k: int, z: int):
+        return self._weigh_root_components(False, t, x, k, z)
+
+    def _weigh_exact_proper(self, t: int, x: int, k: int, z: int):
+        return self._weigh_root_components(True, t, x, k, z)
+
+    def _weigh_root_components(self, proper: bool, t: int, x: int, k: int, z: int):
+        # Term k2 * (x + 1) + x2: a first component of k2 vertices with root
+        # contact x2.
         ctx = self.ctx
-        if k == 0:
-            return
         count_rest = ctx.count_exact_proper if proper else ctx.count_exact
-        # Root contacts of x2 labels that escape the first z.
         contacts = [comb(x, x2) - comb(z, x2) for x2 in range(x if proper else x + 1)]
-        terms = []
-        weights = []
+        self.ops += k * (len(contacts) - 1)
         for k2 in range(1, k + 1):
             rest = count_rest(t, x, k - k2, z)
             if not rest:
                 continue
-            b = comb(k - 1, k2 - 1)
+            share = comb(k - 1, k2 - 1) * rest
             for x2 in range(1, len(contacts)):
                 single = ctx.count_exact_single(t, x2, k2)
                 if single:
-                    terms.append((k2, x2, b, single))
-                    weights.append(contacts[x2] * b * single * rest)
-        self.ops += k * (len(contacts) - 1)
-        i, r = _pick(weights, r)
-        k2, x2, b, single = terms[i]
-        r, c = divmod(r, contacts[x2])
-        r, s = divmod(r, b)
-        r_rest, r_comp = divmod(r, single)
+                    yield k2 * (x + 1) + x2, contacts[x2] * share * single
+
+    def _unrank_root_components(self, proper: bool, t: int, x: int, k: int, z: int, r: int,
+                                labels: list[int], edges: list) -> None:
+        """The exact and exact_proper classes: split off the component holding
+        the first free vertex, with root contact x2 (below x if proper)."""
+        if k == 0:
+            return
+        term, r = self._term(("exact_proper" if proper else "exact", t, x, k, z), r)
+        k2, x2 = divmod(term, x + 1)
+        # Root contacts of x2 labels that escape the first z.
+        r, c = divmod(r, comb(x, x2) - comb(z, x2))
+        r, s = divmod(r, comb(k - 1, k2 - 1))
+        r_rest, r_comp = divmod(r, self.ctx.count_exact_single(t, x2, k2))
         root, free = labels[:x], labels[x:]
         # In colex order the subsets inside root[:z] take the ranks below C(z, x2).
         contact, _ = _split(root, x2, comb(z, x2) + c)
@@ -287,14 +379,15 @@ class ChordalSampler:
         self._unrank_exact_single(t, x2, k2, r_comp, contact + [free[0]] + component, edges)
         self._unrank_root_components(proper, t, x, k - k2, z, r_rest, root + rest, edges)
 
+    def _weigh_exact_single(self, t: int, x: int, k: int):
+        ctx = self.ctx
+        self.ops += k
+        for l in range(1, k + 1):
+            yield l, comb(k, l) * ctx.count_pinned(t, x, l, k - l)
+
     def _unrank_exact_single(self, t: int, x: int, k: int, r: int, labels: list[int],
                              edges: list) -> None:
-        ctx = self.ctx
-        weights = [comb(k, l) * ctx.count_pinned(t, x, l, k - l)
-                   for l in range(1, k + 1)]
-        self.ops += k
-        l, r = _pick(weights, r)
-        l += 1
+        l, r = self._term(("exact_single", t, x, k), r)
         r, s = divmod(r, comb(k, l))
         root = labels[:x]
         layer, rest = _split(labels[x:], l, s)
@@ -302,11 +395,11 @@ class ChordalSampler:
         edges.extend(combinations(layer, 2))
         self._unrank_pinned(t, x, l, k - l, r, root + layer + rest, edges)
 
-    def _unrank_exact_multi(self, t: int, x: int, k: int, r: int, labels: list[int],
-                            edges: list) -> None:
-        # The component holding the first free vertex, then one further
-        # component (the first k - 1 blocks) or at least two (the last k - 1).
+    def _weigh_exact_multi(self, t: int, x: int, k: int):
+        # Term i: the first component has k2 = i % (k - 1) + 1 vertices, then
+        # one further component (i < k - 1) or at least two.
         ctx = self.ctx
+        self.ops += 2 * k
         w_one = []
         w_more = []
         for k2 in range(1, k):
@@ -314,11 +407,16 @@ class ChordalSampler:
             single = ctx.count_exact_single(t, x, k2)
             w_one.append(b * single * ctx.count_exact_single(t, x, k - k2) if single else 0)
             w_more.append(b * single * ctx.count_exact_multi(t, x, k - k2) if single else 0)
-        self.ops += 2 * k
-        i, r = _pick(w_one + w_more, r)
+        return enumerate(w_one + w_more)
+
+    def _unrank_exact_multi(self, t: int, x: int, k: int, r: int, labels: list[int],
+                            edges: list) -> None:
+        # The component holding the first free vertex, then one further
+        # component or at least two.
+        i, r = self._term(("exact_multi", t, x, k), r)
         k2 = i % (k - 1) + 1
         r, s = divmod(r, comb(k - 1, k2 - 1))
-        r_rest, r_comp = divmod(r, ctx.count_exact_single(t, x, k2))
+        r_rest, r_comp = divmod(r, self.ctx.count_exact_single(t, x, k2))
         root, free = labels[:x], labels[x:]
         component, rest = _split(free[1:], k2 - 1, s)
         self._unrank_exact_single(t, x, k2, r_comp, root + [free[0]] + component, edges)
@@ -327,37 +425,32 @@ class ChordalSampler:
         else:
             self._unrank_exact_multi(t, x, k - k2, r_rest, root + rest, edges)
 
+    def _weigh_pinned(self, t: int, x: int, l: int, k: int):
+        ctx = self.ctx
+        self.ops += k
+        for k2 in range(1, k + 1):
+            a = ctx.count_pinned_exact(t, x, l, k2)
+            yield k2, comb(k, k2) * a * ctx.count_within(t - 2, x + l, k - k2, x) if a else 0
+
     def _unrank_pinned(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
                        edges: list) -> None:
-        ctx = self.ctx
         if t == 1 and k == 0:
             return
-        exact = [ctx.count_pinned_exact(t, x, l, k2) for k2 in range(1, k + 1)]
-        weights = [comb(k, k2) * a * ctx.count_within(t - 2, x + l, k - k2, x) if a else 0
-                   for k2, a in enumerate(exact, 1)]
-        self.ops += k
-        i, r = _pick(weights, r)
-        k2 = i + 1
+        k2, r = self._term(("pinned", t, x, l, k), r)
         r, s = divmod(r, comb(k, k2))
-        r_rest, r_exact = divmod(r, exact[i])
+        r_rest, r_exact = divmod(r, self.ctx.count_pinned_exact(t, x, l, k2))
         hull = labels[:x + l]
         chosen, rest = _split(labels[x + l:], k2, s)
         self._unrank_pinned_exact(t, x, l, k2, r_exact, hull + chosen, edges)
         self._unrank_within(t - 2, x + l, k - k2, x, r_rest, hull + rest, edges)
 
-    def _unrank_pinned_exact(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
-                             edges: list) -> None:
-        # No component outside the hull sees all of it (the pinned_proper
-        # block), or the first k2 free vertices chosen hold exactly one such
-        # component (the next k blocks) or at least two (the last k).
+    def _weigh_pinned_exact(self, t: int, x: int, l: int, k: int):
+        # Term 0: no component outside the hull sees all of it.  Term i >= 1:
+        # the first k2 = (i - 1) % k + 1 free vertices chosen hold exactly one
+        # such component (i <= k) or at least two.
         ctx = self.ctx
-        proper = ctx.count_pinned_proper(t, x, l, k)
-        self.ops += 1
-        if r < proper:
-            self._unrank_pinned_proper(t, x, l, k, r, labels, edges)
-            return
-        r -= proper
         xl = x + l
+        self.ops += 1 + 2 * k
         w_one = []
         w_more = []
         for k2 in range(1, k + 1):
@@ -368,13 +461,21 @@ class ChordalSampler:
             # more is 0 at t = 1, below the rounds exact_proper accepts.
             w_more.append(b * more * ctx.count_exact_proper(t - 1, xl, k - k2, x)
                           if more else 0)
-        self.ops += 2 * k
-        i, r = _pick(w_one + w_more, r)
-        k2 = i % k + 1
+        return enumerate([ctx.count_pinned_proper(t, x, l, k)] + w_one + w_more)
+
+    def _unrank_pinned_exact(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
+                             edges: list) -> None:
+        i, r = self._term(("pinned_exact", t, x, l, k), r)
+        if i == 0:
+            self._unrank_pinned_proper(t, x, l, k, r, labels, edges)
+            return
+        ctx = self.ctx
+        xl = x + l
+        k2 = (i - 1) % k + 1
         r, s = divmod(r, comb(k, k2))
         hull = labels[:xl]
         chosen, rest = _split(labels[xl:], k2, s)
-        if i < k:
+        if i <= k:
             r_rest, r_seeing = divmod(r, ctx.count_exact_single(t - 1, xl, k2))
             self._unrank_exact_single(t - 1, xl, k2, r_seeing, hull + chosen, edges)
             self._unrank_pinned_proper(t, x, l, k - k2, r_rest, hull + rest, edges)
@@ -387,17 +488,11 @@ class ChordalSampler:
                               labels: list[int], edges: list) -> None:
         self._unrank_pinned_proper_z(t, x, l, k, x, r, labels, edges)
 
-    def _unrank_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int, r: int,
-                                labels: list[int], edges: list) -> None:
-        # The component holding the first free vertex has k2 vertices and
-        # touches x2 root labels and l2 layer labels, a proper nonempty part
-        # of root-plus-layer.  If it misses the layer, its root contact must
-        # escape the first z root labels.
+    def _weigh_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int):
+        # Term (k2 * (l + 1) + l2) * (x + 1) + x2: the first component has k2
+        # vertices and touches x2 root labels and l2 layer labels.
         ctx = self.ctx
-        contacts = ([comb(x, x2) - comb(z, x2) for x2 in range(x + 1)],
-                    [comb(x, x2) for x2 in range(x + 1)])
-        terms = []
-        weights = []
+        self.ops += k * (x + 1) * (l + 1)
         for k2 in range(1, k + 1):
             singles = [ctx.count_exact_single(t - 1, m, k2) for m in range(x + l)]
             if not any(singles):  # always so at t = 1, below exact_proper's rounds
@@ -410,17 +505,22 @@ class ChordalSampler:
                     continue
                 share = b * comb(l, l2) * rest
                 for x2 in range(x + 1 if l2 < l else x):
-                    w = contacts[l2 > 0][x2] * singles[x2 + l2]
-                    if w:
-                        terms.append((k2, x2, l2, b, singles[x2 + l2]))
-                        weights.append(w * share)
-        self.ops += k * (x + 1) * (l + 1)
-        i, r = _pick(weights, r)
-        k2, x2, l2, b, single = terms[i]
-        r, c = divmod(r, contacts[l2 > 0][x2])
+                    contacts = comb(x, x2) - (0 if l2 else comb(z, x2))
+                    yield (k2 * (l + 1) + l2) * (x + 1) + x2, contacts * singles[x2 + l2] * share
+
+    def _unrank_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int, r: int,
+                                labels: list[int], edges: list) -> None:
+        # The component holding the first free vertex has k2 vertices and
+        # touches x2 root labels and l2 layer labels, a proper nonempty part
+        # of root-plus-layer.  If it misses the layer, its root contact must
+        # escape the first z root labels.
+        term, r = self._term(("pinned_proper_z", t, x, l, k, z), r)
+        k2_l2, x2 = divmod(term, x + 1)
+        k2, l2 = divmod(k2_l2, l + 1)
+        r, c = divmod(r, comb(x, x2) - (0 if l2 else comb(z, x2)))
         r, c_layer = divmod(r, comb(l, l2))
-        r, s = divmod(r, b)
-        r_rest, r_comp = divmod(r, single)
+        r, s = divmod(r, comb(k - 1, k2 - 1))
+        r_rest, r_comp = divmod(r, self.ctx.count_exact_single(t - 1, x2 + l2, k2))
 
         # The [1, z] prefix is positional: a contact that must escape it has
         # colex rank at least C(z, x2).

@@ -124,6 +124,18 @@ class TestSample:
             ["sample", "--n", "3", "--omega", "1", "--connected"], capsys)
         assert code == 1 and "colorable" in err
 
+    @pytest.mark.parametrize("argv, sha1", [
+        ("--n 12 --count 20 --seed 3", "7e15cc3b0c13c65c6d4c782d0c7b8bd4cb89f64b"),
+        ("--n 40 --omega 3 --count 50 --seed 5", "6b0abceb21adb3ace19fb4c0de460b245941f512"),
+        ("--n 20 --connected --count 50 --seed 7", "a783b77321eb9807078900f1886db09b9d8e377f"),
+    ])
+    def test_output_is_pinned(self, capsys, argv, sha1):
+        # Digests of the output before the sampler cached its weights; a
+        # seeded draw must print the same bytes however the weights are found.
+        code, out, _ = run_cli(["sample"] + argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "graphs.txt"
         code, out, _ = run_cli(

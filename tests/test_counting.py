@@ -13,6 +13,7 @@ from chordal_lab.counting import (
     EXACT_LIMIT,
     CountingContext,
     class_params,
+    connected_count_rows,
     count_all,
     count_connected,
     fill_cells,
@@ -407,6 +408,21 @@ class TestFillBudget:
         assert CountingContext(6, 6, allow_large=True).count_connected(6) == 13302
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every context get_context constructs, from an empty cache."""
+    monkeypatch.setattr(counting, "_context_cache", {})
+    calls = []
+
+    class Counted(CountingContext):
+        def __init__(self, *args, **kwargs):
+            calls.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "CountingContext", Counted)
+    return calls
+
+
 class TestNoProcessWideState:
     def test_recursion_limit_unchanged(self):
         before = sys.getrecursionlimit()
@@ -428,6 +444,28 @@ class TestNoProcessWideState:
         assert counting._context_cache == {}
         monkeypatch.undo()
         assert get_context(7).count_connected(7) == 489287
+
+    def test_smaller_n_served_from_a_larger_fill(self, built):
+        big = get_context(21)
+        ctx = get_context(20)
+        assert built == [(21, 21)] and ctx is big
+        fresh = CountingContext(20, 20)
+        for m in range(21):
+            assert ctx.count_all(m) == fresh.count_all(m)
+        for m in range(1, 21):
+            assert ctx.count_connected(m) == fresh.count_connected(m)
+        assert list(connected_count_rows(20)) == [
+            (m, 20, fresh.count_connected(m), fresh.count_all(m)) for m in range(1, 21)]
+        draws = [ChordalSampler(c).sample_chordal(20, RandomStream(5)) for c in (ctx, fresh)]
+        assert draws[0] == draws[1]
+
+    def test_reuse_needs_the_same_omega_at_n(self, built):
+        get_context(8, 3)
+        get_context(7, 3)      # served by (8, 3)
+        get_context(3, 9)      # omega 3 already puts no bound on 3 vertices
+        get_context(7, 4)      # a different bound at n = 7
+        get_context(9, 3)      # larger than every cached fill
+        assert built == [(8, 3), (7, 4), (9, 3)]
 
     def test_context_cache_drops_the_oldest(self, monkeypatch):
         monkeypatch.setattr(counting, "_context_cache", {})

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chordal_lab.sampling as sampling
 from chordal_lab.counting import CLASS_ARGS, CountingContext, class_params, get_context
 from chordal_lab.graphs import (
     is_chordal,
@@ -469,6 +470,62 @@ class TestOperationBudget:
             s.sample_chordal(n, rng)
             # generous constant over the quartic growth of weight-term counts
             assert s.ops <= 50 * n ** 4 + 500
+
+
+class TestPlanCache:
+    def test_a_repeated_rank_weighs_nothing(self):
+        ctx = get_context(12)
+        s = ChordalSampler(ctx)
+        r = ctx.count_all(12) // 3
+        g = s.unrank("all", (12,), r)
+        assert s.ops > 0
+        ops, stats = s.ops, s.plan_stats()
+        assert s.unrank("all", (12,), r) == g
+        assert s.ops == ops
+        assert s.plan_stats()["misses"] == stats["misses"]
+
+    @pytest.mark.parametrize("n,omega", [(12, 12), (16, 3)])
+    def test_eviction_keeps_the_draws(self, monkeypatch, n, omega):
+        ctx = get_context(n, omega)
+        rng = RandomStream(n)
+        want = [ChordalSampler(ctx).sample_chordal(n, rng) for _ in range(300)]
+        monkeypatch.setattr(sampling, "PLAN_ENTRIES", 40)
+        s = ChordalSampler(ctx)
+        rng = RandomStream(n)
+        for g in want:
+            assert s.sample_chordal(n, rng) == g
+            assert s.plan_stats()["entries"] <= 40
+        assert s.plan_stats()["misses"] > s.plan_stats()["plans"]  # plans were evicted
+
+    def test_least_recently_used_goes_first(self, monkeypatch):
+        s = ChordalSampler(CountingContext(8, 8))
+        old, mid, new = [("connected", n) for n in (3, 4, 5)]
+        for key in (old, mid, new, old):
+            s._term(key, 0)
+        assert list(s._plans) == [mid, new, old]
+        monkeypatch.setattr(sampling, "PLAN_ENTRIES", s.plan_stats()["entries"])
+        s._term(("connected", 2), 0)  # one entry, fewer than mid holds
+        assert list(s._plans) == [new, old, ("connected", 2)]
+
+    def test_stats_count_every_lookup(self, monkeypatch):
+        monkeypatch.setattr(sampling, "PLAN_ENTRIES", 200)
+        lookups = []
+        term = ChordalSampler._term
+
+        def counted(self, key, r):
+            lookups.append(key)
+            return term(self, key, r)
+
+        monkeypatch.setattr(ChordalSampler, "_term", counted)
+        s = ChordalSampler(get_context(12))
+        rng = RandomStream(4)
+        for _ in range(100):
+            s.sample_chordal(12, rng)
+            stats = s.plan_stats()
+            assert stats["hits"] + stats["misses"] == len(lookups)
+            assert stats["entries"] == sum(map(len, s._plans.values())) <= 200
+            assert stats["plans"] == len(s._plans)
+        assert stats["hits"] > stats["misses"] > 0
 
 
 class TestConcurrentReads:
