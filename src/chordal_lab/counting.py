@@ -560,17 +560,14 @@ def get_context(n_max: int, omega: int | None = None) -> CountingContext:
     """
     if omega is None:
         omega = n_max
-    omega_eff = min(omega, n_max) if n_max >= 1 else max(omega, 1)
-    key = (n_max, omega_eff)
-    ctx = _context_cache.get(key)
-    if ctx is None and n_max >= 0:
-        ctx = next((c for c in _context_cache.values()
-                    if c.n_max >= n_max and min(c.omega, n_max) == min(omega, n_max)), None)
+    ctx = next((c for c in _context_cache.values()
+                if c.n_max >= n_max >= 0 and min(c.omega, n_max) == min(omega, n_max)), None)
     if ctx is None:
+        omega_eff = min(omega, n_max) if n_max >= 1 else max(omega, 1)
         ctx = CountingContext(n_max, omega_eff if n_max >= 1 else None)
         if len(_context_cache) >= CACHE_SIZE:
             del _context_cache[next(iter(_context_cache))]
-        _context_cache[key] = ctx
+        _context_cache[(n_max, omega_eff)] = ctx
     return ctx
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_right
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 from typing import Sequence
 
@@ -71,15 +71,6 @@ class RandomStream:
         return RandomStream(mix)
 
 
-def _pick(weights: Sequence[int], r: int) -> tuple[int, int]:
-    """(i, r - sum(weights[:i])) for the term i whose block of ranks holds r."""
-    for i, w in enumerate(weights):
-        if r < w:
-            return i, r
-        r -= w
-    raise AssertionError("rank outside the class: the weights sum below it")
-
-
 def _split(pool: list[int], size: int, r: int) -> tuple[list[int], list[int]]:
     """The size-subset of the pool with colex rank r, and the rest, both in pool order.
 
@@ -109,7 +100,8 @@ def categorical(weights: Sequence[int], rng: RandomStream) -> int:
     total = sum(weights)
     if total <= 0:
         raise ValueError("total weight must be positive")
-    return _pick(weights, rng.uniform_below(total))[0]
+    # Index i holds the draws in [sum(weights[:i]), sum(weights[:i + 1])).
+    return bisect_right(list(accumulate(weights)), rng.uniform_below(total))
 
 
 def sample_subset(pool: Sequence[int], k: int, rng: RandomStream) -> list[int]:
