@@ -46,6 +46,7 @@ from .splits import (
     approx_count_chordal,
     approx_count_split,
     approx_sample_chordal,
+    approx_sampler,
     as_epsilon,
     sample_split_approx,
     sample_split_draw,
@@ -67,6 +68,7 @@ __all__ = [
     "approx_count_chordal",
     "approx_count_split",
     "approx_sample_chordal",
+    "approx_sampler",
     "as_epsilon",
     "categorical",
     "complement",

@@ -18,7 +18,7 @@ from .counting import CountingContext
 from .decimal_text import decimal_string
 from .graphs import LabeledGraph, to_edge_list_text, to_json_dict
 from .sampling import ChordalSampler, RandomStream
-from .splits import approx_count_chordal, approx_sample_chordal, as_epsilon
+from .splits import approx_count_chordal, approx_sampler, as_epsilon
 
 
 class CliError(Exception):
@@ -121,14 +121,9 @@ def cmd_approx_count(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def cmd_approx_sample(args: argparse.Namespace, out: IO[str]) -> None:
-    eps = _parse_epsilon(args.epsilon)
+    draw = approx_sampler(args.n, _parse_epsilon(args.epsilon))
     rng = RandomStream(args.seed)
-
-    def gen():
-        for _ in range(args.count):
-            yield approx_sample_chordal(args.n, eps, rng)
-
-    _emit_graphs(gen(), args.format, out)
+    _emit_graphs((draw(rng) for _ in range(args.count)), args.format, out)
 
 
 def _parse_epsilon(raw: str):

@@ -35,11 +35,23 @@ omega are empty, since every graph there contains that clique; the accessors
 return 0 for them and nothing stores them.  A constructed context is
 therefore filled and immutable, and may be read from any number of threads.
 
+Most entries of most rows are zero, and the two row kernels
+(``_first_component_row`` and ``_conv``) multiply only over the nonzero band
+of each row.  The zeros have three sources.  Leading zeros: a component that
+finishes in round t has at least lo(t) vertices, so ``single``, ``exact`` and
+the pinned chain rows vanish at 0 < k < lo(t).  The gap after k = 0: an
+exact row is [1, 0, ..., 0, nonzero from lo(t)], the bare root at k = 0.
+The self row: a row that reads itself at fewer free vertices is [first, 0,
+..., 0, row[lo:]].  The kernels find each band from the values themselves
+(the first nonzero entry of a row), so they store the same values as full
+products would.
+
 All arithmetic is exact; values grow to roughly 2**(n*n).
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -54,9 +66,10 @@ CLASS_ARGS = {
     "pinned_proper_z": "txlkz",
 }
 
-# Largest n = omega whose fill a context runs without ``allow_large``: about
-# 10 s and 120 MB at n = 30 (2-core x86-64, CPython 3.11).  The approximate
-# entry points in ``splits`` use the same limit for their exact fallback.
+# Largest n = omega whose fill a context runs without ``allow_large``: 4.4-4.9 s
+# and 73 MB peak RSS at n = 30 (fresh processes, 2-core x86-64, CPython 3.11).
+# The approximate entry points in ``splits`` use the same limit for their
+# exact fallback.
 EXACT_LIMIT = 30
 
 # Contexts and split plans kept by the module-level caches; the oldest is
@@ -522,21 +535,90 @@ class CountingContext:
         whose weights are None (zero) are skipped.
         """
         row = [first] + [0] * K
-        if lo is None:
+        if lo is None or lo > K:
             return row
-        terms = [(wt, scale, r) for wt, scale, r in terms if wt is not None]
-        for j in range(K - lo + 1):
-            total = 0
-            for wt, scale, r in terms:
-                total += scale * sum(map(mul, wt[j], (row if r is None else r)[j::-1]))
+        span = K - lo + 1  # row[lo:], or j = k - lo below
+        # The terms at a fixed rest r sum into a forcing row, one list each.
+        # The gap after k = 0: a rest is [r[0], 0, ..., 0, nonzero from low]
+        # (an exact row has r[0] = 1 and low = lo of its round), so r[j - i]
+        # vanishes for 0 < j - i < low; the r[0] term is split off and the
+        # dot product runs over r[j], ..., r[low].  An all-zero rest adds
+        # nothing.
+        force = [0] * span
+        selfs = []
+        for wt, scale, r in terms:
+            if wt is None:
+                continue
+            if r is None:
+                selfs.append((wt, scale))
+                continue
+            head = r[0]
+            low = _first_nonzero(r, 1)
+            if low is None:
+                if not head:
+                    continue
+                low = span
+            if head:
+                force = [f + scale * (head * w[j] + sum(map(mul, w, r[j:low - 1:-1])))
+                         for j, (f, w) in enumerate(zip(force, wt))]
+            else:
+                force[low:] = [f + scale * sum(map(mul, wt[j], r[j:low - 1:-1]))
+                               for j, f in enumerate(force[low:], low)]
+        # The self row is [first, 0, ..., 0, row[lo:]] (leading zeros: a
+        # component has at least lo vertices), so first * wt[j][j] is added
+        # once and the dot product runs over row[j], ..., row[low] only.  With
+        # first = 0 the row stays zero until the forcing row is nonzero, and
+        # its band starts there.
+        if first:
+            low = lo
+        else:
+            j0 = _first_nonzero(force)
+            if j0 is None:
+                return row
+            low = lo + j0
+        for j in range(low - lo, span):
+            total = force[j]
+            band = row[j:low - 1:-1]
+            for wt, scale in selfs:
+                w = wt[j]
+                s = sum(map(mul, w, band))
+                if first:
+                    s += first * w[j]
+                total += scale * s
             row[lo + j] = total
         return row
 
     def _conv(self, a: list[int], b: list[int], K: int, lo: int) -> list[int]:
-        """Binomial convolution c[k] = sum over k2 = lo..k of C(k, k2) a[k2] b[k-k2]."""
+        """Binomial convolution c[k] = sum over k2 = lo..k of C(k, k2) a[k2] b[k-k2].
+
+        Only the nonzero bands are multiplied.  Leading zeros: with fa and fb
+        the first nonzero entries of a (from k2 = max(lo, 1)) and of b, c[k]
+        sums k2 = fa..k - fb and vanishes below fa + fb, so supports that
+        cannot meet at or below K give zeros without a product.  The gap after
+        k = 0: an exact row is [1, 0, ..., 0, nonzero from lo(t)], so with
+        lo = 0 the a[0] b[k] term is split off and the rest convolved from
+        the next nonzero entry of a.
+        """
         C = self._C
-        return [sum(map(mul, map(mul, C[k][lo:k + 1], a[lo:k + 1]), b[k - lo::-1]))
-                if k >= lo else 0 for k in range(K + 1)]
+        c = [0] * (K + 1)
+        fb = _first_nonzero(b)
+        if fb is None:
+            return c
+        fa = _first_nonzero(a, max(lo, 1))
+        if fa is not None:
+            c[fa + fb:] = [sum(map(mul, map(mul, C[k][fa:k - fb + 1], a[fa:k - fb + 1]),
+                                   b[k - fa::-1]))
+                           for k in range(fa + fb, K + 1)]
+        head = a[0] if lo == 0 else 0
+        if head:
+            c = [v + head * u for v, u in zip(c, b)]
+        return c
+
+
+def _first_nonzero(row: list[int], start: int = 0) -> int | None:
+    """Index of the first nonzero entry of row[start:], or None."""
+    v = next(filter(None, islice(row, start, None) if start else row), 0)
+    return row.index(v, start) if v else None
 
 
 # ---------------------------------------------------------------------------

@@ -538,7 +538,12 @@ class ChordalSampler:
 
 def sample_chordal(n: int, omega: int | None = None, seed: int | None = None,
                    ctx: CountingContext | None = None) -> LabeledGraph:
-    """One uniform w-colorable chordal graph on [n]."""
+    """One uniform w-colorable chordal graph on [n].
+
+    Each call builds a new :class:`ChordalSampler` and weighs every node it
+    meets from scratch; for many draws, share one sampler
+    (``ChordalSampler(get_context(n, omega)).sample_chordal(n, rng)``).
+    """
     from .counting import get_context
 
     if ctx is None:
@@ -548,7 +553,12 @@ def sample_chordal(n: int, omega: int | None = None, seed: int | None = None,
 
 def sample_connected_chordal(n: int, omega: int | None = None, seed: int | None = None,
                              ctx: CountingContext | None = None) -> LabeledGraph:
-    """One uniform w-colorable connected chordal graph on [n]."""
+    """One uniform w-colorable connected chordal graph on [n].
+
+    Each call builds a new :class:`ChordalSampler` and weighs every node it
+    meets from scratch; for many draws, share one sampler
+    (``ChordalSampler(get_context(n, omega)).sample_connected(n, rng)``).
+    """
     from .counting import get_context
 
     if ctx is None:

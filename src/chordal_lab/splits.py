@@ -21,15 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import compress, repeat
 from math import ceil, comb, isqrt
+from typing import Callable
 
 from .counting import CACHE_SIZE, EXACT_LIMIT
 # Nothing here calls ``complement``; it stays importable from here because
 # the benchmark's tracer wraps it by name.
 from .graphs import LabeledGraph, complement, complete_graph, graph_from_neighbors  # noqa: F401
-from .sampling import RandomStream, categorical, sample_subset
+from .sampling import ChordalSampler, RandomStream, categorical, sample_subset
 
 # Smallest n the split path serves, at any epsilon.  Assumed, not proven
 # here: the two-sided |Q| in {0, 1} sums stand in for the true stratum counts,
@@ -571,23 +572,35 @@ def sample_split_approx(n: int, eps, rng: RandomStream) -> LabeledGraph:
     return sample_split_draw(n, eps, rng).graph
 
 
+def approx_sampler(n: int, eps) -> Callable[[RandomStream], LabeledGraph]:
+    """The draw function of ``approx_sample_chordal(n, eps, .)``, with the
+    path decided once.
+
+    Below the dispatch floor every draw goes to one exact ``ChordalSampler``,
+    so draws share its weighed plans; above it, each draw is a random split
+    graph.  Raises ValueError at once where ``approx_sample_chordal`` would.
+    """
+    eps = as_epsilon(eps)
+    floor = threshold_g(eps / 2)
+    if n >= floor:
+        return partial(sample_split_approx, n, eps / 2)
+    if n == 0:
+        return lambda rng: LabeledGraph(())
+    _check_exact_limit(n, floor,
+                       f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))")
+    from .counting import get_context
+
+    sampler = ChordalSampler(get_context(n, n))
+    return partial(sampler.sample_chordal, n)
+
+
 def approx_sample_chordal(n: int, eps, rng: RandomStream) -> LabeledGraph:
     """Random n-vertex labeled chordal graph within total variation eps of uniform.
 
     Below the dispatch floor this is the exact uniform sampler; above it, a
     random split graph (always chordal) is drawn instead.  Between
     EXACT_LIMIT and the floor it raises ValueError instead of starting an
-    exact fill that could take hours.
+    exact fill that could take hours.  Each call builds its own sampler; for
+    many draws, call :func:`approx_sampler` once.
     """
-    eps = as_epsilon(eps)
-    floor = threshold_g(eps / 2)
-    if n < floor:
-        from .counting import get_context
-        from .sampling import ChordalSampler
-
-        if n == 0:
-            return LabeledGraph(())
-        _check_exact_limit(n, floor,
-                           f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))")
-        return ChordalSampler(get_context(n, n)).sample_chordal(n, rng)
-    return sample_split_approx(n, eps / 2, rng)
+    return approx_sampler(n, eps)(rng)

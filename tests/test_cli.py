@@ -7,6 +7,7 @@ import pytest
 
 from chordal_lab.cli import main
 from chordal_lab.counting import CountingContext
+from chordal_lab.sampling import ChordalSampler
 from chordal_lab.graphs import from_edge_list_text, is_chordal, max_clique_size, split_partition
 
 
@@ -225,6 +226,22 @@ class TestApprox:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+    def test_approx_sample_below_the_floor_builds_one_sampler(self, capsys, monkeypatch):
+        built = []
+        init = ChordalSampler.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChordalSampler, "__init__", counted)
+        code, out, _ = run_cli(["approx-sample", "--n", "12", "--epsilon", "1e-2",
+                                "--count", "20", "--seed", "5"], capsys)
+        assert code == 0
+        assert len(built) == 1
+        # the draws of a new sampler per graph, byte for byte
+        assert hashlib.sha1(out.encode()).hexdigest() == "93a2e298d4ba5315b43fc48dcf075d6234e317f9"
 
     @pytest.mark.parametrize("fmt, sha1", [
         ("edge-list", "974067bc51ccac89d5a524b32dc004fb39b26877"),

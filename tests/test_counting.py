@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import sys
 import time
@@ -6,6 +7,8 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chordal_lab.counting as counting
 from chordal_lab.counting import (
@@ -265,12 +268,47 @@ class TestOracleGateSmall:
             assert ctx.count_connected(n) == bc.chordal_connected[omega], (n, omega)
 
 
+def table_digest(ctx: CountingContext) -> str:
+    """sha256 over the lines "<kind> <args> <value>" of every accessor value.
+
+    Kinds run in CLASS_ARGS order and arguments in ``product`` order, t over
+    range(n_max + 2) and every other argument over range(n_max + 1); tuples
+    with x + l + k > n_max, or that the accessor rejects, are left out.
+    """
+    n = ctx.n_max
+    h = hashlib.sha256()
+    for kind, names in CLASS_ARGS.items():
+        count = getattr(ctx, "count_" + kind)
+        for args in product(*(range(n + 2 if name == "t" else n + 1) for name in names)):
+            t, x, l, k, z = class_params(kind, args)
+            if x + l + k > n:
+                continue
+            try:
+                value = count(*args)
+            except ValueError:
+                continue
+            h.update(f"{kind} {' '.join(map(str, args))} {value}\n".encode())
+    return h.hexdigest()
+
+
 class TestEvaluationStrategies:
-    def test_factored_matches_direct_small(self):
-        ca = CountingContext(6, 6, factored=True)
-        cb = CountingContext(6, 6, factored=False)
-        for n in range(1, 7):
-            assert ca.count_connected(n) == cb.count_connected(n)
+    # Digests of every table cell, computed with row kernels that multiplied
+    # every entry of every row; banded kernels must store the same values,
+    # and the direct (unfactored) pinned sums must agree with the factored.
+    @pytest.mark.parametrize("n_max, omega, factored, digest", [
+        pytest.param(12, 12, True, "338704266713079031cc640b26403e300f33ab6eab8eb412d797b6a915c650fb",
+                     id="n12-w12"),
+        pytest.param(12, 2, True, "1f4ad5badcf400889d26dfaeb6e55aa56bba7756d3cafe412fbce62e524e806e",
+                     id="n12-w2"),
+        pytest.param(10, 1, True, "cce304f6f0a4ac46725c27afaf1225d93dc14f8b851910e2219b6c952f019e5c",
+                     id="n10-w1"),
+        pytest.param(10, 10, True, "24905ddf46b07fe8f327e715cc87480fb722e00fbcad0a57d03fa32b835f5d5d",
+                     id="n10-w10"),
+        pytest.param(10, 10, False, "24905ddf46b07fe8f327e715cc87480fb722e00fbcad0a57d03fa32b835f5d5d",
+                     id="n10-w10-direct"),
+    ])
+    def test_every_cell_pinned(self, n_max, omega, factored, digest):
+        assert table_digest(CountingContext(n_max, omega, factored=factored)) == digest
 
     def test_four_arg_pinned_proper_equals_z_form(self, ctx5):
         for t in range(1, 4):
@@ -295,6 +333,74 @@ class TestEvaluationStrategies:
         sizes = ctx.table_sizes()
         assert ctx.count_connected(6) == first
         assert ctx.table_sizes() == sizes  # pure re-read, no table growth
+
+
+def naive_conv(C, a, b, K, lo):
+    """The formula of ``CountingContext._conv``, term by term."""
+    return [sum(C[k][k2] * a[k2] * b[k - k2] for k2 in range(lo, k + 1)) for k in range(K + 1)]
+
+
+def naive_first_component_row(first, terms, K, lo):
+    """The formula of ``CountingContext._first_component_row``, term by term."""
+    row = [first] + [0] * K
+    if lo is None:
+        return row
+    for k in range(lo, K + 1):
+        row[k] = sum(scale * sum(wt[k - lo][k2 - lo] * (row if r is None else r)[k - k2]
+                                 for k2 in range(lo, k + 1))
+                     for wt, scale, r in terms if wt is not None)
+    return row
+
+
+# Entries of either sign, one in four of them zero.
+entries = st.tuples(st.integers(0, 3), st.integers(-99, 99)).map(
+    lambda pair: pair[1] if pair[0] else 0)
+
+
+@st.composite
+def table_rows(draw, size):
+    """Rows shaped like the tables': a head entry, a zero gap, then any
+    entries (zeros included); one in five is all zero."""
+    if draw(st.integers(0, 4)) == 0:
+        return [0] * size
+    head = draw(st.sampled_from([0, 1, -1, 3]))
+    gap = draw(st.integers(0, size))
+    rest = draw(st.lists(entries, min_size=size, max_size=size))
+    return ([head] + [0] * gap + rest)[:size]
+
+
+@st.composite
+def component_cases(draw):
+    """Arguments of ``_first_component_row``: weights wt[j][i] for j < K - lo + 1
+    (or None), scales of either sign, and rests that are rows or None."""
+    K = draw(st.integers(0, 9))
+    lo = draw(st.integers(0, K + 2)) or None
+    first = draw(st.sampled_from([0, 1, -2]))
+    span = K - lo + 1 if lo is not None and lo <= K else 0
+    weights = st.one_of(st.none(), st.builds(
+        list, st.tuples(*(st.lists(entries, min_size=j + 1, max_size=j + 1)
+                          for j in range(span)))))
+    term = st.tuples(weights, st.sampled_from([1, -1, 2, -3]),
+                     st.one_of(st.none(), table_rows(K + 1)))
+    return first, draw(st.lists(term, max_size=5)), K, lo
+
+
+class TestBandedKernels:
+    """The row kernels skip zero bands; they must equal their formulas."""
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_conv_matches_formula(self, ctx8, data):
+        K = data.draw(st.integers(0, ctx8.n_max))
+        lo = data.draw(st.integers(0, K + 1))
+        a = data.draw(table_rows(K + 1))
+        b = data.draw(table_rows(K + 1))
+        assert ctx8._conv(a, b, K, lo) == naive_conv(ctx8._C, a, b, K, lo)
+
+    @given(component_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_first_component_row_matches_formula(self, case):
+        assert CountingContext._first_component_row(*case) == naive_first_component_row(*case)
 
 
 class TestModuleConveniences:

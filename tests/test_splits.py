@@ -19,6 +19,7 @@ from chordal_lab.splits import (
     approx_count_split,
     _build_low_q,
     approx_sample_chordal,
+    approx_sampler,
     as_epsilon,
     ceil_log2_inverse,
     sample_split_approx,
@@ -536,10 +537,19 @@ class TestApproxSampleChordal:
         assert EXACT_LIMIT < 40 < threshold_g(Fraction(1, 200)) == 65
         with pytest.raises(ValueError, match="floor 65 "):
             approx_sample_chordal(40, "1e-2", RandomStream(1))
+        with pytest.raises(ValueError, match="floor 65 "):
+            approx_sampler(40, "1e-2")
 
     def test_large_n_split_path(self):
         g = approx_sample_chordal(200, "1e-3", RandomStream(45))
         assert split_partition(g) is not None
+
+    def test_one_draw_function_draws_as_the_calls_do(self):
+        for n in (0, 6, 200):
+            draw = approx_sampler(n, "1e-3")
+            rng_a, rng_b = RandomStream(9), RandomStream(9)
+            assert ([draw(rng_a) for _ in range(3)]
+                    == [approx_sample_chordal(n, "1e-3", rng_b) for _ in range(3)])
 
     def test_seed_determinism_both_paths(self):
         for n in (6, 200):
