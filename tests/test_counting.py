@@ -280,7 +280,7 @@ def table_digest(ctx: CountingContext) -> str:
     for kind, names in CLASS_ARGS.items():
         count = getattr(ctx, "count_" + kind)
         for args in product(*(range(n + 2 if name == "t" else n + 1) for name in names)):
-            t, x, l, k, z = class_params(kind, args)
+            _, x, l, k, _ = class_params(kind, args)
             if x + l + k > n:
                 continue
             try:
