@@ -72,7 +72,13 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
     out.write(decimal_string(value) + "\n")
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise CliError("count must be nonnegative")
+
+
 def cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
+    _check_count(args.count)
     ctx = _make_context(args.n, args.omega, args.allow_large)
     if args.connected and args.n < 1:
         raise CliError("--connected requires n >= 1")
@@ -121,6 +127,7 @@ def cmd_approx_count(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def cmd_approx_sample(args: argparse.Namespace, out: IO[str]) -> None:
+    _check_count(args.count)
     draw = approx_sampler(args.n, _parse_epsilon(args.epsilon))
     rng = RandomStream(args.seed)
     _emit_graphs((draw(rng) for _ in range(args.count)), args.format, out)

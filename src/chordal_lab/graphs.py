@@ -8,11 +8,10 @@ a graph on ``{2, 5, 9}`` is a different object from its relabeling onto
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Mapping
+from itertools import compress, repeat
+from typing import Iterable, Mapping, Sequence
 
 
 class NotChordalError(ValueError):
@@ -111,46 +110,61 @@ def _from_adjacency(adj: dict[int, frozenset[int]]) -> LabeledGraph:
     return g
 
 
-def graph_from_neighbors(vertices: Iterable[int],
-                         neighbors: Mapping[int, Iterable[int]]) -> LabeledGraph:
-    """The graph on ``vertices`` where each v is adjacent to ``neighbors[v]``.
+def graph_from_biadjacency(vertices: Iterable[int], clique: Iterable[int],
+                           rows: Sequence[int], cols: Sequence[int],
+                           matrix: bytes) -> LabeledGraph:
+    """The graph on ``vertices`` with a clique on ``clique``, plus the edge
+    ``rows[i]``--``cols[j]`` wherever byte ``i * len(cols) + j`` of ``matrix``
+    is 1.
 
-    A vertex absent from ``neighbors`` has no neighbours.  Raises ValueError
-    where ``LabeledGraph(vertices, edges)`` would (a label that is not a
-    positive int, a self-loop, a neighbour outside the vertex set), for a key
-    of ``neighbors`` outside the vertex set, and unless u is in
-    ``neighbors[v]`` exactly when v is in ``neighbors[u]``.  Every check runs
-    at C level per vertex, with no Python step per edge; a frozenset given as
-    a neighbour set is kept as it is, not copied.
+    Both sides' neighbours are read from the one matrix, along its rows and
+    down its strided columns, so the input cannot describe an asymmetric
+    graph.  Raises ValueError for a label that is not a positive int; for
+    ``clique``, ``rows`` or ``cols`` reaching outside the vertex set; for a
+    vertex repeated in ``rows`` or in ``cols``, or found in both; and for a
+    matrix whose length is not ``len(rows) * len(cols)`` or that holds a byte
+    other than 0 and 1.  Every check runs at C level per vertex, with no
+    Python step per edge.
     """
     labels = list(vertices)
     if not all(map(isinstance, labels, repeat(int))) or (labels and min(labels) < 1):
         bad = next(v for v in labels if not isinstance(v, int) or v < 1)
         raise ValueError(f"vertex labels must be positive integers, got {bad!r}")
     vset = set(labels)
-    extra = neighbors.keys() - vset
-    if extra:
-        raise ValueError(f"neighbours given for {next(iter(extra))!r}, which is not a vertex")
-    adj = {v: frozenset(neighbors.get(v, ())) for v in sorted(vset)}
+    clique = frozenset(clique)
+    row_set, col_set = set(rows), set(cols)
+    for name, part in (("clique", clique), ("rows", row_set), ("cols", col_set)):
+        if not part <= vset:
+            raise ValueError(f"{name} holds {next(iter(part - vset))!r}, which is not a vertex")
+    if len(row_set) < len(rows) or len(col_set) < len(cols):
+        raise ValueError("rows and cols must not repeat a vertex")
+    if not row_set.isdisjoint(col_set):
+        raise ValueError(f"vertex {next(iter(row_set & col_set))!r} is in both rows and cols")
+    w = len(cols)
+    if len(matrix) != len(rows) * w:
+        raise ValueError(f"matrix has {len(matrix)} bytes, not {len(rows)} * {w}")
+    if matrix.translate(None, b"\x00\x01"):
+        raise ValueError("matrix bytes must be 0 or 1")
+    # Lazy neighbour iterators first, each turned into its vertex's frozenset
+    # by the last pass, so each row and column slice lives only until then.
+    adj = dict.fromkeys(sorted(vset), ())
+    for i, u in enumerate(rows):
+        adj[u] = compress(cols, matrix[i * w:i * w + w])
+    for j, v in enumerate(cols):
+        adj[v] = compress(rows, matrix[j::w])
     for v, nb in adj.items():
-        if v in nb:
-            raise ValueError(f"self-loop at vertex {v}")
-        if not nb <= vset:
-            raise ValueError(f"vertex {v} has neighbour {next(iter(nb - vset))!r} "
-                             "outside the vertex set")
-        if not all(map(operator.contains, map(adj.__getitem__, nb), repeat(v))):
-            raise ValueError(f"neighbour lists are not symmetric at vertex {v}")
+        adj[v] = clique.union(nb).difference((v,)) if v in clique else frozenset(nb)
     return _from_adjacency(adj)
 
 
 def complete_graph(labels: Iterable[int]) -> LabeledGraph:
-    labs = frozenset(labels)
-    return graph_from_neighbors(labs, {v: labs - {v} for v in labs})
+    labs = list(labels)
+    return graph_from_biadjacency(labs, labs, (), (), b"")
 
 
 def complement(g: LabeledGraph) -> LabeledGraph:
     verts = frozenset(g.vertices)
-    return graph_from_neighbors(verts, {v: verts - g.neighbors(v) - {v} for v in verts})
+    return _from_adjacency({v: verts.difference(g._adj[v], (v,)) for v in g.vertices})
 
 
 def phi_map(a: Iterable[int], b: Iterable[int]) -> dict[int, int]:

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from itertools import compress, repeat
+from functools import cache, partial, reduce
 from math import ceil, comb, isqrt
+from operator import and_, or_
 from typing import Callable
 
 from .counting import CACHE_SIZE, EXACT_LIMIT
 # Nothing here calls ``complement``; it stays importable from here because
 # the benchmark's tracer wraps it by name.
-from .graphs import LabeledGraph, complement, complete_graph, graph_from_neighbors  # noqa: F401
+from .graphs import LabeledGraph, complement, complete_graph, graph_from_biadjacency  # noqa: F401
 from .sampling import ChordalSampler, RandomStream, categorical, sample_subset
 
 # Smallest n the split path serves, at any epsilon.  Assumed, not proven
@@ -66,11 +66,16 @@ def as_epsilon(value) -> Fraction:
 
 
 def _ceil_log(base: Fraction, value: Fraction) -> int:
-    """Smallest integer m >= 0 with base**m >= value, exactly."""
+    """Smallest integer m >= 0 with base**m >= value, exactly, for base > 1.
+
+    With base = p/q and value = a/b in lowest terms, base**m >= value is
+    p**m * b >= a * q**m, so the loop multiplies integers, not Fractions.
+    """
+    lhs, rhs = value.denominator, value.numerator  # b * p**m and a * q**m
     m = 0
-    p = Fraction(1)
-    while p < value:
-        p *= base
+    while lhs < rhs:
+        lhs *= base.numerator
+        rhs *= base.denominator
         m += 1
     return m
 
@@ -395,6 +400,11 @@ def approx_count_split(n: int, eps) -> int:
     return total
 
 
+def _check_nonnegative(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+
 def _check_exact_limit(n: int, floor: int, exact_call: str) -> None:
     if n > EXACT_LIMIT:
         raise ValueError(
@@ -411,6 +421,7 @@ def approx_count_chordal(n: int, eps) -> int:
     EXACT_LIMIT and the floor it raises ValueError instead of starting an
     exact fill that could take hours.
     """
+    _check_nonnegative(n)
     eps = as_epsilon(eps)
     floor = threshold_g(eps)
     if n < floor:
@@ -446,7 +457,7 @@ class SplitDraw:
     swing: frozenset[int]
 
 
-# bin() digits to the 0/1 bytes itertools.compress selects with.
+# bin() digits to the 0/1 bytes of a biadjacency matrix row.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -454,11 +465,11 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
     """One attempt at a |Q| = 0 or |Q| = 1 draw; None if the cover check fails.
 
     Each row vertex draws a mask over the w column vertices; bit j of a mask
-    is the edge to ``cols[j]``.  The masks become the 0/1 byte rows of one
-    matrix, read along rows for the row vertices' neighbours and down strided
-    columns for the column vertices' neighbours and the check, which wants a
-    ``need`` byte in every column.  The graph is built from neighbour sets;
-    no edge pair is listed.
+    is the edge to ``cols[j]``.  The cover check folds the masks: every
+    column needs a 1 (their OR is all ones) when the rows are indigo, and a
+    0 (their AND is 0) when the rows are cyan.  Accepted masks become the
+    0/1 byte rows of one matrix, from which ``graph_from_biadjacency`` reads
+    both sides' neighbours; no edge pair is listed.
     """
     labels = list(range(1, n + 1))
     if with_witness:
@@ -474,29 +485,21 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
     indigo = [v for v in pool if v not in cyan_set]
     if c <= half:
         # Indigo vertices reach proper subsets of cyan; accept only if every
-        # cyan vertex still got an indigo neighbor (a 1 in its column).
-        rows, cols, w, need = indigo, cyan, c, 1
+        # cyan vertex still got an indigo neighbor.
+        rows, cols, w = indigo, cyan, c
         masks = [rng.uniform_below(2 ** c - 1) for _ in indigo]  # all-ones excluded
+        covered = reduce(or_, masks, 0) == (1 << w) - 1
     else:
         # Cyan vertices reach nonempty subsets of indigo; accept only if no
-        # indigo vertex ends up adjacent to all of cyan (a 0 in its column).
-        rows, cols, w, need = cyan, indigo, len(indigo), 0
+        # indigo vertex ends up adjacent to all of cyan.
+        rows, cols, w = cyan, indigo, len(indigo)
         masks = [1 + rng.uniform_below(2 ** w - 1) for _ in cyan]
-    sels = [bin(mask)[2:].zfill(w)[::-1].encode().translate(_BIT_BYTES) for mask in masks]
-    mat = b"".join(sels)
-    col_sels = [mat[j::w] for j in range(w)]
-    if not all(map(bytes.__contains__, col_sels, repeat(need))):
+        covered = reduce(and_, masks, (1 << w) - 1) == 0
+    if not covered:
         return None
-    nbrs = {u: compress(cols, sel) for u, sel in zip(rows, sels)}
-    nbrs.update(zip(cols, map(compress, repeat(rows), col_sels)))
-    # Frozensets, which graph_from_neighbors keeps without copying: a second
-    # copy of the cyan sets raised the peak RSS by ~10 MB at n = 1000.
-    clique = cyan_set.union(white)
-    for u in cyan:
-        nbrs[u] = clique.union(nbrs[u]).difference((u,))
-    if white:
-        nbrs[white[0]] = cyan_set
-    g = graph_from_neighbors(labels, nbrs)
+    mat = b"".join(bin(mask)[2:].zfill(w)[::-1].encode().translate(_BIT_BYTES)
+                   for mask in masks)
+    g = graph_from_biadjacency(labels, cyan_set.union(white), rows, cols, mat)
     return SplitDraw(graph=g, branch="q1" if with_witness else "q0",
                      q=1 if with_witness else 0, c=c, iterations=0,
                      cyan=cyan_set, indigo=frozenset(indigo),
@@ -580,6 +583,7 @@ def approx_sampler(n: int, eps) -> Callable[[RandomStream], LabeledGraph]:
     so draws share its weighed plans; above it, each draw is a random split
     graph.  Raises ValueError at once where ``approx_sample_chordal`` would.
     """
+    _check_nonnegative(n)
     eps = as_epsilon(eps)
     floor = threshold_g(eps / 2)
     if n >= floor:

@@ -137,6 +137,11 @@ class TestSample:
         assert code == 0
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
+    def test_negative_count_is_an_error(self, capsys):
+        code, out, err = run_cli(["sample", "--n", "5", "--count", "-2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: count must be nonnegative\n"
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "graphs.txt"
         code, out, _ = run_cli(
@@ -254,3 +259,23 @@ class TestApprox:
                                 "--count", "2", "--seed", "9", "--format", fmt], capsys)
         assert code == 0
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+    def test_benchmark_sized_output_is_pinned(self, capsys):
+        # The split workload's size: n = 1000, two draws.  Digest taken before
+        # the split sampler read its graphs from one biadjacency matrix.
+        code, out, _ = run_cli(["approx-sample", "--n", "1000", "--epsilon", "1e-3",
+                                "--count", "2", "--seed", "11"], capsys)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == "4bad529f7c3f1b4590df3775727d7790b7bdd17e"
+
+    def test_approx_sample_negative_count_is_an_error(self, capsys):
+        code, out, err = run_cli(["approx-sample", "--n", "200", "--epsilon", "1e-2",
+                                  "--count", "-2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: count must be nonnegative\n"
+
+    @pytest.mark.parametrize("command", ["approx-count", "approx-sample"])
+    def test_approx_negative_n_is_an_error(self, capsys, command):
+        code, out, err = run_cli([command, "--n", "-3", "--epsilon", "1e-2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: n must be nonnegative\n"

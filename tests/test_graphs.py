@@ -16,7 +16,7 @@ from chordal_lab.graphs import (
     from_edge_list_text,
     from_json_dict,
     glue,
-    graph_from_neighbors,
+    graph_from_biadjacency,
     is_chordal,
     is_clique,
     is_connected,
@@ -48,12 +48,35 @@ def random_labeled_graph(seed: int) -> tuple[list[int], list[tuple[int, int]]]:
     return labels, edges
 
 
-def neighbor_lists(labels, edges) -> dict[int, list[int]]:
-    nbrs: dict[int, list[int]] = {v: [] for v in labels}
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return nbrs
+def random_biadjacency(seed: int):
+    """A seeded input of ``graph_from_biadjacency``: labels, clique, rows,
+    cols and matrix.
+
+    Odd seeds gap the labels.  The clique is the rows or the cols (the split
+    sampler's two orientations), on some seeds plus a witness vertex in
+    neither; rows or cols are empty on some seeds, and the vertices left over
+    are isolated.
+    """
+    rnd = random.Random(seed)
+    n = rnd.randrange(0, 30)
+    labels = rnd.sample(range(1, 4 * n + 2), n) if seed % 2 else list(range(1, n + 1))
+    pool = rnd.sample(labels, n)
+    k = rnd.randrange(0, n + 1)
+    h = rnd.randrange(0, n - k + 1)
+    rows, cols, rest = pool[:k], pool[k:k + h], pool[k + h:]
+    clique = list(rows if rnd.random() < 0.5 else cols)
+    if rest and rnd.random() < 0.5:
+        clique.append(rest[0])
+    p = rnd.choice([0.0, 0.3, 0.7, 1.0])
+    matrix = bytes(rnd.random() < p for _ in range(len(rows) * len(cols)))
+    return labels, clique, rows, cols, matrix
+
+
+def biadjacency_edges(clique, rows, cols, matrix) -> list[tuple[int, int]]:
+    """Every edge a ``graph_from_biadjacency`` input describes, pair by pair."""
+    w = len(cols)
+    return list(combinations(clique, 2)) + [
+        (u, cols[j]) for i, u in enumerate(rows) for j in range(w) if matrix[i * w + j]]
 
 
 def seed_edges(g: LabeledGraph) -> list[tuple[int, int]]:
@@ -113,51 +136,96 @@ class TestLabeledGraph:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_hash_agrees_across_constructions(self, seed):
-        labels, edges = random_labeled_graph(seed)
+        labels, clique, rows, cols, matrix = random_biadjacency(seed)
+        edges = biadjacency_edges(clique, rows, cols, matrix)
         g1 = LabeledGraph(labels, edges)
-        g2 = graph_from_neighbors(reversed(labels), neighbor_lists(labels, edges))
+        g2 = graph_from_biadjacency(reversed(labels), clique, rows, cols, matrix)
         g3 = LabeledGraph(labels, [(v, u) for u, v in reversed(edges)])
         assert g1 == g2 == g3 and hash(g1) == hash(g2) == hash(g3)
 
 
 class TestGraphFromNeighbors:
+    """``graph_from_biadjacency``: every vertex's neighbours read from one
+    clique and one biadjacency matrix."""
+
     @pytest.mark.parametrize("seed", range(40))
     def test_equals_edge_constructor(self, seed):
-        labels, edges = random_labeled_graph(seed)
-        g = graph_from_neighbors(labels, neighbor_lists(labels, edges))
-        want = LabeledGraph(labels, edges)
+        labels, clique, rows, cols, matrix = random_biadjacency(seed)
+        g = graph_from_biadjacency(labels, clique, rows, cols, matrix)
+        want = LabeledGraph(labels, biadjacency_edges(clique, rows, cols, matrix))
         assert g == want
         assert g.vertices == want.vertices and g.edges() == want.edges()
         assert all(type(g.neighbors(v)) is frozenset for v in g.vertices)
 
-    def test_missing_keys_are_isolated_vertices(self):
-        g = graph_from_neighbors([5, 2, 9], {2: [9], 9: {2}})
-        assert g == LabeledGraph([2, 5, 9], [(2, 9)])
+    def test_random_inputs_cover_every_shape(self):
+        shapes = set()
+        for seed in range(40):
+            labels, clique, rows, cols, matrix = random_biadjacency(seed)
+            if labels != list(range(1, len(labels) + 1)):
+                shapes.add("gapped")
+            if rows and set(rows) <= set(clique):
+                shapes.add("clique rows")
+            if cols and set(cols) <= set(clique):
+                shapes.add("clique cols")
+            if set(clique) - set(rows) - set(cols):
+                shapes.add("witness")
+            if cols and not rows:
+                shapes.add("no rows")
+            if rows and not cols:
+                shapes.add("no cols")
+            if 0 < matrix.count(1) < len(matrix):
+                shapes.add("mixed matrix")
+        assert shapes >= {"gapped", "clique rows", "clique cols", "witness",
+                          "no rows", "no cols", "mixed matrix"}
+
+    def test_unnamed_vertices_are_isolated(self):
+        g = graph_from_biadjacency([5, 2, 9, 4], [], [2], [9], b"\x01")
+        assert g == LabeledGraph([2, 4, 5, 9], [(2, 9)])
+
+    def test_witness_joins_the_clique(self):
+        g = graph_from_biadjacency(range(1, 6), [1, 2, 5], [3, 4], [1, 2],
+                                   b"\x00\x01\x01\x00")
+        assert g.edges() == [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5)]
 
     @pytest.mark.parametrize("label", ["3", 2.0, None])
     def test_rejects_non_int_label(self, label):
         with pytest.raises(ValueError, match="positive integers"):
-            graph_from_neighbors([1, label], {})
+            graph_from_biadjacency([1, label], [], [], [], b"")
 
     def test_rejects_label_zero(self):
         with pytest.raises(ValueError, match="positive integers"):
-            graph_from_neighbors([0, 1], {1: []})
+            graph_from_biadjacency([0, 1], [1], [], [], b"")
 
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            graph_from_neighbors([1, 2], {1: [1, 2], 2: [1]})
+    def test_rejects_clique_outside_vertex_set(self):
+        with pytest.raises(ValueError, match="clique holds 3, which is not a vertex"):
+            graph_from_biadjacency([1, 2], [1, 3], [], [], b"")
 
     def test_rejects_neighbour_outside_vertex_set(self):
-        with pytest.raises(ValueError, match="outside the vertex set"):
-            graph_from_neighbors([1, 2], {1: [2, 3], 2: [1]})
+        with pytest.raises(ValueError, match="rows holds 3, which is not a vertex"):
+            graph_from_biadjacency([1, 2], [], [3], [1], b"\x01")
+        with pytest.raises(ValueError, match="cols holds 3, which is not a vertex"):
+            graph_from_biadjacency([1, 2], [], [1], [2, 3], b"\x01\x00")
 
-    def test_rejects_key_outside_vertex_set(self):
-        with pytest.raises(ValueError, match="not a vertex"):
-            graph_from_neighbors([1, 2], {1: [], 3: []})
+    def test_rejects_repeated_vertex(self):
+        with pytest.raises(ValueError, match="must not repeat"):
+            graph_from_biadjacency([1, 2, 3], [], [1, 1], [2], b"\x01\x01")
+        with pytest.raises(ValueError, match="must not repeat"):
+            graph_from_biadjacency([1, 2, 3], [], [1], [2, 3, 2], b"\x00\x01\x00")
 
-    def test_rejects_asymmetric_input(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            graph_from_neighbors([1, 2, 3], {1: [2, 3], 2: [1], 3: []})
+    def test_rejects_self_loop(self):
+        # A vertex in both rows and cols could be joined to itself.
+        with pytest.raises(ValueError, match="vertex 2 is in both rows and cols"):
+            graph_from_biadjacency([1, 2, 3], [], [1, 2], [2, 3], b"\x00\x00\x01\x00")
+
+    @pytest.mark.parametrize("matrix", [b"", b"\x01", b"\x01\x00\x01"])
+    def test_rejects_matrix_of_wrong_length(self, matrix):
+        with pytest.raises(ValueError, match="not 1 \\* 2"):
+            graph_from_biadjacency([1, 2, 3], [], [1], [2, 3], matrix)
+
+    @pytest.mark.parametrize("matrix", [b"\x01\x02", b"01", b"\x00\xff"])
+    def test_rejects_matrix_bytes_other_than_0_and_1(self, matrix):
+        with pytest.raises(ValueError, match="0 or 1"):
+            graph_from_biadjacency([1, 2, 3], [], [1], [2, 3], matrix)
 
 
 class TestPhiMap:

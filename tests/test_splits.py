@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,7 @@ from chordal_lab.splits import (
     approx_count_chordal,
     approx_count_split,
     _build_low_q,
+    _ceil_log,
     approx_sample_chordal,
     approx_sampler,
     as_epsilon,
@@ -67,6 +69,29 @@ class TestEpsilonParsing:
         assert ceil_log2_inverse(Fraction(1, 2)) == 1
         assert ceil_log2_inverse(Fraction(1, 2 ** 20)) == 20
         assert ceil_log2_inverse(Fraction(1, 3)) == 2
+
+    def test_integer_log_matches_fraction_powers(self):
+        def fraction_ceil_log(base, value):
+            m, p = 0, Fraction(1)
+            while p < value:
+                p *= base
+                m += 1
+            return m
+
+        rnd = random.Random(15)
+        for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 1000), Fraction(3, 10 ** 7)):
+            top = (1 / eps) ** 10
+            values = [Fraction(1, 3), Fraction(999, 1000), Fraction(1), Fraction(10, 9),
+                      Fraction(3, 2), 1 / eps, 2 / eps, (2 / eps) ** 3, top]
+            values += [Fraction(rnd.randrange(1, top.numerator + 1), top.denominator)
+                       for _ in range(20)]
+            for base in (Fraction(10, 9), Fraction(3, 2), Fraction(2)):
+                for value in values:
+                    for v in (value, value * (1 + Fraction(1, 10 ** 9))):
+                        assert _ceil_log(base, v) == fraction_ceil_log(base, v)
+                # exact powers of the base sit on the boundary
+                for m in (0, 1, 7, 40):
+                    assert _ceil_log(base, base ** m) == m
 
 
 class TestThresholds:
@@ -382,6 +407,17 @@ class TestApproxCountChordal:
         with pytest.raises(ValueError, match=r"floor 65 .*count_all\(40\)"):
             approx_count_chordal(40, "1e-2")
 
+    def test_negative_n_rejected_at_entry(self, monkeypatch):
+        import chordal_lab.counting as counting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a counting context was requested")
+
+        monkeypatch.setattr(counting, "get_context", refuse)
+        for n in (-1, -3, -1000):
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                approx_count_chordal(n, "1e-2")
+
 
 class TestSplitSampler:
     def test_outputs_are_split(self):
@@ -539,6 +575,19 @@ class TestApproxSampleChordal:
             approx_sample_chordal(40, "1e-2", RandomStream(1))
         with pytest.raises(ValueError, match="floor 65 "):
             approx_sampler(40, "1e-2")
+
+    def test_negative_n_rejected_at_entry(self, monkeypatch):
+        import chordal_lab.counting as counting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a counting context was requested")
+
+        monkeypatch.setattr(counting, "get_context", refuse)
+        for n in (-1, -3, -1000):
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                approx_sampler(n, "1e-2")
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                approx_sample_chordal(n, "1e-2", RandomStream(1))
 
     def test_large_n_split_path(self):
         g = approx_sample_chordal(200, "1e-3", RandomStream(45))
