@@ -11,8 +11,10 @@ exact decimal count included: 0.17 s at n = 1000 (75k digits; import alone
 is 0.12 s) and 1.7 s at n = 3000 (678k digits).  The cost follows the size
 of the count, about n**2 / 4 bits, so it grows much faster than n.  A warm
 `chordal-lab approx-sample --n 1000 --epsilon 1e-3` sample, drawn and written
-as edge-list text, takes about 0.14 s on that machine (0.43 s before the
-sampler built its graphs from neighbour sets instead of edge pairs).
+as edge-list text, takes about 84 ms on that machine (benchmark median): the
+sampler builds each graph from one bipartite 0/1 byte matrix, whose rows and
+columns give every vertex's neighbours without a symmetry check (0.16 s
+before that, and 0.43 s when it listed every edge pair).
 
 Run: python demos/approximate_large_n.py
 """
