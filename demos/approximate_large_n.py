@@ -5,10 +5,11 @@ split-graph sums give certified (1 +- eps)-approximations where the exact
 dynamic program would take days.  The windows are narrow: the demo prints how
 few terms survive truncation and how little accuracy costs.
 
-Measured on a 2-core x86-64 machine with CPython 3.11, one
+Measured on a 2-core Intel Xeon machine with CPython 3.11.7, one
 `chordal-lab approx-count --epsilon 1e-3` process end to end, printing the
-exact decimal count included: 0.17 s at n = 1000 (75k digits; import alone
-is 0.12 s) and 1.7 s at n = 3000 (678k digits).  The cost follows the size
+exact decimal count included: 0.15-0.25 s at n = 1000 (75k digits; import
+alone is 0.11-0.13 s) and 1.8-2.1 s at n = 3000 (678k digits), over ten
+process runs each.  The cost follows the size
 of the count, about n**2 / 4 bits, so it grows much faster than n.  A warm
 `chordal-lab approx-sample --n 1000 --epsilon 1e-3` sample, drawn and written
 as edge-list text, takes about 84 ms on that machine (benchmark median): the

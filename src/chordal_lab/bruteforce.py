@@ -12,8 +12,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-import numpy as np
-from scipy.stats import chi2
+try:
+    import numpy as np
+    from scipy.stats import chi2
+except ImportError as exc:
+    raise ImportError("chordal_lab.bruteforce, the test oracle, needs numpy and scipy: "
+                      "pip install -e .[test]") from exc
 
 from .counting import class_params
 from .graphs import (

@@ -42,11 +42,7 @@ def allow_huge_decimal_output() -> None:
 def _make_context(n: int, omega: int | None, allow_large: bool) -> CountingContext:
     if n < 0:
         raise CliError("n must be nonnegative")
-    if omega is not None and omega < 1:
-        raise CliError("omega must be at least 1")
-    if n == 0:
-        return CountingContext(0)
-    return CountingContext(n, omega if omega is not None else n, allow_large=allow_large)
+    return CountingContext(n, omega, allow_large=allow_large)
 
 
 def _emit_graphs(graphs: Iterable[LabeledGraph], fmt: str, out: IO[str]) -> None:

@@ -257,11 +257,15 @@ class EvaporationSequence:
         return 0
 
 
-def _evaporate(g: LabeledGraph, exception_set: frozenset[int]) -> list[frozenset[int]] | None:
-    """Core peeling loop; returns the layers, or None on a stall."""
+def _evaporate(g: LabeledGraph,
+               exception_set: frozenset[int]) -> tuple[list[frozenset[int]], int] | None:
+    """Core peeling loop; returns the layers and the largest closed
+    neighbourhood a vertex has when it is peeled (0 if none is), or None on
+    a stall."""
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
     alive = set(g.vertices)
     layers: list[frozenset[int]] = []
+    widest = 0
     while len(alive) > len(exception_set):
         layer = set()
         for v in alive:
@@ -272,6 +276,7 @@ def _evaporate(g: LabeledGraph, exception_set: frozenset[int]) -> list[frozenset
                 layer.add(v)
         if not layer:
             return None
+        widest = max(widest, 1 + max(len(adj[v]) for v in layer))
         for v in layer:
             for u in adj[v]:
                 if u not in layer:
@@ -279,7 +284,7 @@ def _evaporate(g: LabeledGraph, exception_set: frozenset[int]) -> list[frozenset
             del adj[v]
         alive -= layer
         layers.append(frozenset(layer))
-    return layers
+    return layers, widest
 
 
 def evaporation_sequence(g: LabeledGraph, exception_set: Iterable[int] = ()) -> EvaporationSequence:
@@ -295,10 +300,10 @@ def evaporation_sequence(g: LabeledGraph, exception_set: Iterable[int] = ()) -> 
         raise ValueError(f"exception set contains non-vertices {sorted(missing)}")
     if not is_clique(g, xs):
         raise ValueError("exception set must be a clique")
-    layers = _evaporate(g, xs)
-    if layers is None:
+    peeled = _evaporate(g, xs)
+    if peeled is None:
         raise NotChordalError("no simplicial vertex outside the exception set; graph is not chordal")
-    return EvaporationSequence(exception_set=xs, layers=tuple(layers))
+    return EvaporationSequence(exception_set=xs, layers=tuple(peeled[0]))
 
 
 def is_chordal(g: LabeledGraph) -> bool:
@@ -312,26 +317,10 @@ def max_clique_size(g: LabeledGraph) -> int:
     Equals the chromatic number; the graph is w-colorable iff the result
     is at most w.  Raises :class:`NotChordalError` on non-chordal input.
     """
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    alive = set(g.vertices)
-    best = 0
-    while alive:
-        layer = set()
-        for v in alive:
-            nb = adj[v]
-            if all(nb <= adj[u] | {u} for u in nb):
-                layer.add(v)
-        if not layer:
-            raise NotChordalError("graph is not chordal")
-        for v in layer:
-            best = max(best, len(adj[v]) + 1)
-        for v in layer:
-            for u in adj[v]:
-                if u not in layer:
-                    adj[u].discard(v)
-            del adj[v]
-        alive -= layer
-    return best
+    peeled = _evaporate(g, frozenset())
+    if peeled is None:
+        raise NotChordalError("graph is not chordal")
+    return peeled[1]
 
 
 def connected_components(g: LabeledGraph) -> list[frozenset[int]]:

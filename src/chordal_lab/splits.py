@@ -26,6 +26,7 @@ from math import ceil, comb, isqrt
 from operator import and_, or_
 from typing import Callable
 
+from . import counting
 from .counting import CACHE_SIZE, EXACT_LIMIT
 # Nothing here calls ``complement``; it stays importable from here because
 # the benchmark's tracer wraps it by name.
@@ -95,9 +96,7 @@ def threshold_f(eps) -> int:
 def threshold_g(eps) -> int:
     """Smallest n for which split counting stands in for chordal counting."""
     eps = as_epsilon(eps)
-    two = 2 / eps
-    return max(SPLIT_FLOOR, _ceil_log(Fraction(10, 9), two),
-               _ceil_log(Fraction(3, 2), two ** 3))
+    return max(threshold_f(eps / 2), _ceil_log(Fraction(10, 9), 2 / eps))
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +399,25 @@ def approx_count_split(n: int, eps) -> int:
     return total
 
 
-def _check_nonnegative(n: int) -> None:
+def _exact_context(n: int, eps, share: int, exact_call: str) -> counting.CountingContext | None:
+    """The shared exact context for n below the dispatch floor
+    threshold_g(eps / share), or None at or above it.
+
+    Rejects a negative n before it parses eps.  Between EXACT_LIMIT and the
+    floor it raises ValueError naming ``exact_call`` instead of starting an
+    exact fill that could take hours.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-
-def _check_exact_limit(n: int, floor: int, exact_call: str) -> None:
+    floor = threshold_g(as_epsilon(eps) / share)
+    if n >= floor:
+        return None
     if n > EXACT_LIMIT:
         raise ValueError(
             f"n = {n} is below the split-graph floor {floor} at this epsilon and above "
             f"the exact engine's limit {EXACT_LIMIT}; call {exact_call} to run the exact "
             "engine anyway (its fill may take hours)")
+    return counting.get_context(n, n)
 
 
 def approx_count_chordal(n: int, eps) -> int:
@@ -421,17 +428,10 @@ def approx_count_chordal(n: int, eps) -> int:
     EXACT_LIMIT and the floor it raises ValueError instead of starting an
     exact fill that could take hours.
     """
-    _check_nonnegative(n)
-    eps = as_epsilon(eps)
-    floor = threshold_g(eps)
-    if n < floor:
-        if n == 0:
-            return 1
-        _check_exact_limit(n, floor, f"CountingContext({n}, allow_large=True).count_all({n})")
-        from .counting import get_context
-
-        return get_context(n, n).count_all(n)
-    return approx_count_split(n, eps / 2)
+    ctx = _exact_context(n, eps, 1, f"CountingContext({n}, allow_large=True).count_all({n})")
+    if ctx is None:
+        return approx_count_split(n, as_epsilon(eps) / 2)
+    return ctx.count_all(n)
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +583,11 @@ def approx_sampler(n: int, eps) -> Callable[[RandomStream], LabeledGraph]:
     so draws share its weighed plans; above it, each draw is a random split
     graph.  Raises ValueError at once where ``approx_sample_chordal`` would.
     """
-    _check_nonnegative(n)
-    eps = as_epsilon(eps)
-    floor = threshold_g(eps / 2)
-    if n >= floor:
-        return partial(sample_split_approx, n, eps / 2)
-    if n == 0:
-        return lambda rng: LabeledGraph(())
-    _check_exact_limit(n, floor,
-                       f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))")
-    from .counting import get_context
-
-    sampler = ChordalSampler(get_context(n, n))
-    return partial(sampler.sample_chordal, n)
+    ctx = _exact_context(n, eps, 2,
+                         f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))")
+    if ctx is None:
+        return partial(sample_split_approx, n, as_epsilon(eps) / 2)
+    return partial(ChordalSampler(ctx).sample_chordal, n)
 
 
 def approx_sample_chordal(n: int, eps, rng: RandomStream) -> LabeledGraph:

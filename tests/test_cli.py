@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -44,6 +46,15 @@ class TestCount:
         code, _, err = run_cli(["count", "--n", "3", "--omega", "0"], capsys)
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        ("count --n -1", "n must be nonnegative"),
+        ("sample --n -1", "n must be nonnegative"),
+        ("sample --n 0 --connected", "--connected requires n >= 1"),
+        ("count --n 3 --omega 0", "omega must be at least 1"),
+    ])
+    def test_admission_errors(self, capsys, argv, message):
+        assert run_cli(argv.split(), capsys) == (1, "", f"error: {message}\n")
 
     def test_connected_rejects_n0(self, capsys):
         code, _, err = run_cli(["count", "--n", "0", "--connected"], capsys)
@@ -279,3 +290,19 @@ class TestApprox:
         code, out, err = run_cli([command, "--n", "-3", "--epsilon", "1e-2"], capsys)
         assert (code, out) == (1, "")
         assert err == "error: n must be nonnegative\n"
+
+
+def test_library_and_cli_run_without_the_oracle_dependencies():
+    # numpy and scipy are test extras: only the brute-force oracle uses them
+    script = (
+        "import runpy, sys\n"
+        "import chordal_lab\n"
+        "sys.argv = ['chordal-lab', 'count', '--n', '5']\n"
+        "try:\n"
+        "    runpy.run_module('chordal_lab.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "822\n[]\n"

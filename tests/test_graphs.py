@@ -458,6 +458,13 @@ class TestMaxClique:
                 best = max(best, len(s))
         assert max_clique_size(g) == best == 3
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_chordal_graphs_match_brute_force(self, seed):
+        g = random_chordal_graph(seed, 1 + seed % 10)
+        best = max(k for k in range(g.n + 1) for s in combinations(g.vertices, k)
+                   if is_clique(g, s))
+        assert max_clique_size(g) == best
+
     def test_single_vertex_and_empty(self):
         assert max_clique_size(LabeledGraph([4])) == 1
         assert max_clique_size(LabeledGraph([])) == 0

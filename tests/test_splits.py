@@ -490,6 +490,43 @@ class TestSplitSampler:
             del _plan_cache[(n, eps_work)]
         assert abs(outcomes["full"] - 200) < 4 * (400 * 0.25) ** 0.5
 
+    def test_witness_branch(self, monkeypatch):
+        # the |Q| = 1 stratum is about n * 2^(-n/2) of the total, so no real
+        # draw takes it: empty the |Q| = 0 window in an injected plan
+        from dataclasses import replace
+
+        import chordal_lab.splits as splits
+
+        n, eps_work = 70, Fraction(1, 8)
+        monkeypatch.setitem(splits._plan_cache, (n, eps_work),
+                            replace(split_windows(n, eps_work), w0=0))
+        rng = RandomStream(42)
+        for _ in range(20):
+            d = sample_split_draw(n, "0.25", rng)
+            assert (d.branch, d.q, len(d.swing)) == ("q1", 1, 1)
+            part = split_partition(d.graph)
+            assert part.questioning == d.swing
+            assert (part.always_clique, part.always_independent) == (d.cyan, d.indigo)
+
+    def test_rejection_cap(self, monkeypatch):
+        # one cell, c = 1 with no witness: every mask is 0, so no cyan vertex
+        # is ever covered; w0 = 10^30 keeps the |Q| = n branch out of reach
+        import chordal_lab.splits as splits
+        from chordal_lab.splits import RejectionCapError, SplitWindows
+
+        monkeypatch.setitem(splits._plan_cache, (70, Fraction(1, 200)), SplitWindows(
+            cells=range(1, 2), q0_terms=(10 ** 30,), q1_terms=(0,), w0=10 ** 30, w1=0))
+        attempts = []
+
+        def counted(*args, **kwargs):
+            attempts.append(args)
+            return _build_low_q(*args, **kwargs)
+
+        monkeypatch.setattr(splits, "_build_low_q", counted)
+        with pytest.raises(RejectionCapError, match="within 128 iterations at n = 70"):
+            sample_split_draw(70, "1e-2", RandomStream(5))
+        assert len(attempts) == 128
+
 
 def edge_list_build_low_q(n, c, with_witness, rng):
     """``_build_low_q`` as first written, listing every edge pair: the reference
