@@ -14,7 +14,7 @@ import json
 import sys
 from typing import IO, Iterable
 
-from .counting import CountingContext
+from .counting import CountingContext, exact_counts
 from .decimal_text import decimal_string
 from .graphs import LabeledGraph, to_edge_list_text, to_json_dict
 from .sampling import ChordalSampler, RandomStream
@@ -39,10 +39,9 @@ def allow_huge_decimal_output() -> None:
         pass  # interpreter without the guard prints any size already
 
 
-def _make_context(n: int, omega: int | None, allow_large: bool) -> CountingContext:
+def _check_n(n: int) -> None:
     if n < 0:
         raise CliError("n must be nonnegative")
-    return CountingContext(n, omega, allow_large=allow_large)
 
 
 def _emit_graphs(graphs: Iterable[LabeledGraph], fmt: str, out: IO[str]) -> None:
@@ -58,13 +57,11 @@ def _emit_graphs(graphs: Iterable[LabeledGraph], fmt: str, out: IO[str]) -> None
 
 
 def cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
-    ctx = _make_context(args.n, args.omega, args.allow_large)
-    if args.connected:
-        if args.n < 1:
-            raise CliError("--connected requires n >= 1")
-        value = ctx.count_connected(args.n)
-    else:
-        value = ctx.count_all(args.n)
+    _check_n(args.n)
+    connected, total = exact_counts(args.n, args.omega, allow_large=args.allow_large)
+    if args.connected and args.n < 1:
+        raise CliError("--connected requires n >= 1")
+    value = (connected if args.connected else total)[args.n]
     out.write(decimal_string(value) + "\n")
 
 
@@ -75,7 +72,8 @@ def _check_count(count: int) -> None:
 
 def cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
     _check_count(args.count)
-    ctx = _make_context(args.n, args.omega, args.allow_large)
+    _check_n(args.n)
+    ctx = CountingContext(args.n, args.omega, allow_large=args.allow_large)
     if args.connected and args.n < 1:
         raise CliError("--connected requires n >= 1")
     sampler = ChordalSampler(ctx)
@@ -93,9 +91,9 @@ def cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
     _emit_graphs(gen(), args.format, out)
 
 
-def _table_row(ctx: CountingContext, n: int, omega: int) -> str:
-    return (f"{n},{omega},{decimal_string(ctx.count_connected(n))},"
-            f"{decimal_string(ctx.count_all(n))}\n")
+def _table_row(counts: tuple[list[int], list[int]], n: int, omega: int) -> str:
+    connected, total = counts
+    return f"{n},{omega},{decimal_string(connected[n])},{decimal_string(total[n])}\n"
 
 
 def cmd_tables(args: argparse.Namespace, out: IO[str]) -> None:
@@ -103,14 +101,14 @@ def cmd_tables(args: argparse.Namespace, out: IO[str]) -> None:
         raise CliError("tables require n >= 1")
     # The omega = n fill is the largest; building it first refuses a runaway
     # table before any line is written.
-    top = CountingContext(args.n, args.n, allow_large=args.allow_large)
+    top = exact_counts(args.n, args.n, allow_large=args.allow_large)
     out.write("n,omega,connected_count,all_count\n")
     if args.by_omega:
         for omega in range(1, args.n + 1):
-            ctx = top if omega == args.n else CountingContext(
+            counts = top if omega == args.n else exact_counts(
                 args.n, omega, allow_large=args.allow_large)
             for n in range(omega, args.n + 1):
-                out.write(_table_row(ctx, n, omega))
+                out.write(_table_row(counts, n, omega))
     else:
         for n in range(1, args.n + 1):
             out.write(_table_row(top, n, n))

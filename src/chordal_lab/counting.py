@@ -66,10 +66,12 @@ CLASS_ARGS = {
     "pinned_proper_z": "txlkz",
 }
 
-# Largest n = omega whose fill a context runs without ``allow_large``: 4.4-4.9 s
-# and 73 MB peak RSS at n = 30 (fresh processes, 2-core x86-64, CPython 3.11).
-# The approximate entry points in ``splits`` use the same limit for their
-# exact fallback.
+# Largest n = omega whose fill a context runs without ``allow_large``.  At n = 30
+# the fill takes 3.3-3.6 s; a ``count --n 30`` process (``exact_counts``, which
+# keeps only the rounds the next round reads) peaks at 26 MB RSS and a
+# ``sample --n 30`` process (a full context) at 74 MB (fresh processes, 2-core
+# x86-64, CPython 3.11).  The approximate entry points in ``splits`` use the
+# same limit for their exact fallback.
 EXACT_LIMIT = 30
 
 # Contexts and split plans kept by the module-level caches; the oldest is
@@ -117,6 +119,9 @@ def fill_cells(n_max: int, omega: int | None = None) -> int:
 
 _CELL_LIMIT = fill_cells(EXACT_LIMIT, EXACT_LIMIT)
 
+# The weights of a round in which no component finishes.
+_NO_WEIGHTS = (None, None, None, None)
+
 
 class CountingContext:
     """Filled tables for counting w-colorable chordal graphs up to n_max.
@@ -126,6 +131,11 @@ class CountingContext:
     imposes no constraint.  The constructor runs the whole fill; it raises
     ValueError before allocating anything when the fill would store more
     cells than the one at n = omega = EXACT_LIMIT, unless ``allow_large``.
+
+    A context keeps every round of every table because the sampler unranks
+    through them all.  Counting alone does not need the stored rounds: each
+    round reads only the one or two before it, and :func:`exact_counts` runs
+    the same fill keeping just those.
 
     ``factored=True`` (the default) evaluates the five-argument pinned table
     grouped by the component's share of the layer, with the root-contact
@@ -312,23 +322,31 @@ class CountingContext:
         self._pinned = [None]
         self._pinned_exact = [None]
         self._pinned_proper = [None]
-        weights = (None, None)  # round 0 has no component at all
+        weights = _NO_WEIGHTS  # round 0 has no component at all
+        connected = [0] * (n + 1)
         t = 0
         while True:
             t += 1
             self._fill_pinned(t, weights)
+            del weights  # read by phase A only; phase B builds the next ones
             weights = self._fill_root(t)
+            if w:
+                connected = [c + s for c, s in zip(connected, self._single[t][0])]
             if weights[0] is None:
                 break
+            self._release(t)
         self._last = t
 
-        self._connected = [0] + [sum(self._single[r][0][m] for r in range(1, t + 1))
-                                 for m in range(1, n + 1)]
+        self._connected = connected
         a = [1]
         for m in range(1, n + 1):
             a.append(sum(self._C[m - 1][k - 1] * self._connected[k] * a[m - k]
                          for k in range(1, m + 1)))
         self._all = a
+
+    def _release(self, t: int) -> None:
+        """Called after each round t but the last; a full context keeps
+        every round, since the sampler reads them all."""
 
     def _fill_pinned(self, t: int, weights: tuple) -> None:
         """Phase A of round t: pinned_proper_z, pinned_exact, pinned.
@@ -340,12 +358,15 @@ class CountingContext:
         proper = [[None] * (w - x + 1) for x in range(w)]
         exact = [[None] * (w - x + 1) for x in range(w)]
         pinned = [[None] * (w - x + 1) for x in range(w)]
+        lo = weights[0]
         for hull in range(1, w + 1):
             K = n - hull
             rows = {}
+            partial = (self._layer_sums(hull, weights)
+                       if self.factored and lo is not None and lo <= K else None)
             for z in range(hull):
                 rest = self._exact_proper[prev][hull][z] if prev else None
-                chain = self._pinned_proper_chain(t, hull, z, weights, rest)
+                chain = self._pinned_proper_chain(t, hull, z, weights, rest, partial)
                 for x in range(z, hull):
                     rows[x, z] = chain[x]
             for x in range(hull - 1, -1, -1):
@@ -383,7 +404,7 @@ class CountingContext:
         self._single.append(single)
 
         weights = self._weights(t)
-        lo, wg = weights
+        lo, wg, _, _ = weights
         # multi(t, x, k): the component with the lowest free label, then one or
         # more further components (single + multi at fewer free vertices).
         self._multi.append([self._first_component_row(
@@ -411,33 +432,55 @@ class CountingContext:
     # -- row code ----------------------------------------------------------------
 
     def _weights(self, t: int) -> tuple:
-        """(lo, wg): the weights of one component finishing in round t.
+        """(lo, wg, escape, G): the weights of one component finishing in round t.
 
         lo is the smallest k with some single(t, ., k) nonzero: every such
         component has at least lo vertices.  With the Pascal sums
         G[x][m][k2] = sum over x2 <= x of C(x, x2) single(t, x2 + m, k2) for
         x + m <= omega (Pascal's rule: G[x][m] = G[x-1][m] + G[x-1][m+1]),
         wg[x][m][k - lo] lists C(k-1, k2-1) G[x][m][k2] for k2 = lo..k, or
-        wg[x][m] is None where G[x][m] is zero.  (None, None) if single(t) is
-        all zero.
-
-        The root-contact sum of exact(t, X, ., z) is G[X][0] - G[z][0]; the
-        layer-contact sums of pinned_proper_z(t + 1, ...) are G[x][l2].
+        wg[x][m] is None where G[x][m] is zero; wg[x][0] is built for x = 0
+        only, since the other rows of m = 0 are read only through escape.
+        escape[x, z] (z < x) weighs G[x][0] - G[z][0], the nonnegative
+        root-contact sum of a component that escapes [z], so the kernels make
+        one pass for it, not one for each side.  G itself is returned for
+        :meth:`_layer_sums`.  (lo, wg, escape, G), or (None, None, None, None)
+        if single(t) is all zero.
         """
         n, C, top = self.n_max, self._C, self._w
         s = self._single[t] + [[0] * (n - top + 1)]
         firsts = [row.index(next(filter(None, row))) for row in s if any(row)]
         if not firsts:
-            return None, None
+            return _NO_WEIGHTS
         lo = min(firsts)
         g = [s]
         for x in range(1, top + 1):
             below = g[-1]
             g.append([[a + b for a, b in zip(below[m], below[m + 1])]
                       for m in range(top - x + 1)])
-        return lo, [[[list(map(mul, C[k - 1][lo - 1:k], row[lo:k + 1]))
-                      for k in range(lo, len(row))] if any(row) else None
-                     for row in gx] for gx in g]
+
+        wg = [[self._weigh(lo, row) if x == 0 or m else None for m, row in enumerate(gx)]
+              for x, gx in enumerate(g)]
+        escape = {(x, z): self._weigh(lo, [u - v for u, v in zip(g[x][0], g[z][0])])
+                  for x in range(1, top + 1) for z in range(x)}
+        return lo, wg, escape, g
+
+    def _weigh(self, lo: int, row: list[int]) -> list[list[int]] | None:
+        """C(k-1, k2-1) row[k2] for k2 = lo..k, for each k = lo..len(row) - 1;
+        None for an all-zero row."""
+        C = self._C
+        return [list(map(mul, C[k - 1][lo - 1:k], row[lo:k + 1]))
+                for k in range(lo, len(row))] if any(row) else None
+
+    def _layer_sums(self, hull: int, weights: tuple) -> list:
+        """partial[x] weighs G[x][hull - x] - G[0][hull] for x = 1..hull - 1
+        (partial[0] is None): the nonnegative layer-contact sum of a component
+        that touches the whole layer and fewer than x root labels.  Each is
+        read by the chains of one hull only, so it lives for that hull.
+        """
+        lo, _, _, g = weights
+        return [None] + [self._weigh(lo, [u - v for u, v in zip(g[x][hull - x], g[0][hull])])
+                         for x in range(1, hull)]
 
     def _exact_rows(self, hull: int, z: int, weights: tuple) -> tuple:
         """exact(t, hull, ., z) and exact_proper(t, hull, ., z), from the weights
@@ -448,11 +491,11 @@ class CountingContext:
         the proper form leaves out the x2 = hull term G[0][hull].
         """
         K = self.n_max - hull
-        lo, wg = weights
+        lo, wg, escape, _ = weights
         if lo is None:
             row = [1] + [0] * K
             return row, row
-        terms = [(wg[hull][0], 1, None), (wg[z][0], -1, None)]
+        terms = [(escape[hull, z], 1, None)]
         exact = self._first_component_row(1, terms, K, lo)
         if wg[0][hull] is None:
             return exact, exact
@@ -460,15 +503,16 @@ class CountingContext:
         return exact, self._first_component_row(1, terms, K, lo)
 
     def _pinned_proper_chain(self, t: int, hull: int, z: int, weights: tuple,
-                             rest: list[int] | None) -> dict[int, list[int]]:
+                             rest: list[int] | None, partial: list | None) -> dict[int, list[int]]:
         """pinned_proper_z(t, x, hull - x, ., z) rows for x = hull-1 down to z.
 
-        ``weights`` are those of round t - 1 and ``rest`` is
+        ``weights`` are those of round t - 1, ``partial`` their
+        :meth:`_layer_sums` at this hull, and ``rest`` is
         exact_proper(t - 1, hull, ., z).  The row at x reads the rows at
         larger x of the same chain, so the chain runs x descending.
         """
         K = self.n_max - hull
-        lo, wg = weights
+        lo, wg, escape, _ = weights
         chain: dict[int, list[int]] = {}
         for x in range(hull - 1, z - 1, -1):
             if lo is None or lo > K:
@@ -485,10 +529,11 @@ class CountingContext:
             #   l2 = 0:      G[x][0] - G[z][0]  (it escapes [z]; rest is this row)
             #   0 < l2 < l:  C(l, l2) G[x][l2]  (the touched labels join the root)
             #   l2 = l:      G[x][l] - G[0][hull]  (x2 < x; rest is exact_proper)
+            # The first sum is zero at x = z and the last at x = 0.
             Cl = self._C[l]
-            terms = [(wg[x][0], 1, None), (wg[z][0], -1, None)]
+            terms = [(escape.get((x, z)), 1, None)]
             terms += [(wg[x][l2], Cl[l2], rests[l2]) for l2 in range(1, l)]
-            terms += [(wg[x][l], 1, rest), (wg[0][hull], -1, rest)]
+            terms += [(partial[x], 1, rest)]
             chain[x] = self._first_component_row(0, terms, K, lo)
         return chain
 
@@ -615,6 +660,24 @@ class CountingContext:
         return c
 
 
+class _CountOnly(CountingContext):
+    """A fill that keeps only the rounds the next round reads.
+
+    Round t + 1 reads ``single``, ``multi`` and ``exact_proper`` of round t
+    and ``within`` of rounds t - 1 and t; the rest of round t is dropped as
+    soon as the round is done.  Only ``count_connected`` and ``count_all``
+    answer afterwards.
+    """
+
+    def _release(self, t: int) -> None:
+        for table in (self._pinned, self._pinned_exact, self._pinned_proper, self._exact):
+            table[t] = None
+        for table in (self._single, self._multi, self._exact_proper):
+            table[t - 1] = None
+        if t >= 2:
+            self._within[t - 2] = None
+
+
 def _first_nonzero(row: list[int], start: int = 0) -> int | None:
     """Index of the first nonzero entry of row[start:], or None."""
     v = next(filter(None, islice(row, start, None) if start else row), 0)
@@ -651,6 +714,19 @@ def get_context(n_max: int, omega: int | None = None) -> CountingContext:
             del _context_cache[next(iter(_context_cache))]
         _context_cache[(n_max, omega_eff)] = ctx
     return ctx
+
+
+def exact_counts(n_max: int, omega: int | None = None,
+                 allow_large: bool = False) -> tuple[list[int], list[int]]:
+    """(connected, all): the counts of ``CountingContext(n_max, omega)`` for
+    every n = 0..n_max, with connected[0] = 0 and all[0] = 1.
+
+    Runs the same fill, with the same admission, but keeps only the rounds
+    the next round reads, so it peaks at a fraction of a full context's
+    memory; use a context to sample.
+    """
+    ctx = _CountOnly(n_max, omega, allow_large=allow_large)
+    return ctx._connected, ctx._all
 
 
 def count_connected(n: int, omega: int | None = None) -> int:

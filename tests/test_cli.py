@@ -87,6 +87,31 @@ class TestCount:
         with pytest.raises(FillStarted):
             main(argv)
 
+    def test_count_only_fill_keeps_the_admission(self, capsys, monkeypatch):
+        # count and tables fill their counts without keeping the tables; the
+        # limit still refuses n = 40 at once and admits n = 30 into _fill
+        for command in ("count", "tables"):
+            start = time.perf_counter()
+            code, out, err = run_cli([command, "--n", "40"], capsys)
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == "" and "--allow-large" in err
+
+        class FillStarted(Exception):
+            pass
+
+        def stop(self):
+            raise FillStarted
+
+        monkeypatch.setattr(CountingContext, "_fill", stop)
+        for argv in (["count", "--n", "30"], ["tables", "--n", "30", "--by-omega"]):
+            with pytest.raises(FillStarted):
+                main(argv)
+
+    def test_output_is_pinned(self, capsys):
+        code, out, _ = run_cli(["count", "--n", "20", "--connected"], capsys)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == "86b740ae6b2e01942c6bbfc4ea5be7b1818986c3"
+
 
 class TestSample:
     def test_edge_list_records(self, capsys):
@@ -190,6 +215,11 @@ class TestTables:
     def test_rejects_n0(self, capsys):
         code, _, err = run_cli(["tables", "--n", "0"], capsys)
         assert code == 1 and "n >= 1" in err
+
+    def test_by_omega_output_is_pinned(self, capsys):
+        code, out, _ = run_cli(["tables", "--n", "12", "--by-omega"], capsys)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == "8ca2e1755aba3e3704dac0a2ac1a87d187661549"
 
 
 class TestApprox:

@@ -3,6 +3,7 @@ import inspect
 import sys
 import time
 import timeit
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -19,6 +20,7 @@ from chordal_lab.counting import (
     connected_count_rows,
     count_all,
     count_connected,
+    exact_counts,
     fill_cells,
     get_context,
 )
@@ -512,6 +514,38 @@ class TestFillBudget:
         with pytest.raises(ValueError):
             CountingContext(6, 6)
         assert CountingContext(6, 6, allow_large=True).count_connected(6) == 13302
+
+
+class TestCountOnlyFill:
+    @pytest.mark.parametrize("n", range(23))
+    def test_equals_the_full_fill(self, n):
+        for omega in sorted({1, 2, 3, n} - {0}):
+            ctx = CountingContext(n, omega)
+            connected, total = exact_counts(n, omega)
+            assert connected == [0] + [ctx.count_connected(m) for m in range(1, n + 1)], omega
+            assert total == [ctx.count_all(m) for m in range(n + 1)], omega
+
+    def test_peak_is_a_fraction_of_a_full_context(self):
+        tracemalloc.start()
+        try:
+            exact_counts(16)
+            count_peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            ctx = CountingContext(16)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ctx.count_all(16) > 0
+        assert 3 * count_peak <= retained, (count_peak, retained)
+
+    def test_same_admission_as_a_context(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="allow_large=True"):
+            exact_counts(40)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError, match="omega must be at least 1"):
+            exact_counts(3, 0)
+        assert exact_counts(40, 3)[1][40] == CountingContext(40, 3).count_all(40)
 
 
 @pytest.fixture
