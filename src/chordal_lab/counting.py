@@ -20,8 +20,10 @@ convolution over whole rows.  :class:`CountingContext` fills them bottom-up
 when it is constructed.  Rounds run t = 1, 2, ... and each round has two
 phases:
 
-    A. for each hull size x + l, with x descending: the five-argument pinned
-       rows, then ``pinned_exact``, then ``pinned``;
+    A. for each hull size x + l: the five-argument pinned rows, as one chain
+       over x descending at root contact z = 0, each row at z >= 1 derived
+       from the z = 0 row by one convolution; then, with x descending,
+       ``pinned_exact`` and ``pinned``;
     B. ``single`` and ``multi``, then ``exact`` and ``exact_proper``, then
        ``within``.
 
@@ -67,11 +69,11 @@ CLASS_ARGS = {
 }
 
 # Largest n = omega whose fill a context runs without ``allow_large``.  At n = 30
-# the fill takes 3.3-3.6 s; a ``count --n 30`` process (``exact_counts``, which
-# keeps only the rounds the next round reads) peaks at 26 MB RSS and a
-# ``sample --n 30`` process (a full context) at 74 MB (fresh processes, 2-core
-# x86-64, CPython 3.11).  The approximate entry points in ``splits`` use the
-# same limit for their exact fallback.
+# a ``count --n 30`` process (``exact_counts``, which keeps only the rounds the
+# next round reads) takes 1.1-1.9 s and peaks at 25 MB RSS, and a
+# ``sample --n 30`` process (a full context) takes 1.8-2.6 s and peaks at
+# 75 MB (fresh processes, 2-core x86-64, CPython 3.11).  The approximate entry
+# points in ``splits`` use the same limit for their exact fallback.
 EXACT_LIMIT = 30
 
 # Contexts and split plans kept by the module-level caches; the oldest is
@@ -139,8 +141,11 @@ class CountingContext:
 
     ``factored=True`` (the default) evaluates the five-argument pinned table
     grouped by the component's share of the layer, with the root-contact
-    sums hoisted out of the rows; ``factored=False`` evaluates the direct
-    triple sum for each cell.  Both produce identical values.
+    sums hoisted out of the rows, and runs that chain at z = 0 only: every
+    row at z >= 1 is the z = 0 row convolved with the inverse of
+    exact(t - 1, z, ., 0) (the derivation is in :meth:`_fill_pinned`).
+    ``factored=False`` evaluates the direct triple sum for each cell and
+    every z, without that identity.  Both produce identical values.
     """
 
     def __init__(self, n_max: int, omega: int | None = None, factored: bool = True,
@@ -352,26 +357,58 @@ class CountingContext:
         """Phase A of round t: pinned_proper_z, pinned_exact, pinned.
 
         ``weights`` are the component weights of round t - 1 (:meth:`_weights`).
+
+        On the factored path only the z = 0 chain of each hull is run; the
+        rows at z >= 1 are derived from it.  Read every row as an exponential
+        generating function in the free vertices, with e_x the series of the
+        root-contact sum G[x][0] of round t - 1.  The kernel's first-component
+        split is then row' = W' * rest, and the chain at z solves
+
+            P_z(x)' = (e_x - e_z)' P_z(x)
+                      + sum over 0 < l2 < l of C(l, l2) G[x][l2]' P_z(x + l2)
+                      + (G[x][l] - G[0][hull])' E_z,      P_z(x)(0) = 0,
+
+        with the rest E_z = exact_proper(t - 1, hull, ., z)
+        = exp(e_hull - e_z - G[0][hull]).  Multiplying the z-chain by
+        exp(e_z) removes z from both its self term and its rest, so
+        exp(e_z) P_z(x) solves the same equations for every z, and
+
+            P_z(x) = exp(e_0 - e_z) * P_0(x)   (a binomial convolution).
+
+        exp(e_0 - e_z) is the inverse of exact(t - 1, z, ., 0) = exp(e_z - e_0),
+        built once per round for each z >= 1 by the kernel from the same
+        weights.  ``factored=False`` runs the direct triple sum for every z
+        and never uses the identity.
         """
         n, w = self.n_max, self._w
         prev = t - 1
         proper = [[None] * (w - x + 1) for x in range(w)]
         exact = [[None] * (w - x + 1) for x in range(w)]
         pinned = [[None] * (w - x + 1) for x in range(w)]
-        lo = weights[0]
+        lo, _, escape, _ = weights
+        inv = None
+        if self.factored and lo is not None:
+            inv = [None] + [self._first_component_row(1, [(escape[z, 0], -1, None)], n - z - 1, lo)
+                            for z in range(1, w)]
         for hull in range(1, w + 1):
             K = n - hull
             rows = {}
             partial = (self._layer_sums(hull, weights)
-                       if self.factored and lo is not None and lo <= K else None)
-            for z in range(hull):
+                       if inv is not None and lo <= K else None)
+            # The direct path, and a round after one in which no component
+            # finished (every row zero), run one chain per z.
+            for z in range(hull if inv is None else 1):
                 rest = self._exact_proper[prev][hull][z] if prev else None
                 chain = self._pinned_proper_chain(t, hull, z, weights, rest, partial)
                 for x in range(z, hull):
                     rows[x, z] = chain[x]
+            if inv is not None:
+                for x in range(hull):
+                    for z in self._derived_contacts(x):
+                        rows[x, z] = self._conv(inv[z], rows[x, 0], K, 0)
             for x in range(hull - 1, -1, -1):
                 l = hull - x
-                proper[x][l] = [rows[x, z] for z in range(x + 1)]
+                proper[x][l] = [rows.get((x, z)) for z in range(x + 1)]
                 own = rows[x, x]
                 row = own
                 if prev and hull < w:
@@ -388,6 +425,11 @@ class CountingContext:
         self._pinned_proper.append(proper)
         self._pinned_exact.append(exact)
         self._pinned.append(pinned)
+
+    def _derived_contacts(self, x: int) -> Sequence[int]:
+        """The z >= 1 whose pinned_proper_z rows at x phase A derives from
+        z = 0: all of them, since the sampler reads every row."""
+        return range(1, x + 1)
 
     def _fill_root(self, t: int) -> tuple:
         """Phase B of round t; returns the round's component weights."""
@@ -466,11 +508,16 @@ class CountingContext:
         return lo, wg, escape, g
 
     def _weigh(self, lo: int, row: list[int]) -> list[list[int]] | None:
-        """C(k-1, k2-1) row[k2] for k2 = lo..k, for each k = lo..len(row) - 1;
-        None for an all-zero row."""
+        """C(k-1, k2-1) row[k2] for k2 = lo..min(k, last), for each
+        k = lo..len(row) - 1, where row[last] is the last nonzero entry of row
+        (the rest would weigh zeros: at small omega a round-1 component is a
+        clique of at most omega vertices); None for an all-zero row."""
+        last = _last_nonzero(row)
+        if last is None:
+            return None
         C = self._C
-        return [list(map(mul, C[k - 1][lo - 1:k], row[lo:k + 1]))
-                for k in range(lo, len(row))] if any(row) else None
+        band = row[lo:last + 1]
+        return [list(map(mul, C[k - 1][lo - 1:k], band)) for k in range(lo, len(row))]
 
     def _layer_sums(self, hull: int, weights: tuple) -> list:
         """partial[x] weighs G[x][hull - x] - G[0][hull] for x = 1..hull - 1
@@ -577,7 +624,8 @@ class CountingContext:
         With the weights of :meth:`_weights` this splits off the component
         holding the lowest free label (k2 vertices) from the rest r, where
         r = None stands for the row itself at fewer free vertices.  Terms
-        whose weights are None (zero) are skipped.
+        whose weights are None (zero) are skipped, and a weight row wt[j]
+        may stop before index j: its missing entries are zeros.
         """
         row = [first] + [0] * K
         if lo is None or lo > K:
@@ -604,7 +652,8 @@ class CountingContext:
                     continue
                 low = span
             if head:
-                force = [f + scale * (head * w[j] + sum(map(mul, w, r[j:low - 1:-1])))
+                force = [f + scale * (sum(map(mul, w, r[j:low - 1:-1]))
+                                      + (head * w[j] if j < len(w) else 0))
                          for j, (f, w) in enumerate(zip(force, wt))]
             else:
                 force[low:] = [f + scale * sum(map(mul, wt[j], r[j:low - 1:-1]))
@@ -627,7 +676,7 @@ class CountingContext:
             for wt, scale in selfs:
                 w = wt[j]
                 s = sum(map(mul, w, band))
-                if first:
+                if first and j < len(w):
                     s += first * w[j]
                 total += scale * s
             row[lo + j] = total
@@ -666,8 +715,12 @@ class _CountOnly(CountingContext):
     Round t + 1 reads ``single``, ``multi`` and ``exact_proper`` of round t
     and ``within`` of rounds t - 1 and t; the rest of round t is dropped as
     soon as the round is done.  Only ``count_connected`` and ``count_all``
-    answer afterwards.
+    answer afterwards.  Phase A reads the pinned_proper_z row of each x at
+    z = x only, so only that row is derived from the z = 0 chain.
     """
+
+    def _derived_contacts(self, x: int) -> Sequence[int]:
+        return (x,) if x else ()
 
     def _release(self, t: int) -> None:
         for table in (self._pinned, self._pinned_exact, self._pinned_proper, self._exact):
@@ -682,6 +735,11 @@ def _first_nonzero(row: list[int], start: int = 0) -> int | None:
     """Index of the first nonzero entry of row[start:], or None."""
     v = next(filter(None, islice(row, start, None) if start else row), 0)
     return row.index(v, start) if v else None
+
+
+def _last_nonzero(row: list[int]) -> int | None:
+    """Index of the last nonzero entry of row, or None."""
+    return next((i for i in range(len(row) - 1, -1, -1) if row[i]), None)
 
 
 # ---------------------------------------------------------------------------

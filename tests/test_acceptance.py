@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from chordal_lab.counting import CountingContext
+from chordal_lab.counting import CountingContext, exact_counts
 from chordal_lab.graphs import is_chordal, max_clique_size, split_partition
 from chordal_lab.bruteforce import (
     bitmask_of,
@@ -113,6 +113,15 @@ def test_criterion_02_stretch_connected_count_30():
     assert value == CONNECTED_COUNT_30
     assert elapsed < 900.0, f"took {elapsed:.1f}s, budget 900s"
     report(2, f"stretch: connected count n=30 exact in {elapsed:.1f}s")
+
+
+def test_criterion_02_count_only_connected_count_30():
+    start = time.time()
+    value = exact_counts(30)[0][30]
+    elapsed = time.time() - start
+    assert value == CONNECTED_COUNT_30
+    assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
+    report(2, f"connected count n=30 exact (count-only fill) in {elapsed:.1f}s")
 
 
 def test_criterion_03_omega_grid_through_12():

@@ -387,6 +387,23 @@ def component_cases(draw):
     return first, draw(st.lists(term, max_size=5)), K, lo
 
 
+@st.composite
+def trimmed_component_cases(draw):
+    """``component_cases`` with each weight row wt[j] cut to at most j + 1
+    entries, as ``_weigh`` stops a row at the last nonzero entry of its G row."""
+    first, terms, K, lo = draw(component_cases())
+    terms = [(None if wt is None else [w[:draw(st.integers(0, len(w)))] for w in wt], scale, r)
+             for wt, scale, r in terms]
+    return first, terms, K, lo
+
+
+def zero_padded(first, terms, K, lo):
+    """The same case with every weight row wt[j] padded with zeros to j + 1 entries."""
+    terms = [(None if wt is None else [w + [0] * (j + 1 - len(w)) for j, w in enumerate(wt)],
+              scale, r) for wt, scale, r in terms]
+    return first, terms, K, lo
+
+
 class TestBandedKernels:
     """The row kernels skip zero bands; they must equal their formulas."""
 
@@ -403,6 +420,42 @@ class TestBandedKernels:
     @settings(max_examples=500, deadline=None)
     def test_first_component_row_matches_formula(self, case):
         assert CountingContext._first_component_row(*case) == naive_first_component_row(*case)
+
+    @given(trimmed_component_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_first_component_row_reads_short_weight_rows_as_zero_padded(self, case):
+        assert CountingContext._first_component_row(*case) == \
+            naive_first_component_row(*zero_padded(*case))
+
+
+class TestRootContactIdentity:
+    """The rows of pinned_proper_z at z >= 1 are the z = 0 rows divided by
+    exact(t - 1, z, ., 0) as exponential generating functions:
+    exact(t - 1, z, ., 0) convolved with the row at z gives the row at 0.
+    The fill derives the z >= 1 rows from this identity, so it is checked
+    here through the public accessors only."""
+
+    @pytest.mark.parametrize("n, omega", [(12, 12), (13, 5), (12, 3)])
+    def test_z_rows_times_exact_give_the_z0_row(self, n, omega):
+        ctx = CountingContext(n, omega)
+        checked = nonzero = 0
+        for t in range(1, n + 1):
+            for hull in range(1, omega + 1):
+                K = n - hull
+                for x in range(hull):
+                    l = hull - x
+                    p0 = [ctx.count_pinned_proper_z(t, x, l, k, 0) for k in range(K + 1)]
+                    for z in range(1, x + 1):
+                        pz = [ctx.count_pinned_proper_z(t, x, l, k, z) for k in range(K + 1)]
+                        # Round 0 finishes no component: exact(0, z, ., 0) is the bare root.
+                        e = [ctx.count_exact(t - 1, z, k, 0) if t > 1 else int(k == 0)
+                             for k in range(K + 1)]
+                        assert naive_conv(ctx._C, e, pz, K, 0) == p0, (t, x, l, z)
+                        checked += 1
+                        nonzero += any(pz)
+        # Every stored row with z >= 1, rounds 1..n: 3,740 rows over the three cases.
+        assert checked == {12: 3432, 5: 260, 3: 48}[omega]
+        assert nonzero > checked // 10  # not vacuous: 715, 175 and 37 rows are nonzero
 
 
 class TestModuleConveniences:
