@@ -362,11 +362,12 @@ class CountingContext:
         rows at z >= 1 are derived from it.  Read every row as an exponential
         generating function in the free vertices, with e_x the series of the
         root-contact sum G[x][0] of round t - 1.  The kernel's first-component
-        split is then row' = W' * rest, and the chain at z solves
+        split is then row' = W' * rest, and the chain row P_z(x) at z, with
+        l = hull - x and constant term 0, solves
 
             P_z(x)' = (e_x - e_z)' P_z(x)
                       + sum over 0 < l2 < l of C(l, l2) G[x][l2]' P_z(x + l2)
-                      + (G[x][l] - G[0][hull])' E_z,      P_z(x)(0) = 0,
+                      + (G[x][l] - G[0][hull])' E_z,
 
         with the rest E_z = exact_proper(t - 1, hull, ., z)
         = exp(e_hull - e_z - G[0][hull]).  Multiplying the z-chain by
@@ -512,11 +513,11 @@ class CountingContext:
         k = lo..len(row) - 1, where row[last] is the last nonzero entry of row
         (the rest would weigh zeros: at small omega a round-1 component is a
         clique of at most omega vertices); None for an all-zero row."""
-        last = _last_nonzero(row)
-        if last is None:
+        tail = _first_nonzero(row[::-1])
+        if tail is None:
             return None
         C = self._C
-        band = row[lo:last + 1]
+        band = row[lo:len(row) - tail]
         return [list(map(mul, C[k - 1][lo - 1:k], band)) for k in range(lo, len(row))]
 
     def _layer_sums(self, hull: int, weights: tuple) -> list:
@@ -735,11 +736,6 @@ def _first_nonzero(row: list[int], start: int = 0) -> int | None:
     """Index of the first nonzero entry of row[start:], or None."""
     v = next(filter(None, islice(row, start, None) if start else row), 0)
     return row.index(v, start) if v else None
-
-
-def _last_nonzero(row: list[int]) -> int | None:
-    """Index of the last nonzero entry of row, or None."""
-    return next((i for i in range(len(row) - 1, -1, -1) if row[i]), None)
 
 
 # ---------------------------------------------------------------------------
