@@ -6,6 +6,7 @@ import timeit
 import tracemalloc
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -453,8 +454,9 @@ class TestRootContactIdentity:
                         assert naive_conv(ctx._C, e, pz, K, 0) == p0, (t, x, l, z)
                         checked += 1
                         nonzero += any(pz)
-        # Every stored row with z >= 1, rounds 1..n: 3,740 rows over the three cases.
-        assert checked == {12: 3432, 5: 260, 3: 48}[omega]
+        # Every stored row with z >= 1: sum over hulls of C(hull, 2) per round,
+        # 3,740 rows over the three cases.
+        assert checked == n * comb(omega + 1, 3)
         assert nonzero > checked // 10  # not vacuous: 715, 175 and 37 rows are nonzero
 
 
