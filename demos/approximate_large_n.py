@@ -26,15 +26,17 @@ from fractions import Fraction
 from chordal_lab import (
     RandomStream,
     approx_count_chordal,
+    as_epsilon,
     decimal_string,
     sample_split_draw,
     split_partition,
     threshold_g,
 )
+from chordal_lab.counting import EXACT_LIMIT
 from chordal_lab.splits import split_count_q0_full, split_windows
 
 print("== Approximate counts of labeled chordal graphs (eps = 1e-6) ==")
-print("   (below the dispatch boundary the exact algorithm would run instead)")
+print("   (every n here is at or above the split floor at this eps; see the dispatch ranges)")
 for n in (150, 200, 400, 800):
     t0 = time.time()
     text = decimal_string(approx_count_chordal(n, "1e-6"))
@@ -54,12 +56,12 @@ for eps_str in ("1e-2", "1e-6", "1e-12"):
           f"kept fraction 1 - {float(lost):.3e} of the full sum")
 
 print()
-print("== Dispatch boundary ==")
+print("== Dispatch ranges of approx_count_chordal ==")
+print("   (in between, the exact fill could take hours, so the call is refused)")
 for eps_str in ("1e-2", "1e-6", "1e-12"):
-    from chordal_lab import as_epsilon
-
-    print(f"  eps={eps_str:>6}: exact algorithm below n = {threshold_g(as_epsilon(eps_str))}, "
-          "split windows at or above")
+    floor = threshold_g(as_epsilon(eps_str))
+    print(f"  eps={eps_str:>6}: exact algorithm for n <= {EXACT_LIMIT}, "
+          f"refused for n = {EXACT_LIMIT + 1}..{floor - 1}, split windows for n >= {floor}")
 
 print()
 print("== Approximate sampling at n = 300 ==")

@@ -7,7 +7,7 @@ path: split-graph window sums give fast (1 +- eps)-approximate counts and an
 approximately uniform sampler for large n.
 """
 
-from .counting import CountingContext, count_all, count_connected, get_context
+from .counting import CountingContext, count_all, count_connected
 from .decimal_text import decimal_string
 from .graphs import (
     EvaporationSequence,
@@ -80,7 +80,6 @@ __all__ = [
     "evaporation_sequence",
     "from_edge_list_text",
     "from_json_dict",
-    "get_context",
     "glue",
     "is_chordal",
     "is_clique",

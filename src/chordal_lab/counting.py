@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # The counted class kinds and the names of their arguments, in order.
 # ``CountingContext.count_<kind>`` counts a class and
@@ -75,10 +75,6 @@ CLASS_ARGS = {
 # 75 MB (fresh processes, 2-core x86-64, CPython 3.11).  The approximate entry
 # points in ``splits`` use the same limit for their exact fallback.
 EXACT_LIMIT = 30
-
-# Contexts and split plans kept by the module-level caches; the oldest is
-# dropped on insert.
-CACHE_SIZE = 4
 
 
 def class_params(kind: str, args: Sequence[int]) -> tuple[int, int, int, int, int]:
@@ -137,7 +133,8 @@ class CountingContext:
     A context keeps every round of every table because the sampler unranks
     through them all.  Counting alone does not need the stored rounds: each
     round reads only the one or two before it, and :func:`exact_counts` runs
-    the same fill keeping just those.
+    the same fill keeping just those.  Nothing in this module keeps a
+    context: to reuse a fill, hold the context.
 
     ``factored=True`` (the default) evaluates the five-argument pinned table
     grouped by the component's share of the layer, with the root-contact
@@ -739,36 +736,8 @@ def _first_nonzero(row: list[int], start: int = 0) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Module-level conveniences with a small context cache
+# Module-level counts: each call runs its own count-only fill and keeps nothing
 # ---------------------------------------------------------------------------
-
-_context_cache: dict[tuple[int, int], CountingContext] = {}
-
-
-def get_context(n_max: int, omega: int | None = None) -> CountingContext:
-    """A shared context that counts every size up to n_max at omega; fills
-    are reused across calls.
-
-    Table values do not depend on a context's ``n_max``, so any cached
-    context with ``ctx.n_max >= n_max`` whose effective omega agrees at
-    n_max, ``min(ctx.omega, n_max) == min(omega, n_max)``, serves the call;
-    its ``n_max`` and ``omega`` may be larger than asked.  Keeps the
-    CACHE_SIZE most recently created contexts.  Raises ValueError above the
-    EXACT_LIMIT budget; build ``CountingContext(n, omega, allow_large=True)``
-    to run such a fill.
-    """
-    if omega is None:
-        omega = n_max
-    ctx = next((c for c in _context_cache.values()
-                if c.n_max >= n_max >= 0 and min(c.omega, n_max) == min(omega, n_max)), None)
-    if ctx is None:
-        omega_eff = min(omega, n_max) if n_max >= 1 else max(omega, 1)
-        ctx = CountingContext(n_max, omega_eff if n_max >= 1 else None)
-        if len(_context_cache) >= CACHE_SIZE:
-            del _context_cache[next(iter(_context_cache))]
-        _context_cache[(n_max, omega_eff)] = ctx
-    return ctx
-
 
 def exact_counts(n_max: int, omega: int | None = None,
                  allow_large: bool = False) -> tuple[list[int], list[int]]:
@@ -785,19 +754,11 @@ def exact_counts(n_max: int, omega: int | None = None,
 
 def count_connected(n: int, omega: int | None = None) -> int:
     """Number of omega-colorable labeled connected chordal graphs on [n]."""
-    return get_context(n, omega).count_connected(n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return exact_counts(n, omega)[0][n]
 
 
 def count_all(n: int, omega: int | None = None) -> int:
     """Number of omega-colorable labeled chordal graphs on [n]."""
-    if n == 0:
-        return 1
-    return get_context(n, omega).count_all(n)
-
-
-def connected_count_rows(n_max: int, omega: int | None = None) -> Iterator[tuple[int, int, int, int]]:
-    """Rows (n, omega, connected_count, all_count) for n = 1..n_max."""
-    ctx = get_context(n_max, omega)
-    omega_eff = min(ctx.omega, n_max)
-    for n in range(1, n_max + 1):
-        yield n, omega_eff, ctx.count_connected(n), ctx.count_all(n)
+    return exact_counts(n, omega)[1][n]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_right
+from functools import partialmethod
 from itertools import accumulate, combinations, product
 from math import comb
 from typing import Sequence
@@ -25,7 +26,7 @@ from .graphs import LabeledGraph, complete_graph, glue, phi_map, relabel  # noqa
 _MASK64 = (1 << 64) - 1
 
 # Weights a sampler's plan cache keeps, over all its plans (the cache bound
-# beside counting.CACHE_SIZE).  The largest plan at n = omega = 30 holds 956.
+# beside splits.CACHE_SIZE).  The largest plan at n = omega = 30 holds 956.
 # 2**13 entries retain 0.5-0.7 MB (64-bit CPython 3.11) and keep most of the
 # gain; 2**14 and 2**15 ran faster but raised the peak RSS of 10 s of
 # sampling at n = 40, omega = 3 by 8-10 % (from 26.7 MB).
@@ -321,20 +322,6 @@ class ChordalSampler:
                 self._unrank_exact(t, x, k2, z, r_exact, root + chosen, edges)
             t -= 1
 
-    def _unrank_exact(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
-                      edges: list) -> None:
-        self._unrank_root_components(False, t, x, k, z, r, labels, edges)
-
-    def _unrank_exact_proper(self, t: int, x: int, k: int, z: int, r: int,
-                             labels: list[int], edges: list) -> None:
-        self._unrank_root_components(True, t, x, k, z, r, labels, edges)
-
-    def _weigh_exact(self, t: int, x: int, k: int, z: int):
-        return self._weigh_root_components(False, t, x, k, z)
-
-    def _weigh_exact_proper(self, t: int, x: int, k: int, z: int):
-        return self._weigh_root_components(True, t, x, k, z)
-
     def _weigh_root_components(self, proper: bool, t: int, x: int, k: int, z: int):
         # Term k2 * (x + 1) + x2: a first component of k2 vertices with root
         # contact x2.
@@ -370,6 +357,11 @@ class ChordalSampler:
         component, rest = _split(free[1:], k2 - 1, s)
         self._unrank_exact_single(t, x2, k2, r_comp, contact + [free[0]] + component, edges)
         self._unrank_root_components(proper, t, x, k - k2, z, r_rest, root + rest, edges)
+
+    _weigh_exact = partialmethod(_weigh_root_components, False)
+    _weigh_exact_proper = partialmethod(_weigh_root_components, True)
+    _unrank_exact = partialmethod(_unrank_root_components, False)
+    _unrank_exact_proper = partialmethod(_unrank_root_components, True)
 
     def _weigh_exact_single(self, t: int, x: int, k: int):
         ctx = self.ctx
@@ -540,14 +532,13 @@ def sample_chordal(n: int, omega: int | None = None, seed: int | None = None,
                    ctx: CountingContext | None = None) -> LabeledGraph:
     """One uniform w-colorable chordal graph on [n].
 
-    Each call builds a new :class:`ChordalSampler` and weighs every node it
-    meets from scratch; for many draws, share one sampler
-    (``ChordalSampler(get_context(n, omega)).sample_chordal(n, rng)``).
+    Each call without ``ctx`` runs a full ``CountingContext(n, omega)``
+    fill, and every call builds a new :class:`ChordalSampler` and weighs
+    every node it meets from scratch; for many draws, hold one context and
+    one sampler (``ChordalSampler(CountingContext(n, omega)).sample_chordal(n, rng)``).
     """
-    from .counting import get_context
-
     if ctx is None:
-        ctx = get_context(n, omega)
+        ctx = CountingContext(n, omega)
     return ChordalSampler(ctx).sample_chordal(n, RandomStream(seed))
 
 
@@ -555,12 +546,11 @@ def sample_connected_chordal(n: int, omega: int | None = None, seed: int | None 
                              ctx: CountingContext | None = None) -> LabeledGraph:
     """One uniform w-colorable connected chordal graph on [n].
 
-    Each call builds a new :class:`ChordalSampler` and weighs every node it
-    meets from scratch; for many draws, share one sampler
-    (``ChordalSampler(get_context(n, omega)).sample_connected(n, rng)``).
+    Each call without ``ctx`` runs a full ``CountingContext(n, omega)``
+    fill, and every call builds a new :class:`ChordalSampler` and weighs
+    every node it meets from scratch; for many draws, hold one context and
+    one sampler (``ChordalSampler(CountingContext(n, omega)).sample_connected(n, rng)``).
     """
-    from .counting import get_context
-
     if ctx is None:
-        ctx = get_context(n, omega)
+        ctx = CountingContext(n, omega)
     return ChordalSampler(ctx).sample_connected(n, RandomStream(seed))

@@ -26,8 +26,7 @@ from math import ceil, comb, isqrt
 from operator import and_, or_
 from typing import Callable
 
-from . import counting
-from .counting import CACHE_SIZE, EXACT_LIMIT
+from .counting import EXACT_LIMIT, CountingContext, count_all
 # Nothing here calls ``complement``; it stays importable from here because
 # the benchmark's tracer wraps it by name.
 from .graphs import LabeledGraph, complement, complete_graph, graph_from_biadjacency  # noqa: F401
@@ -399,9 +398,9 @@ def approx_count_split(n: int, eps) -> int:
     return total
 
 
-def _exact_context(n: int, eps, share: int, exact_call: str) -> counting.CountingContext | None:
-    """The shared exact context for n below the dispatch floor
-    threshold_g(eps / share), or None at or above it.
+def _takes_exact_path(n: int, eps, share: int, exact_call: str) -> bool:
+    """True for n below the dispatch floor threshold_g(eps / share), False at
+    or above it.
 
     Rejects a negative n before it parses eps.  Between EXACT_LIMIT and the
     floor it raises ValueError naming ``exact_call`` instead of starting an
@@ -411,27 +410,27 @@ def _exact_context(n: int, eps, share: int, exact_call: str) -> counting.Countin
         raise ValueError("n must be nonnegative")
     floor = threshold_g(as_epsilon(eps) / share)
     if n >= floor:
-        return None
+        return False
     if n > EXACT_LIMIT:
         raise ValueError(
             f"n = {n} is below the split-graph floor {floor} at this epsilon and above "
             f"the exact engine's limit {EXACT_LIMIT}; call {exact_call} to run the exact "
             "engine anyway (its fill may take hours)")
-    return counting.get_context(n, n)
+    return True
 
 
 def approx_count_chordal(n: int, eps) -> int:
     """(1 +- eps)-approximation of the number of n-vertex labeled chordal graphs.
 
     Below the dispatch floor the answer is computed exactly (unconditionally
-    correct); above it, split graphs stand in for chordal graphs.  Between
-    EXACT_LIMIT and the floor it raises ValueError instead of starting an
-    exact fill that could take hours.
+    correct) by the count-only fill of ``counting.count_all``; above it,
+    split graphs stand in for chordal graphs.  Between EXACT_LIMIT and the
+    floor it raises ValueError instead of starting an exact fill that could
+    take hours.
     """
-    ctx = _exact_context(n, eps, 1, f"CountingContext({n}, allow_large=True).count_all({n})")
-    if ctx is None:
-        return approx_count_split(n, as_epsilon(eps) / 2)
-    return ctx.count_all(n)
+    if _takes_exact_path(n, eps, 1, f"CountingContext({n}, allow_large=True).count_all({n})"):
+        return count_all(n)
+    return approx_count_split(n, as_epsilon(eps) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +505,9 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
                      swing=frozenset(white))
 
 
-# The sampler's windows for the last CACHE_SIZE (n, working epsilon) pairs.
+# The sampler's windows for the last CACHE_SIZE (n, working epsilon) pairs;
+# the oldest is dropped on insert.
+CACHE_SIZE = 4
 _plan_cache: dict[tuple[int, Fraction], SplitWindows] = {}
 
 
@@ -579,15 +580,15 @@ def approx_sampler(n: int, eps) -> Callable[[RandomStream], LabeledGraph]:
     """The draw function of ``approx_sample_chordal(n, eps, .)``, with the
     path decided once.
 
-    Below the dispatch floor every draw goes to one exact ``ChordalSampler``,
-    so draws share its weighed plans; above it, each draw is a random split
+    Below the dispatch floor every draw goes to one exact ``ChordalSampler``
+    over a ``CountingContext(n)`` built here, so draws share its fill and its
+    weighed plans; above it, each draw is a random split
     graph.  Raises ValueError at once where ``approx_sample_chordal`` would.
     """
-    ctx = _exact_context(n, eps, 2,
-                         f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))")
-    if ctx is None:
-        return partial(sample_split_approx, n, as_epsilon(eps) / 2)
-    return partial(ChordalSampler(ctx).sample_chordal, n)
+    if _takes_exact_path(n, eps, 2,
+                         f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))"):
+        return partial(ChordalSampler(CountingContext(n)).sample_chordal, n)
+    return partial(sample_split_approx, n, as_epsilon(eps) / 2)
 
 
 def approx_sample_chordal(n: int, eps, rng: RandomStream) -> LabeledGraph:
@@ -596,7 +597,8 @@ def approx_sample_chordal(n: int, eps, rng: RandomStream) -> LabeledGraph:
     Below the dispatch floor this is the exact uniform sampler; above it, a
     random split graph (always chordal) is drawn instead.  Between
     EXACT_LIMIT and the floor it raises ValueError instead of starting an
-    exact fill that could take hours.  Each call builds its own sampler; for
-    many draws, call :func:`approx_sampler` once.
+    exact fill that could take hours.  Each call builds its own sampler (and,
+    below the floor, its own fill); for many draws, call :func:`approx_sampler`
+    once.
     """
     return approx_sampler(n, eps)(rng)

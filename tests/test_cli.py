@@ -240,7 +240,7 @@ class TestApprox:
         def refuse(*args, **kwargs):
             raise AssertionError("an exact fill was started")
 
-        monkeypatch.setattr(counting, "get_context", refuse)
+        monkeypatch.setattr(counting.CountingContext, "_fill", refuse)
         code, out, err = run_cli(["approx-count", "--n", "40", "--epsilon", "1e-2"], capsys)
         assert code == 1 and out == "" and err.startswith("error:")
         assert "count_all(40)" in err

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import inspect
 import sys
@@ -18,16 +19,20 @@ from chordal_lab.counting import (
     EXACT_LIMIT,
     CountingContext,
     class_params,
-    connected_count_rows,
     count_all,
     count_connected,
     exact_counts,
     fill_cells,
-    get_context,
 )
 from chordal_lab.bruteforce import brute_counts, check_class_membership, class_members
 from chordal_lab.graphs import LabeledGraph
-from chordal_lab.sampling import ChordalSampler, RandomStream
+from chordal_lab.sampling import (
+    ChordalSampler,
+    RandomStream,
+    sample_chordal,
+    sample_connected_chordal,
+)
+from chordal_lab.splits import approx_count_chordal, approx_sample_chordal
 
 # Oracle-frozen class sizes, from exhaustive enumeration of every labeled
 # graph on the class's vertex set with the class definition applied directly.
@@ -467,11 +472,10 @@ class TestModuleConveniences:
         assert count_all(3) == 8
         assert count_all(0) == 1
 
-    def test_context_cache_reuse(self):
-        a = get_context(6, 3)
-        b = get_context(6, 3)
-        assert a is b
-        assert get_context(6, 99) is get_context(6, 6)  # clamped key
+    def test_connected_needs_a_vertex(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^n must be at least 1$"):
+                count_connected(n)
 
 
 # Rows of CountingContext(12, 4) whose root (or root plus layer) exceeds
@@ -559,8 +563,6 @@ class TestFillBudget:
         with pytest.raises(ValueError, match="allow_large=True"):
             CountingContext(40, 40)
         with pytest.raises(ValueError, match="allow_large=True"):
-            get_context(40)
-        with pytest.raises(ValueError, match="allow_large=True"):
             count_all(40)
         assert time.perf_counter() - start < 1.0
 
@@ -603,19 +605,49 @@ class TestCountOnlyFill:
         assert exact_counts(40, 3)[1][40] == CountingContext(40, 3).count_all(40)
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """The arguments of every context get_context constructs, from an empty cache."""
-    monkeypatch.setattr(counting, "_context_cache", {})
-    calls = []
+def _live_contexts() -> list[CountingContext]:
+    """Every CountingContext alive now, after a full collection."""
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, CountingContext)]
 
-    class Counted(CountingContext):
-        def __init__(self, *args, **kwargs):
-            calls.append(args)
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(counting, "CountingContext", Counted)
-    return calls
+def _new_contexts(before: list[CountingContext]) -> list[CountingContext]:
+    """The contexts alive now that are not in ``before`` (which keeps those alive)."""
+    kept = {id(c) for c in before}
+    return [c for c in _live_contexts() if id(c) not in kept]
+
+
+# One call of each module-level entry point that runs an exact fill, each
+# below the split floor where it has one.
+FILLING_CALLS = {
+    "count_all": lambda: count_all(9),
+    "count_connected": lambda: count_connected(9, 3),
+    "approx_count_chordal": lambda: [approx_count_chordal(n, "1e-9") for n in (10, 11)],
+    "sample_chordal": lambda: sample_chordal(9, seed=1),
+    "sample_connected_chordal": lambda: sample_connected_chordal(9, omega=3, seed=2),
+    "approx_sample_chordal": lambda: approx_sample_chordal(9, "1e-3", RandomStream(3)),
+}
+
+
+class TestNoFillOutlivesItsCall:
+    @pytest.mark.parametrize("name", sorted(FILLING_CALLS))
+    def test_no_context_alive_afterwards(self, name):
+        before = _live_contexts()
+        FILLING_CALLS[name]()
+        assert _new_contexts(before) == []
+
+    def test_approx_count_fallback_peaks_at_a_fraction_of_a_full_context(self):
+        tracemalloc.start()
+        try:
+            approx_count_chordal(16, "1e-9")
+            count_peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            ctx = CountingContext(16)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ctx.count_all(16) > 0
+        assert 3 * count_peak <= retained, (count_peak, retained)
 
 
 class TestNoProcessWideState:
@@ -633,38 +665,9 @@ class TestNoProcessWideState:
             return fill_root(self, t)
 
         monkeypatch.setattr(CountingContext, "_fill_root", fail_in_round_3)
-        monkeypatch.setattr(counting, "_context_cache", {})
+        before = _live_contexts()
         with pytest.raises(MemoryError):
-            get_context(7)
-        assert counting._context_cache == {}
+            count_all(7)
+        assert _new_contexts(before) == []
         monkeypatch.undo()
-        assert get_context(7).count_connected(7) == 489287
-
-    def test_smaller_n_served_from_a_larger_fill(self, built):
-        big = get_context(21)
-        ctx = get_context(20)
-        assert built == [(21, 21)] and ctx is big
-        fresh = CountingContext(20, 20)
-        for m in range(21):
-            assert ctx.count_all(m) == fresh.count_all(m)
-        for m in range(1, 21):
-            assert ctx.count_connected(m) == fresh.count_connected(m)
-        assert list(connected_count_rows(20)) == [
-            (m, 20, fresh.count_connected(m), fresh.count_all(m)) for m in range(1, 21)]
-        draws = [ChordalSampler(c).sample_chordal(20, RandomStream(5)) for c in (ctx, fresh)]
-        assert draws[0] == draws[1]
-
-    def test_reuse_needs_the_same_omega_at_n(self, built):
-        get_context(8, 3)
-        get_context(7, 3)      # served by (8, 3)
-        get_context(3, 9)      # omega 3 already puts no bound on 3 vertices
-        get_context(7, 4)      # a different bound at n = 7
-        get_context(9, 3)      # larger than every cached fill
-        assert built == [(8, 3), (7, 4), (9, 3)]
-
-    def test_context_cache_drops_the_oldest(self, monkeypatch):
-        monkeypatch.setattr(counting, "_context_cache", {})
-        keys = [(n, 2) for n in range(3, 8)]
-        for key in keys:
-            get_context(*key)
-        assert list(counting._context_cache) == keys[1:]
+        assert count_connected(7) == 489287

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chordal_lab.sampling as sampling
-from chordal_lab.counting import CLASS_ARGS, CountingContext, class_params, get_context
+from chordal_lab.counting import CLASS_ARGS, CountingContext, class_params
 from chordal_lab.graphs import (
     is_chordal,
     is_connected,
@@ -376,7 +376,7 @@ class TestUnrankBijection:
 
     @staticmethod
     def _check_top_level(kinds: tuple, n: int, omega: int) -> None:
-        ctx = get_context(BIJECTION_N + 1, omega)
+        ctx = CountingContext(BIJECTION_N + 1, omega)
         s = ChordalSampler(ctx)
         chordal = brute_counts(n, include_graphs=True).chordal_graphs
         for kind in kinds:
@@ -439,7 +439,7 @@ class TestUnrankDomain:
 class TestOneDrawPerSample:
     @pytest.mark.parametrize("kind", ["all", "connected"])
     def test_one_uniform_draw(self, monkeypatch, kind):
-        ctx = get_context(12)
+        ctx = CountingContext(12)
         sampler = ChordalSampler(ctx)
         draw = sampler.sample_chordal if kind == "all" else sampler.sample_connected
         bounds = []
@@ -474,7 +474,7 @@ class TestOperationBudget:
 
 class TestPlanCache:
     def test_a_repeated_rank_weighs_nothing(self):
-        ctx = get_context(12)
+        ctx = CountingContext(12)
         s = ChordalSampler(ctx)
         r = ctx.count_all(12) // 3
         g = s.unrank("all", (12,), r)
@@ -486,7 +486,7 @@ class TestPlanCache:
 
     @pytest.mark.parametrize("n,omega", [(12, 12), (16, 3)])
     def test_eviction_keeps_the_draws(self, monkeypatch, n, omega):
-        ctx = get_context(n, omega)
+        ctx = CountingContext(n, omega)
         rng = RandomStream(n)
         want = [ChordalSampler(ctx).sample_chordal(n, rng) for _ in range(300)]
         monkeypatch.setattr(sampling, "PLAN_ENTRIES", 40)
@@ -517,7 +517,7 @@ class TestPlanCache:
             return term(self, key, r)
 
         monkeypatch.setattr(ChordalSampler, "_term", counted)
-        s = ChordalSampler(get_context(12))
+        s = ChordalSampler(CountingContext(12))
         rng = RandomStream(4)
         for _ in range(100):
             s.sample_chordal(12, rng)

@@ -402,7 +402,7 @@ class TestApproxCountChordal:
         def refuse(*args, **kwargs):
             raise AssertionError("an exact fill was started")
 
-        monkeypatch.setattr(counting, "get_context", refuse)
+        monkeypatch.setattr(counting.CountingContext, "_fill", refuse)
         assert EXACT_LIMIT < 40 < threshold_g("1e-2") == 65
         with pytest.raises(ValueError, match=r"floor 65 .*count_all\(40\)"):
             approx_count_chordal(40, "1e-2")
@@ -411,9 +411,9 @@ class TestApproxCountChordal:
         import chordal_lab.counting as counting
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a counting context was requested")
+            raise AssertionError("an exact fill was started")
 
-        monkeypatch.setattr(counting, "get_context", refuse)
+        monkeypatch.setattr(counting.CountingContext, "_fill", refuse)
         for n in (-1, -3, -1000):
             with pytest.raises(ValueError, match="^n must be nonnegative$"):
                 approx_count_chordal(n, "1e-2")
@@ -606,7 +606,7 @@ class TestApproxSampleChordal:
         def refuse(*args, **kwargs):
             raise AssertionError("an exact fill was started")
 
-        monkeypatch.setattr(counting, "get_context", refuse)
+        monkeypatch.setattr(counting.CountingContext, "_fill", refuse)
         assert EXACT_LIMIT < 40 < threshold_g(Fraction(1, 200)) == 65
         with pytest.raises(ValueError, match="floor 65 "):
             approx_sample_chordal(40, "1e-2", RandomStream(1))
@@ -617,9 +617,9 @@ class TestApproxSampleChordal:
         import chordal_lab.counting as counting
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a counting context was requested")
+            raise AssertionError("an exact fill was started")
 
-        monkeypatch.setattr(counting, "get_context", refuse)
+        monkeypatch.setattr(counting.CountingContext, "_fill", refuse)
         for n in (-1, -3, -1000):
             with pytest.raises(ValueError, match="^n must be nonnegative$"):
                 approx_sampler(n, "1e-2")
