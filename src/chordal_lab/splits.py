@@ -582,8 +582,8 @@ def approx_sampler(n: int, eps) -> Callable[[RandomStream], LabeledGraph]:
 
     Below the dispatch floor every draw goes to one exact ``ChordalSampler``
     over a ``CountingContext(n)`` built here, so draws share its fill and its
-    weighed plans; above it, each draw is a random split
-    graph.  Raises ValueError at once where ``approx_sample_chordal`` would.
+    weighed plans; above it, each draw is a random split graph.  Raises
+    ValueError at once where ``approx_sample_chordal`` would.
     """
     if _takes_exact_path(n, eps, 2,
                          f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))"):
