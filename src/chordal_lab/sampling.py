@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_right
-from functools import partialmethod
 from itertools import accumulate, combinations, product
 from math import comb
 from typing import Sequence
@@ -25,11 +24,12 @@ from .graphs import LabeledGraph, complete_graph, glue, phi_map, relabel  # noqa
 
 _MASK64 = (1 << 64) - 1
 
-# Weights a sampler's plan cache keeps, over all its plans (the cache bound
+# Terms a sampler's plan cache keeps, over all its plans (the cache bound
 # beside splits.CACHE_SIZE).  The largest plan at n = omega = 30 holds 956.
-# 2**13 entries retain 0.5-0.7 MB (64-bit CPython 3.11) and keep most of the
-# gain; 2**14 and 2**15 ran faster but raised the peak RSS of 10 s of
-# sampling at n = 40, omega = 3 by 8-10 % (from 26.7 MB).
+# 2**13 terms retain 0.9-1.2 MB at (n, omega) = (20, 20), (30, 30) and
+# (40, 3) (tracemalloc, 64-bit CPython 3.11) and keep most of the gain;
+# 2**14 and 2**15 ran faster but raised the peak RSS of 10 s of sampling at
+# n = 40, omega = 3 by 8-10 % (from 26.7 MB).
 PLAN_ENTRIES = 1 << 13
 
 
@@ -134,30 +134,29 @@ class ChordalSampler:
     ``CLASS_ARGS[kind]`` names (or ``n`` for "all" and "connected"), then the
     rank ``r``, ``labels`` (``labels[i]`` is the label of canonical vertex
     i + 1) and an ``edges`` list it appends to.  At each node it picks the
-    term whose block holds r, then splits the remainder by divmod into the
-    indices of the parts' label subsets and the parts' own ranks, so the
-    parts receive their labels before they recurse and a sample builds one
-    graph, at the end.  Each edge is appended once: the clique on the class's
-    given labels (``labels[:x]``, or ``labels[:x + l]`` where the kind has a
-    layer) by :meth:`unrank`, a layer's edges where the layer is picked.
+    term whose block holds r, which names the part sizes and contacts, then
+    splits the remainder by divmod into the indices of the parts' label
+    subsets and the parts' own ranks, so the parts receive their labels
+    before they recurse and a sample builds one graph, at the end.  Each
+    edge is appended once: the clique on the class's given labels
+    (``labels[:x]``, or ``labels[:x + l]`` where the kind has a layer) by
+    :meth:`unrank`, a layer's edges where the layer is picked.
 
-    A node's terms and their weights are its *plan*, built by
-    ``_weigh_<kind>`` through the validating ``count_*`` accessors the first
-    time the node is met and kept in a least-recently-used cache.  The cache
-    holds at most ``PLAN_ENTRIES`` stored weights in all, under a megabyte
-    at the sizes measured; a draw that meets an evicted node weighs it again.
-    ``ops`` counts the weight terms plan builds have evaluated since
-    construction, so a draw that meets only cached nodes adds none, and
-    :meth:`plan_stats` reports the cache.
+    A node's *plan* holds its nonzero-weight terms and the rank at which each
+    term's block starts.  ``_weigh_<kind>`` weighs the terms through the
+    validating ``count_*`` accessors the first time the node is met, and the
+    plan is kept in a least-recently-used cache.  The cache holds at most
+    ``PLAN_ENTRIES`` terms in all, about a megabyte at the sizes measured; a
+    draw that meets an evicted node weighs it again.  ``ops`` counts the
+    weight terms plan builds have evaluated since construction, so a draw
+    that meets only cached nodes adds none, and :meth:`plan_stats` reports
+    the cache.
     """
 
     def __init__(self, ctx: CountingContext):
         self.ctx = ctx
         self.ops = 0
-        self._plans: dict[tuple, tuple[int, ...]] = {}  # least recently used first
-        # Every term index is below (n_max + 1)**3.
-        self._shift = 3 * (ctx.n_max + 1).bit_length()
-        self._mask = (1 << self._shift) - 1
+        self._plans: dict[tuple, tuple[tuple[int, ...], tuple]] = {}  # least recently used first
         self._entries = 0
         self._hits = 0
         self._misses = 0
@@ -219,16 +218,16 @@ class ChordalSampler:
 
     # -- plans ---------------------------------------------------------------
 
-    def _term(self, key: tuple, r: int) -> tuple[int, int]:
+    def _term(self, key: tuple, r: int) -> tuple:
         """(term, r minus the weights of the terms before it) for the term
         whose block of ranks holds r at node ``key`` = (kind, *args).
 
-        A node's plan is a tuple with one int per nonzero-weight term,
-        ``start << shift | term``, where start is the sum of the weights
-        before the term.  The last start at most r begins the block holding
-        r, and bisect_right finds it.  A zero-weight term has an empty block,
-        so leaving it out picks the same term as scanning every weight in
-        order would.
+        A node's plan is two tuples over its nonzero-weight terms in order:
+        ``starts``, where each term's block of ranks starts (the sum of the
+        weights before it), and ``terms``.  The last start at most r begins
+        the block holding r, and bisect_right finds it.  A zero-weight term
+        has an empty block, so leaving it out picks the same term as scanning
+        every weight in order would.
         """
         plans = self._plans
         plan = plans.get(key)
@@ -237,36 +236,39 @@ class ChordalSampler:
         else:
             plans[key] = plans.pop(key)  # now the most recently used
             self._hits += 1
-        f = plan[bisect_right(plan, r << self._shift | self._mask) - 1]
-        return f & self._mask, r - (f >> self._shift)
+        starts, terms = plan
+        i = bisect_right(starts, r) - 1
+        return terms[i], r - starts[i]
 
-    def _build(self, key: tuple) -> tuple[int, ...]:
+    def _build(self, key: tuple) -> tuple[tuple[int, ...], tuple]:
         """Weigh a node with ``_weigh_<kind>``, cache its plan and evict the
-        least recently used plans until at most PLAN_ENTRIES weights are kept."""
+        least recently used plans until at most PLAN_ENTRIES terms are kept."""
         self._misses += 1
         kind, *args = key
-        plan = []
+        starts = []
+        terms = []
         start = 0
         for term, w in getattr(self, "_weigh_" + kind)(*args):
             if w:
-                plan.append(start << self._shift | term)
+                starts.append(start)
+                terms.append(term)
                 start += w
         if start != getattr(self.ctx, "count_" + kind)(*args):
             raise AssertionError(f"the weights of {kind}{tuple(args)} do not sum to its count")
-        plan = tuple(plan)
+        plan = tuple(starts), tuple(terms)
         plans = self._plans
         plans[key] = plan
-        self._entries += len(plan)
+        self._entries += len(terms)
         while self._entries > PLAN_ENTRIES:
-            self._entries -= len(plans.pop(next(iter(plans))))
+            self._entries -= len(plans.pop(next(iter(plans)))[1])
         return plan
 
     # -- one procedure per counted class --------------------------------------
     #
     # _weigh_<kind> yields (term, weight) for each term of a node, in the
-    # order that fixes the blocks of ranks; _unrank_<kind> decodes the term
-    # _term picks.  A term is a small int: a part size, or several small
-    # indices packed by mixed radix.
+    # order that fixes the blocks of ranks; _unrank_<kind> unpacks the term
+    # _term picks.  A term names the choices it stands for: a part size, or
+    # a tuple of them where a node chooses more than one thing.
 
     def _weigh_all(self, m: int):
         ctx = self.ctx
@@ -323,8 +325,7 @@ class ChordalSampler:
             t -= 1
 
     def _weigh_root_components(self, proper: bool, t: int, x: int, k: int, z: int):
-        # Term k2 * (x + 1) + x2: a first component of k2 vertices with root
-        # contact x2.
+        # Term (k2, x2): a first component of k2 vertices with root contact x2.
         ctx = self.ctx
         count_rest = ctx.count_exact_proper if proper else ctx.count_exact
         contacts = [comb(x, x2) - comb(z, x2) for x2 in range(x if proper else x + 1)]
@@ -337,7 +338,7 @@ class ChordalSampler:
             for x2 in range(1, len(contacts)):
                 single = ctx.count_exact_single(t, x2, k2)
                 if single:
-                    yield k2 * (x + 1) + x2, contacts[x2] * share * single
+                    yield (k2, x2), contacts[x2] * share * single
 
     def _unrank_root_components(self, proper: bool, t: int, x: int, k: int, z: int, r: int,
                                 labels: list[int], edges: list) -> None:
@@ -345,8 +346,7 @@ class ChordalSampler:
         the first free vertex, with root contact x2 (below x if proper)."""
         if k == 0:
             return
-        term, r = self._term(("exact_proper" if proper else "exact", t, x, k, z), r)
-        k2, x2 = divmod(term, x + 1)
+        (k2, x2), r = self._term(("exact_proper" if proper else "exact", t, x, k, z), r)
         # Root contacts of x2 labels that escape the first z.
         r, c = divmod(r, comb(x, x2) - comb(z, x2))
         r, s = divmod(r, comb(k - 1, k2 - 1))
@@ -358,10 +358,19 @@ class ChordalSampler:
         self._unrank_exact_single(t, x2, k2, r_comp, contact + [free[0]] + component, edges)
         self._unrank_root_components(proper, t, x, k - k2, z, r_rest, root + rest, edges)
 
-    _weigh_exact = partialmethod(_weigh_root_components, False)
-    _weigh_exact_proper = partialmethod(_weigh_root_components, True)
-    _unrank_exact = partialmethod(_unrank_root_components, False)
-    _unrank_exact_proper = partialmethod(_unrank_root_components, True)
+    def _weigh_exact(self, t: int, x: int, k: int, z: int):
+        return self._weigh_root_components(False, t, x, k, z)
+
+    def _weigh_exact_proper(self, t: int, x: int, k: int, z: int):
+        return self._weigh_root_components(True, t, x, k, z)
+
+    def _unrank_exact(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
+                      edges: list) -> None:
+        self._unrank_root_components(False, t, x, k, z, r, labels, edges)
+
+    def _unrank_exact_proper(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
+                             edges: list) -> None:
+        self._unrank_root_components(True, t, x, k, z, r, labels, edges)
 
     def _weigh_exact_single(self, t: int, x: int, k: int):
         ctx = self.ctx
@@ -380,34 +389,31 @@ class ChordalSampler:
         self._unrank_pinned(t, x, l, k - l, r, root + layer + rest, edges)
 
     def _weigh_exact_multi(self, t: int, x: int, k: int):
-        # Term i: the first component has k2 = i % (k - 1) + 1 vertices, then
-        # one further component (i < k - 1) or at least two.
+        # Term (k2, more): the first component has k2 vertices, then one
+        # further component, or at least two if more.
         ctx = self.ctx
         self.ops += 2 * k
-        w_one = []
-        w_more = []
-        for k2 in range(1, k):
-            b = comb(k - 1, k2 - 1)
-            single = ctx.count_exact_single(t, x, k2)
-            w_one.append(b * single * ctx.count_exact_single(t, x, k - k2) if single else 0)
-            w_more.append(b * single * ctx.count_exact_multi(t, x, k - k2) if single else 0)
-        return enumerate(w_one + w_more)
+        for more in (False, True):
+            count_rest = ctx.count_exact_multi if more else ctx.count_exact_single
+            for k2 in range(1, k):
+                single = ctx.count_exact_single(t, x, k2)
+                if single:
+                    yield (k2, more), comb(k - 1, k2 - 1) * single * count_rest(t, x, k - k2)
 
     def _unrank_exact_multi(self, t: int, x: int, k: int, r: int, labels: list[int],
                             edges: list) -> None:
         # The component holding the first free vertex, then one further
         # component or at least two.
-        i, r = self._term(("exact_multi", t, x, k), r)
-        k2 = i % (k - 1) + 1
+        (k2, more), r = self._term(("exact_multi", t, x, k), r)
         r, s = divmod(r, comb(k - 1, k2 - 1))
         r_rest, r_comp = divmod(r, self.ctx.count_exact_single(t, x, k2))
         root, free = labels[:x], labels[x:]
         component, rest = _split(free[1:], k2 - 1, s)
         self._unrank_exact_single(t, x, k2, r_comp, root + [free[0]] + component, edges)
-        if i < k - 1:
-            self._unrank_exact_single(t, x, k - k2, r_rest, root + rest, edges)
-        else:
+        if more:
             self._unrank_exact_multi(t, x, k - k2, r_rest, root + rest, edges)
+        else:
+            self._unrank_exact_single(t, x, k - k2, r_rest, root + rest, edges)
 
     def _weigh_pinned(self, t: int, x: int, l: int, k: int):
         ctx = self.ctx
@@ -429,52 +435,51 @@ class ChordalSampler:
         self._unrank_within(t - 2, x + l, k - k2, x, r_rest, hull + rest, edges)
 
     def _weigh_pinned_exact(self, t: int, x: int, l: int, k: int):
-        # Term 0: no component outside the hull sees all of it.  Term i >= 1:
-        # the first k2 = (i - 1) % k + 1 free vertices chosen hold exactly one
-        # such component (i <= k) or at least two.
+        # Term None: no component outside the hull sees all of it.  Term
+        # (k2, more): k2 free vertices chosen hold exactly one such component,
+        # or at least two if more.
         ctx = self.ctx
         xl = x + l
         self.ops += 1 + 2 * k
-        w_one = []
-        w_more = []
+        yield None, ctx.count_pinned_proper(t, x, l, k)
         for k2 in range(1, k + 1):
-            b = comb(k, k2)
             one = ctx.count_exact_single(t - 1, xl, k2)
+            if one:
+                yield (k2, False), comb(k, k2) * one * ctx.count_pinned_proper(t, x, l, k - k2)
+        for k2 in range(1, k + 1):
             more = ctx.count_exact_multi(t - 1, xl, k2)
-            w_one.append(b * one * ctx.count_pinned_proper(t, x, l, k - k2) if one else 0)
             # more is 0 at t = 1, below the rounds exact_proper accepts.
-            w_more.append(b * more * ctx.count_exact_proper(t - 1, xl, k - k2, x)
-                          if more else 0)
-        return enumerate([ctx.count_pinned_proper(t, x, l, k)] + w_one + w_more)
+            if more:
+                yield (k2, True), comb(k, k2) * more * ctx.count_exact_proper(t - 1, xl, k - k2, x)
 
     def _unrank_pinned_exact(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
                              edges: list) -> None:
-        i, r = self._term(("pinned_exact", t, x, l, k), r)
-        if i == 0:
+        term, r = self._term(("pinned_exact", t, x, l, k), r)
+        if term is None:
             self._unrank_pinned_proper(t, x, l, k, r, labels, edges)
             return
         ctx = self.ctx
         xl = x + l
-        k2 = (i - 1) % k + 1
+        k2, more = term
         r, s = divmod(r, comb(k, k2))
         hull = labels[:xl]
         chosen, rest = _split(labels[xl:], k2, s)
-        if i <= k:
-            r_rest, r_seeing = divmod(r, ctx.count_exact_single(t - 1, xl, k2))
-            self._unrank_exact_single(t - 1, xl, k2, r_seeing, hull + chosen, edges)
-            self._unrank_pinned_proper(t, x, l, k - k2, r_rest, hull + rest, edges)
-        else:
+        if more:
             r_rest, r_seeing = divmod(r, ctx.count_exact_multi(t - 1, xl, k2))
             self._unrank_exact_multi(t - 1, xl, k2, r_seeing, hull + chosen, edges)
             self._unrank_exact_proper(t - 1, xl, k - k2, x, r_rest, hull + rest, edges)
+        else:
+            r_rest, r_seeing = divmod(r, ctx.count_exact_single(t - 1, xl, k2))
+            self._unrank_exact_single(t - 1, xl, k2, r_seeing, hull + chosen, edges)
+            self._unrank_pinned_proper(t, x, l, k - k2, r_rest, hull + rest, edges)
 
     def _unrank_pinned_proper(self, t: int, x: int, l: int, k: int, r: int,
                               labels: list[int], edges: list) -> None:
         self._unrank_pinned_proper_z(t, x, l, k, x, r, labels, edges)
 
     def _weigh_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int):
-        # Term (k2 * (l + 1) + l2) * (x + 1) + x2: the first component has k2
-        # vertices and touches x2 root labels and l2 layer labels.
+        # Term (k2, l2, x2): the first component has k2 vertices and touches
+        # x2 root labels and l2 layer labels.
         ctx = self.ctx
         self.ops += k * (x + 1) * (l + 1)
         for k2 in range(1, k + 1):
@@ -490,7 +495,7 @@ class ChordalSampler:
                 share = b * comb(l, l2) * rest
                 for x2 in range(x + 1 if l2 < l else x):
                     contacts = comb(x, x2) - (0 if l2 else comb(z, x2))
-                    yield (k2 * (l + 1) + l2) * (x + 1) + x2, contacts * singles[x2 + l2] * share
+                    yield (k2, l2, x2), contacts * singles[x2 + l2] * share
 
     def _unrank_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int, r: int,
                                 labels: list[int], edges: list) -> None:
@@ -498,9 +503,7 @@ class ChordalSampler:
         # touches x2 root labels and l2 layer labels, a proper nonempty part
         # of root-plus-layer.  If it misses the layer, its root contact must
         # escape the first z root labels.
-        term, r = self._term(("pinned_proper_z", t, x, l, k, z), r)
-        k2_l2, x2 = divmod(term, x + 1)
-        k2, l2 = divmod(k2_l2, l + 1)
+        (k2, l2, x2), r = self._term(("pinned_proper_z", t, x, l, k, z), r)
         r, c = divmod(r, comb(x, x2) - (0 if l2 else comb(z, x2)))
         r, c_layer = divmod(r, comb(l, l2))
         r, s = divmod(r, comb(k - 1, k2 - 1))

@@ -103,33 +103,9 @@ def threshold_g(eps) -> int:
 # ---------------------------------------------------------------------------
 
 def _q_mid_sum(n: int, cells) -> int:
-    """Sum of the |Q| >= 2 stratum terms over the given (q, c) cells.
-
-    Cells sharing the same exponent base 2**(n-q-c) - 1 lie on one diagonal;
-    walking each diagonal in increasing c lets every power be one cheap
-    multiply away from its neighbor instead of a fresh exponentiation.
-    """
-    by_base: dict[int, list[tuple[int, int]]] = {}
-    for q, c in cells:
-        by_base.setdefault(n - q - c, []).append((c, q))
-    total = 0
-    for d, group in sorted(by_base.items()):
-        group.sort()
-        if d == 0:
-            total += sum(comb(n, q) for c, q in group if c == 0)
-            continue
-        base = (1 << d) - 1
-        power = None
-        prev_c = 0
-        for c, q in group:
-            if power is None:
-                power = pow(base, c)
-            else:
-                for _ in range(c - prev_c):
-                    power *= base
-            prev_c = c
-            total += comb(n, q) * comb(n - q, c) * power
-    return total
+    """Sum of the |Q| >= 2 stratum terms C(n, q) * C(n - q, c) *
+    (2^(n-q-c) - 1)^c over the given (q, c) cells."""
+    return sum(comb(n, q) * comb(n - q, c) * ((1 << (n - q - c)) - 1) ** c for q, c in cells)
 
 
 def split_count_q_ge2_exact(n: int) -> int:
@@ -367,6 +343,24 @@ def _check_q_ge2_negligible(n: int, delta: Fraction, rest: int) -> None:
             f"the |Q| >= 2 bound at n = {n} exceeds {delta} of the window total")
 
 
+def _certified_windows(n: int, eps: Fraction) -> SplitWindows:
+    """The windows at (n, eps) that leave out the |Q| >= 2 stratum, certified
+    to miss at most eps of the total F defined in ``approx_count_split``.
+
+    Budget split: delta = eps * SKIP_SHARE (eps / 1024).  The windows come
+    from ``split_windows(n, eps - delta)``, which certifies that each keeps
+    at least (1 - eps + delta) of its full sum, and the two |Q| = n graphs
+    are counted with them, for a total R = w0 + w1 + 2.  The |Q| >= 2
+    stratum is left out: ``_check_q_ge2_negligible`` proves, and checks,
+    U <= delta * R, so F - R <= (eps - delta) * F + U <= eps * F.  Both
+    steps are checked here, before a caller uses or caches the windows.
+    """
+    delta = eps * SKIP_SHARE
+    windows = split_windows(n, eps - delta)
+    _check_q_ge2_negligible(n, delta, windows.w0 + windows.w1 + 2)
+    return windows
+
+
 def approx_count_split(n: int, eps) -> int:
     """(1 - eps)-approximation from below of the two-sided split-graph sum.
 
@@ -374,13 +368,9 @@ def approx_count_split(n: int, eps) -> int:
     F = split_count_q_mid_full(n) + split_count_q0_full(n)
         + split_count_q1_full(n) + 2.
 
-    Budget split: delta = eps * SKIP_SHARE (eps / 1024) and eps_w = eps - delta.
-    The |Q| = 0 and |Q| = 1 windows come from one ``split_windows(n, eps_w)``
-    call, which certifies on every call that each keeps at least (1 - eps_w)
-    of its full sum, and the two |Q| = n graphs are counted.  The |Q| >= 2
-    stratum is left out: ``_check_q_ge2_negligible`` proves, and checks,
-    U <= delta * R, so F - R <= eps_w * F + U <= eps * F.  Both steps are
-    proven and checked, so this bound on F holds unconditionally.
+    R is the window total of ``_certified_windows(n, eps)``, which proves
+    and checks F - R <= eps * F on every call, so this bound on F holds
+    unconditionally.
 
     Requires n >= threshold_f(eps).  What is assumed is that F stands in for
     the number of chordal graphs: that the two-sided sums approximate the
@@ -391,11 +381,8 @@ def approx_count_split(n: int, eps) -> int:
     floor = threshold_f(eps)
     if n < floor:
         raise ValueError(f"approx split counting needs n >= {floor} at this epsilon")
-    delta = eps * SKIP_SHARE
-    windows = split_windows(n, eps - delta)
-    total = windows.w0 + windows.w1 + 2
-    _check_q_ge2_negligible(n, delta, total)
-    return total
+    windows = _certified_windows(n, eps)
+    return windows.w0 + windows.w1 + 2
 
 
 def _takes_exact_path(n: int, eps, share: int, exact_call: str) -> bool:
@@ -512,15 +499,11 @@ _plan_cache: dict[tuple[int, Fraction], SplitWindows] = {}
 
 
 def _split_plan(n: int, eps_work: Fraction) -> SplitWindows:
-    """The windows the sampler draws from at (n, eps_work), cached.
-
-    The |Q| >= 2 stratum is left out under the bound
-    ``_check_q_ge2_negligible`` checks before the windows are cached.
-    """
+    """The windows the sampler draws from at (n, eps_work), cached: those of
+    ``_certified_windows``, which leave out at most eps_work of the total."""
     plan = _plan_cache.get((n, eps_work))
     if plan is None:
-        plan = split_windows(n, eps_work)
-        _check_q_ge2_negligible(n, eps_work * SKIP_SHARE, plan.w0 + plan.w1 + 2)
+        plan = _certified_windows(n, eps_work)
         if len(_plan_cache) >= CACHE_SIZE:
             del _plan_cache[next(iter(_plan_cache))]
         _plan_cache[(n, eps_work)] = plan
@@ -532,10 +515,9 @@ def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
 
     Each iteration picks |Q| = 0, |Q| = 1 or |Q| = n in proportion to the
     window totals w0, w1 and 2, at eps_work = min(eps/2, 1/3).  The windows
-    miss at most eps_work of the two-sided sums (``split_windows`` certifies
-    this when the plan is built), and the left-out |Q| >= 2 stratum at most
-    eps_work/1024 of the total (checked at the same time), so the output is
-    within total variation eps_work + eps_work/1024 <= eps of the uniform
+    and the left-out |Q| >= 2 stratum together miss at most eps_work of the
+    total (``_certified_windows`` certifies this when the plan is built), so
+    the output is within total variation eps_work <= eps of the uniform
     distribution over the graphs the two-sided sums count.  That this is
     uniform over split graphs assumes the two-sided sums equal the true
     stratum counts (see SPLIT_FLOOR).  The expected number of build-and-check

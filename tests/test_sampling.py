@@ -523,9 +523,42 @@ class TestPlanCache:
             s.sample_chordal(12, rng)
             stats = s.plan_stats()
             assert stats["hits"] + stats["misses"] == len(lookups)
-            assert stats["entries"] == sum(map(len, s._plans.values())) <= 200
+            assert stats["entries"] == sum(len(terms) for _, terms in s._plans.values()) <= 200
             assert stats["plans"] == len(s._plans)
         assert stats["hits"] > stats["misses"] > 0
+
+
+class TestTermDecoders:
+    """Every term of every plan a few draws build at n = 10 decodes to members
+    of its class, and distinct blocks of ranks to distinct members; the
+    bijection tests above reach the decoders at n <= 6 only."""
+
+    @pytest.mark.parametrize("omega", [3, 10])
+    def test_first_and_last_rank_of_every_block(self, omega):
+        n = 10
+        ctx = CountingContext(n, omega)
+        s = ChordalSampler(ctx)
+        rng = RandomStream(omega)
+        for _ in range(40):
+            s.sample_chordal(n, rng)
+            s.sample_connected(n, rng)
+        plans = dict(s._plans)  # unranking below reorders and evicts the cache
+        # pinned_proper has no plan of its own: it unranks as pinned_proper_z.
+        want = set(CLASS_ARGS) - {"pinned_proper"} | {"all", "connected"}
+        assert {key[0] for key in plans} == want
+        for (kind, *args), (starts, terms) in plans.items():
+            count = getattr(ctx, "count_" + kind)(*args)
+            ends = starts[1:] + (count,)
+            ranks = {r for start, end in zip(starts, ends) for r in (start, end - 1)}
+            graphs = {s.unrank(kind, args, r) for r in ranks}
+            assert len(graphs) == len(ranks), (kind, args)
+            for g in graphs:
+                if kind in CLASS_ARGS:
+                    assert check_class_membership(kind, args, g, omega), (kind, args, g)
+                else:
+                    assert g.vertices == tuple(range(1, args[0] + 1))
+                    assert is_chordal(g) and max_clique_size(g) <= omega
+                    assert kind == "all" or is_connected(g)
 
 
 class TestConcurrentReads:
