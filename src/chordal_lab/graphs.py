@@ -8,9 +8,10 @@ a graph on ``{2, 5, 9}`` is a different object from its relabeling onto
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, filterfalse, islice, repeat
+from operator import itemgetter, lt
 from typing import Iterable, Mapping, Sequence
 
 
@@ -23,26 +24,33 @@ class LabeledGraph:
 
     Edges are unordered pairs of distinct vertices.  Instances are immutable;
     operations such as :func:`relabel` and :func:`glue` return new graphs.
+
+    Each vertex maps to one ascending tuple of its neighbours, keyed in
+    ascending vertex order: the order in which :meth:`edges` and the writers
+    list them, so reading a graph out sorts nothing.  :meth:`neighbors`
+    builds a frozenset from that tuple on each call.
     """
 
     __slots__ = ("_vertices", "_adj", "_hash")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
-        vset = set()
-        for v in vertices:
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"vertex labels must be positive integers, got {v!r}")
-            vset.add(v)
-        adj: dict[int, set[int]] = {v: set() for v in vset}
+        nbs: dict[int, list[int]] = {v: [] for v in _sorted_labels(vertices)}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._vertices: tuple[int, ...] = tuple(sorted(vset))
-        self._adj: dict[int, frozenset[int]] = {v: frozenset(nb) for v, nb in adj.items()}
+            try:
+                nbs[u].append(v)
+                nbs[v].append(u)
+            except KeyError:
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set") from None
+        lists = nbs.values()
+        for nb in lists:
+            nb.sort()
+        # A repeated edge repeats a neighbour in both of its endpoints' lists.
+        if sum(map(len, map(set, lists))) < sum(map(len, lists)):
+            lists = map(sorted, map(set, lists))
+        self._vertices: tuple[int, ...] = tuple(nbs)
+        self._adj: dict[int, tuple[int, ...]] = dict(zip(nbs, map(tuple, lists)))
         self._hash: int | None = None
 
     @property
@@ -56,28 +64,32 @@ class LabeledGraph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs in lexicographic order."""
         out: list[tuple[int, int]] = []
-        for v in self._vertices:
-            nb = sorted(self._adj[v])
+        for v, nb in self._adj.items():
             out += zip(repeat(v), nb[bisect_right(nb, v):])
         return out
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._adj.values()) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
+        nb = self._adj.get(u, ())
+        i = bisect_left(nb, v)
+        return i < len(nb) and nb[i] == v
 
     def neighbors(self, v: int) -> frozenset[int]:
+        return frozenset(self._neighbor_tuple(v))
+
+    def degree(self, v: int) -> int:
+        return len(self._neighbor_tuple(v))
+
+    def _neighbor_tuple(self, v: int) -> tuple[int, ...]:
         try:
             return self._adj[v]
         except KeyError:
             raise ValueError(f"vertex {v} not in graph") from None
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def induced(self, keep: Iterable[int]) -> "LabeledGraph":
         """The induced subgraph on the given vertex subset."""
@@ -85,24 +97,37 @@ class LabeledGraph:
         missing = ks - set(self._adj)
         if missing:
             raise ValueError(f"vertices {sorted(missing)} not in graph")
-        return _from_adjacency({v: self._adj[v] & ks for v in sorted(ks)})
+        return _from_adjacency({v: tuple(filter(ks.__contains__, self._adj[v]))
+                                for v in sorted(ks)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._adj == other._adj
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._vertices, frozenset(self._adj.items())))
+            self._hash = hash(tuple(self._adj.items()))
         return self._hash
 
     def __repr__(self) -> str:
         return f"LabeledGraph(vertices={list(self._vertices)}, edges={self.edges()})"
 
 
-def _from_adjacency(adj: dict[int, frozenset[int]]) -> LabeledGraph:
-    """A graph with the given neighbour sets, keyed in ascending order; unchecked."""
+def _sorted_labels(vertices: Iterable[int]) -> list[int]:
+    """The distinct labels in ascending order; raises ValueError, naming the
+    first offender, for a label that is not a positive int.  The check runs
+    at C level."""
+    labels = list(vertices)
+    if not all(map(isinstance, labels, repeat(int))) or (labels and min(labels) < 1):
+        bad = next(v for v in labels if not isinstance(v, int) or v < 1)
+        raise ValueError(f"vertex labels must be positive integers, got {bad!r}")
+    return sorted(set(labels))
+
+
+def _from_adjacency(adj: dict[int, tuple[int, ...]]) -> LabeledGraph:
+    """A graph with the given ascending neighbour tuples, keyed in ascending
+    order; unchecked."""
     g = LabeledGraph.__new__(LabeledGraph)
     g._vertices = tuple(adj)
     g._adj = adj
@@ -125,15 +150,18 @@ def graph_from_biadjacency(vertices: Iterable[int], clique: Iterable[int],
     matrix whose length is not ``len(rows) * len(cols)`` or that holds a byte
     other than 0 and 1.  Every check runs at C level per vertex, with no
     Python step per edge.
+
+    Each vertex's neighbour tuple is built straight from ``compress`` over
+    the other side's labels, which is ascending when that side is.  A clique
+    vertex's matrix neighbours are merged with the clique's sorted run
+    without it, by one sort of the two ascending runs.  Only when both
+    ``rows`` and ``cols`` meet the clique can an edge come from both, and
+    only then is a set used to drop the repeats.
     """
-    labels = list(vertices)
-    if not all(map(isinstance, labels, repeat(int))) or (labels and min(labels) < 1):
-        bad = next(v for v in labels if not isinstance(v, int) or v < 1)
-        raise ValueError(f"vertex labels must be positive integers, got {bad!r}")
-    vset = set(labels)
-    clique = frozenset(clique)
-    row_set, col_set = set(rows), set(cols)
-    for name, part in (("clique", clique), ("rows", row_set), ("cols", col_set)):
+    verts = _sorted_labels(vertices)
+    vset = set(verts)
+    clique_set, row_set, col_set = set(clique), set(rows), set(cols)
+    for name, part in (("clique", clique_set), ("rows", row_set), ("cols", col_set)):
         if not part <= vset:
             raise ValueError(f"{name} holds {next(iter(part - vset))!r}, which is not a vertex")
     if len(row_set) < len(rows) or len(col_set) < len(cols):
@@ -145,16 +173,35 @@ def graph_from_biadjacency(vertices: Iterable[int], clique: Iterable[int],
         raise ValueError(f"matrix has {len(matrix)} bytes, not {len(rows)} * {w}")
     if matrix.translate(None, b"\x00\x01"):
         raise ValueError("matrix bytes must be 0 or 1")
-    # Lazy neighbour iterators first, each turned into its vertex's frozenset
-    # by the last pass, so each row and column slice lives only until then.
-    adj = dict.fromkeys(sorted(vset), ())
+    # Lazy neighbour iterators first, each turned into its vertex's tuple by
+    # the last pass, so each row and column slice lives only until then.
+    # compress keeps the order of the side it reads, so a side given out of
+    # order is sorted per vertex.
+    rows_up, cols_up = _ascending(rows), _ascending(cols)
+    adj = dict.fromkeys(verts, ())
     for i, u in enumerate(rows):
-        adj[u] = compress(cols, matrix[i * w:i * w + w])
+        nb = compress(cols, matrix[i * w:i * w + w])
+        adj[u] = nb if cols_up else sorted(nb)
     for j, v in enumerate(cols):
-        adj[v] = compress(rows, matrix[j::w])
+        nb = compress(rows, matrix[j::w])
+        adj[v] = nb if rows_up else sorted(nb)
+    # A matrix edge can repeat a clique edge only when both sides meet the clique.
+    repeats = not (row_set.isdisjoint(clique_set) or col_set.isdisjoint(clique_set))
+    clique = sorted(clique_set)
+    for i, v in enumerate(clique):
+        nb = clique[:i] + clique[i + 1:]
+        nb += adj[v]
+        if repeats:
+            nb = list(set(nb))
+        nb.sort()
+        adj[v] = nb
     for v, nb in adj.items():
-        adj[v] = clique.union(nb).difference((v,)) if v in clique else frozenset(nb)
+        adj[v] = tuple(nb)
     return _from_adjacency(adj)
+
+
+def _ascending(side: Sequence[int]) -> bool:
+    return all(map(lt, side, islice(side, 1, None)))
 
 
 def complete_graph(labels: Iterable[int]) -> LabeledGraph:
@@ -163,8 +210,9 @@ def complete_graph(labels: Iterable[int]) -> LabeledGraph:
 
 
 def complement(g: LabeledGraph) -> LabeledGraph:
-    verts = frozenset(g.vertices)
-    return _from_adjacency({v: verts.difference(g._adj[v], (v,)) for v in g.vertices})
+    verts = g.vertices
+    return _from_adjacency({v: tuple(filterfalse({v, *nb}.__contains__, verts))
+                            for v, nb in g._adj.items()})
 
 
 def phi_map(a: Iterable[int], b: Iterable[int]) -> dict[int, int]:
@@ -216,12 +264,12 @@ def glue(g1: LabeledGraph, g2: LabeledGraph, shared: Iterable[int]) -> LabeledGr
 
 def is_clique(g: LabeledGraph, vs: Iterable[int]) -> bool:
     s = frozenset(vs)
-    return all(s <= g.neighbors(v) | {v} for v in s)
+    return not any(s.difference(g._neighbor_tuple(v), (v,)) for v in s)
 
 
 def is_independent_set(g: LabeledGraph, vs: Iterable[int]) -> bool:
     s = frozenset(vs)
-    return all(not (g.neighbors(v) & s) for v in s)
+    return all(s.isdisjoint(g._neighbor_tuple(v)) for v in s)
 
 
 def is_simplicial(g: LabeledGraph, v: int) -> bool:
@@ -262,7 +310,7 @@ def _evaporate(g: LabeledGraph,
     """Core peeling loop; returns the layers and the largest closed
     neighbourhood a vertex has when it is peeled (0 if none is), or None on
     a stall."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    adj = {v: set(nb) for v, nb in g._adj.items()}
     alive = set(g.vertices)
     layers: list[frozenset[int]] = []
     widest = 0
@@ -334,7 +382,7 @@ def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for u in g.neighbors(v):
+            for u in g._adj[v]:
                 if u not in comp:
                     comp.add(u)
                     frontier.append(u)
@@ -363,8 +411,9 @@ class SplitPartition:
 
 def _find_one_split_partition(g: LabeledGraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """Degree-sequence test; returns one (clique side, independent side) or None."""
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
+    adj = g._adj
+    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    degs = [len(adj[v]) for v in order]
     n = len(order)
     m = 0
     for i in range(1, n + 1):
@@ -390,6 +439,7 @@ def split_partition(g: LabeledGraph) -> SplitPartition | None:
     first = _find_one_split_partition(g)
     if first is None:
         return None
+    nbs = {v: frozenset(nb) for v, nb in g._adj.items()}
     seen = {first}
     stack = [first]
     clique_ever: set[int] = set()
@@ -399,13 +449,13 @@ def split_partition(g: LabeledGraph) -> SplitPartition | None:
         clique_ever |= cset
         indep_ever |= iset
         for v in cset:
-            if not (g.neighbors(v) & iset):
+            if nbs[v].isdisjoint(iset):
                 nxt = (cset - {v}, iset | {v})
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
         for u in iset:
-            if cset <= g.neighbors(u):
+            if cset <= nbs[u]:
                 nxt = (cset | {u}, iset - {u})
                 if nxt not in seen:
                     seen.add(nxt)
@@ -423,36 +473,28 @@ def split_partition(g: LabeledGraph) -> SplitPartition | None:
 # Serialization
 # ---------------------------------------------------------------------------
 
-# Edges per vertex from which one join per vertex writes the edge list faster
-# than one f-string per edge after one sort of all edges (CPython 3.11 on
-# x86-64, random graphs at n = 30, 100 and 300: the two cross between 4 and
-# 5).  Samples of the bounded class average 1.7 edges per vertex and those of
-# the exact class at n = 20 about 4.2; split samples at n = 1000 have 250.
-_JOIN_DENSITY = 5
-
-
 def to_edge_list_text(g: LabeledGraph) -> str:
     """Edge-list form: first line "n m", then one "u v" line per edge.
 
-    Only defined for graphs whose vertex set is {1, ..., n}.
+    Only defined for graphs whose vertex set is {1, ..., n}.  Each vertex's
+    lines are the part of its neighbour tuple above it, already in order,
+    written with one join.
     """
     n = g.n
     if g.vertices != tuple(range(1, n + 1)):
         raise ValueError("edge-list form requires vertex set {1..n}")
-    m = g.edge_count()
-    adj = g._adj
-    lines = [f"{n} {m}"]
-    if m < _JOIN_DENSITY * n:
-        pairs = sorted([(v, u) for v in g.vertices for u in adj[v] if u > v])
-        lines += [f"{v} {u}" for v, u in pairs]
-    else:
-        # Label strings made once and shared by every line that uses them.
-        names = list(map(str, range(n + 1)))
-        for v in g.vertices:
-            nb = sorted(adj[v])
-            if nb and nb[-1] > v:
-                above = map(names.__getitem__, nb[bisect_right(nb, v):])
-                lines.append(f"{v} " + f"\n{v} ".join(above))
+    # Label strings made once and shared by every line that uses them.
+    names = list(map(str, range(n + 1)))
+    lines = [f"{n} {g.edge_count()}"]
+    for v, nb in g._adj.items():
+        if nb and nb[-1] > v:
+            above = nb[bisect_right(nb, v):]
+            head = names[v] + " "
+            if len(above) > 1:
+                lines.append(head + ("\n" + head).join(itemgetter(*above)(names)))
+            else:
+                # itemgetter of one index returns the string, not a 1-tuple.
+                lines.append(head + names[above[0]])
     lines.append("")
     return "\n".join(lines)
 

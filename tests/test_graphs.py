@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -30,6 +31,8 @@ from chordal_lab.graphs import (
     to_json_dict,
 )
 from chordal_lab.bruteforce import enumerate_graphs
+from chordal_lab.sampling import RandomStream
+from chordal_lab.splits import _build_low_q, approx_sample_chordal
 from conftest import adjacency_masks_of, has_long_induced_cycle, random_chordal_graph
 
 
@@ -226,6 +229,138 @@ class TestGraphFromNeighbors:
     def test_rejects_matrix_bytes_other_than_0_and_1(self, matrix):
         with pytest.raises(ValueError, match="0 or 1"):
             graph_from_biadjacency([1, 2, 3], [], [1], [2, 3], matrix)
+
+
+def route_edges(seed):
+    """Edge constructor, each edge given in both orientations and some twice."""
+    labels, edges = random_labeled_graph(seed)
+    given = edges + [(v, u) for u, v in reversed(edges)] + edges[::3]
+    return LabeledGraph(labels, given), labels, edges
+
+
+def route_biadjacency(seed):
+    """Rows and cols in the random order of ``random_biadjacency``."""
+    labels, clique, rows, cols, matrix = random_biadjacency(seed)
+    g = graph_from_biadjacency(reversed(labels), clique, rows, cols, matrix)
+    return g, labels, biadjacency_edges(clique, rows, cols, matrix)
+
+
+def route_biadjacency_clique_across(seed):
+    """The clique meets both rows and cols, so a matrix edge can repeat a
+    clique edge."""
+    labels, _, rows, cols, matrix = random_biadjacency(seed)
+    clique = rows[::2] + cols[::2]
+    g = graph_from_biadjacency(labels, clique, rows, cols, matrix)
+    return g, labels, biadjacency_edges(clique, rows, cols, matrix)
+
+
+def route_induced(seed):
+    labels, edges = random_labeled_graph(seed)
+    if seed % 2:
+        keep = random.Random(seed).sample(labels, len(labels) // 2)
+    else:
+        keep = labels[:len(labels) // 2]
+    ks = set(keep)
+    want = [(u, v) for u, v in edges if u in ks and v in ks]
+    return LabeledGraph(labels, edges).induced(keep), keep, want
+
+
+def route_complement(seed):
+    labels, edges = random_labeled_graph(seed)
+    present = set(map(frozenset, edges))
+    want = [p for p in combinations(labels, 2) if frozenset(p) not in present]
+    return complement(LabeledGraph(labels, edges)), labels, want
+
+
+def route_complete_graph(seed):
+    labels, _ = random_labeled_graph(seed)
+    shuffled = random.Random(seed).sample(labels, len(labels))
+    return complete_graph(shuffled), labels, list(combinations(labels, 2))
+
+
+def route_edge_list_text(seed):
+    """Lines shuffled, each edge in a random orientation."""
+    labels, edges = random_labeled_graph(seed)
+    n = max(labels, default=0)
+    rnd = random.Random(seed)
+    lines = [f"{v} {u}" if rnd.random() < 0.5 else f"{u} {v}" for u, v in edges]
+    rnd.shuffle(lines)
+    text = "\n".join([f"{n} {len(edges)}"] + lines) + "\n"
+    return from_edge_list_text(text), range(1, n + 1), edges
+
+
+def route_split_sample(seed):
+    """A split sampler draw at n = 200: |Q| = 0 or 1, with the cyan side as
+    rows or as cols."""
+    n, c, with_witness = 200, (90, 110)[seed % 2], seed % 4 >= 2
+    rng = RandomStream(seed)
+    draw = None
+    while draw is None:
+        draw = _build_low_q(n, c, with_witness, rng)
+    g = draw.graph
+    clique = sorted(draw.cyan | draw.swing)
+    want = list(combinations(clique, 2)) + [
+        (u, v) for u in draw.indigo for v in draw.cyan if g.has_edge(u, v)]
+    return g, range(1, n + 1), want
+
+
+GRAPH_ROUTES = [route_edges, route_biadjacency, route_biadjacency_clique_across,
+                route_induced, route_complement, route_complete_graph,
+                route_edge_list_text, route_split_sample]
+
+
+class TestNeighbourTuples:
+    """Every route that builds a graph stores each vertex's neighbours as one
+    strictly increasing tuple, and every reader agrees with the definition."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("route", GRAPH_ROUTES, ids=lambda r: r.__name__[6:])
+    def test_route_stores_sorted_symmetric_tuples(self, route, seed):
+        g, vertices, edges = route(seed)
+        want = sorted({(min(e), max(e)) for e in edges})
+        adj = g._adj
+        assert list(adj) == sorted(set(vertices)) == list(g.vertices)
+        for v, nb in adj.items():
+            assert type(nb) is tuple
+            assert all(a < b for a, b in zip(nb, nb[1:]))
+            assert v not in nb and all(v in adj[u] for u in nb)
+            assert type(g.neighbors(v)) is frozenset and g.neighbors(v) == set(nb)
+            assert g.degree(v) == len(nb)
+        assert g.edges() == seed_edges(g) == want
+        if g.vertices == tuple(range(1, g.n + 1)):
+            assert to_edge_list_text(g) == seed_edge_list_text(g)
+        other = LabeledGraph(sorted(vertices, reverse=True), [(v, u) for u, v in want])
+        assert g == other and hash(g) == hash(other)
+
+    def test_routes_reach_canonical_and_gapped_labels(self):
+        canonical = {r.__name__ for r in GRAPH_ROUTES for seed in range(8)
+                     if (g := r(seed)[0]).n > 1 and g.vertices == tuple(range(1, g.n + 1))}
+        gapped = {r.__name__ for r in GRAPH_ROUTES for seed in range(8)
+                  if (g := r(seed)[0]).vertices != tuple(range(1, g.n + 1))}
+        names = {r.__name__ for r in GRAPH_ROUTES}
+        assert canonical == names
+        assert gapped == names - {"route_edge_list_text", "route_split_sample"}
+
+    def test_has_edge_bisects_the_tuple(self):
+        g = LabeledGraph([2, 5, 9, 12], [(2, 9), (9, 12)])
+        assert [g.has_edge(9, u) for u in (1, 2, 5, 9, 12, 13)] == [
+            False, True, False, False, True, False]
+        assert not g.has_edge(7, 9) and not g.has_edge(9, 7)
+
+    def test_split_sample_retains_at_most_8_mb(self):
+        # About 250k edges: ascending tuples hold them in about 4 MB, where a
+        # frozenset per vertex held about 20 MB.
+        rng = RandomStream(2025)
+        approx_sample_chordal(1000, "1e-3", rng)  # builds the plan
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = approx_sample_chordal(1000, "1e-3", rng)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count() > 200_000
+        assert kept <= 8_000_000
 
 
 class TestPhiMap:
@@ -595,16 +730,20 @@ class TestSerialization:
 
     @pytest.mark.parametrize("seed", range(0, 80, 2))
     def test_edge_list_text_matches_one_line_per_sorted_edge(self, seed):
-        # Even seeds give labels 1..n; densities reach both sides of the
-        # per-vertex join threshold.
+        # Even seeds give labels 1..n; densities run from empty to complete.
         g = LabeledGraph(*random_labeled_graph(seed))
         assert to_edge_list_text(g) == seed_edge_list_text(g)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 40])
     def test_edge_list_text_of_complete_and_empty_graphs(self, n):
-        # K_10 has 4.5 edges per vertex and K_11 5: either side of the threshold.
         for g in (complete_graph(range(1, n + 1)), LabeledGraph(range(1, n + 1))):
             assert to_edge_list_text(g) == seed_edge_list_text(g)
+
+    def test_edge_list_text_of_one_neighbour_above(self):
+        # Vertices 1 and 10 each have one neighbour above them, with a
+        # two-digit label that a join over its characters would split.
+        g = LabeledGraph(range(1, 13), [(12, 1), (3, 10), (3, 11), (10, 12)])
+        assert to_edge_list_text(g) == "12 4\n1 12\n3 10\n3 11\n10 12\n"
 
     def test_json_roundtrip(self):
         g = LabeledGraph([2, 5, 9], [(2, 5), (5, 9)])
