@@ -32,9 +32,7 @@ def allow_huge_decimal_output() -> None:
     is for callers that ``str()`` counts of n*n bits themselves.
     """
     try:
-        import sys as _sys
-
-        _sys.set_int_max_str_digits(max(_sys.get_int_max_str_digits(), 50_000_000))
+        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 50_000_000))
     except AttributeError:
         pass  # interpreter without the guard prints any size already
 
@@ -140,11 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count and uniformly sample labeled chordal graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, sampling=False, approx=False):
+    def add_common(p, sampling=False, approx=False, omega=True):
         p.add_argument("--n", type=int, required=True, help="number of vertices")
         if not approx:
-            p.add_argument("--omega", type=int, default=None,
-                           help="color budget (default n; clamped to n)")
+            if omega:
+                p.add_argument("--omega", type=int, default=None,
+                               help="color budget (default n; clamped to n)")
             p.add_argument("--allow-large", action="store_true",
                            help="run an exact fill larger than the one at n = omega = 30 "
                                 "(it may take hours)")
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("tables", help="CSV of counts for n' = 1..n")
-    add_common(p)
+    add_common(p, omega=False)  # the rows fix omega: n' or, with --by-omega, every value
     p.add_argument("--by-omega", action="store_true",
                    help="one row per (n', omega) pair instead of omega = n'")
     p.set_defaults(func=cmd_tables)

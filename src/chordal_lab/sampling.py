@@ -14,7 +14,7 @@ import os
 import random
 from bisect import bisect_right
 from itertools import accumulate, combinations, product
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .counting import CountingContext, class_params
@@ -26,10 +26,11 @@ _MASK64 = (1 << 64) - 1
 
 # Terms a sampler's plan cache keeps, over all its plans (the cache bound
 # beside splits.CACHE_SIZE).  The largest plan at n = omega = 30 holds 956.
-# 2**13 terms retain 0.9-1.2 MB at (n, omega) = (20, 20), (30, 30) and
-# (40, 3) (tracemalloc, 64-bit CPython 3.11) and keep most of the gain;
-# 2**14 and 2**15 ran faster but raised the peak RSS of 10 s of sampling at
-# n = 40, omega = 3 by 8-10 % (from 26.7 MB).
+# 2**13 terms, each with its start and radices, retain 1.8-1.9 MB after
+# 2,000 draws at (n, omega) = (20, 20), (30, 30) and (40, 3) (tracemalloc,
+# 64-bit CPython 3.11) and keep most of the gain; 2**14 and 2**15 ran faster
+# but raised the peak RSS of 10 s of sampling at n = 40, omega = 3 by
+# 8-10 % (from 26.7 MB, when a term kept no radices).
 PLAN_ENTRIES = 1 << 13
 
 
@@ -133,30 +134,32 @@ class ChordalSampler:
     class ``CountingContext.count_<kind>`` counts.  It takes the arguments
     ``CLASS_ARGS[kind]`` names (or ``n`` for "all" and "connected"), then the
     rank ``r``, ``labels`` (``labels[i]`` is the label of canonical vertex
-    i + 1) and an ``edges`` list it appends to.  At each node it picks the
-    term whose block holds r, which names the part sizes and contacts, then
-    splits the remainder by divmod into the indices of the parts' label
-    subsets and the parts' own ranks, so the parts receive their labels
-    before they recurse and a sample builds one graph, at the end.  Each
-    edge is appended once: the clique on the class's given labels
-    (``labels[:x]``, or ``labels[:x + l]`` where the kind has a layer) by
-    :meth:`unrank`, a layer's edges where the layer is picked.
+    i + 1) and an ``edges`` list it appends to.  At each node :meth:`_term`
+    picks the term whose block holds r, which names the part sizes and
+    contacts, and reads the remainder as mixed-radix digits: the indices of
+    the parts' label subsets and the ranks of all parts but the last, which
+    takes the rank left over.  So the parts receive their labels before they
+    recurse and a sample builds one graph, at the end.  Each edge is appended
+    once: the clique on the class's given labels (``labels[:x]``, or
+    ``labels[:x + l]`` where the kind has a layer) by :meth:`unrank`, a
+    layer's edges where the layer is picked.
 
-    A node's *plan* holds its nonzero-weight terms and the rank at which each
-    term's block starts.  ``_weigh_<kind>`` weighs the terms through the
-    validating ``count_*`` accessors the first time the node is met, and the
-    plan is kept in a least-recently-used cache.  The cache holds at most
-    ``PLAN_ENTRIES`` terms in all, about a megabyte at the sizes measured; a
-    draw that meets an evicted node weighs it again.  ``ops`` counts the
-    weight terms plan builds have evaluated since construction, so a draw
-    that meets only cached nodes adds none, and :meth:`plan_stats` reports
-    the cache.
+    A node's *plan* holds its nonzero-weight terms, the rank at which each
+    term's block starts and each term's radices.  ``_weigh_<kind>`` states
+    the node's recurrence once: it yields each term with its radices and the
+    count of its last part, read through the validating ``count_*``
+    accessors, the first time the node is met, and the plan is kept in a
+    least-recently-used cache.  The cache holds at most ``PLAN_ENTRIES``
+    terms in all, a megabyte or two at the sizes measured; a draw that meets
+    an evicted node weighs it again.  ``ops`` counts the terms the weighers
+    have yielded to plan builds since construction, so a draw that meets
+    only cached nodes adds none, and :meth:`plan_stats` reports the cache.
     """
 
     def __init__(self, ctx: CountingContext):
         self.ctx = ctx
         self.ops = 0
-        self._plans: dict[tuple, tuple[tuple[int, ...], tuple]] = {}  # least recently used first
+        self._plans: dict[tuple, tuple] = {}  # (starts, terms, radices), least recently used first
         self._entries = 0
         self._hits = 0
         self._misses = 0
@@ -219,15 +222,17 @@ class ChordalSampler:
     # -- plans ---------------------------------------------------------------
 
     def _term(self, key: tuple, r: int) -> tuple:
-        """(term, r minus the weights of the terms before it) for the term
-        whose block of ranks holds r at node ``key`` = (kind, *args).
+        """(term, digits, rest rank) for the term whose block of ranks holds r
+        at node ``key`` = (kind, *args).
 
-        A node's plan is two tuples over its nonzero-weight terms in order:
-        ``starts``, where each term's block of ranks starts (the sum of the
-        weights before it), and ``terms``.  The last start at most r begins
-        the block holding r, and bisect_right finds it.  A zero-weight term
-        has an empty block, so leaving it out picks the same term as scanning
-        every weight in order would.
+        A node's plan is three parallel tuples over its nonzero-weight terms
+        in order: ``starts``, where each term's block of ranks starts (the sum
+        of the weights before it), ``terms`` and ``radices``.  The last start
+        at most r begins the block holding r, and bisect_right finds it.  A
+        zero-weight term has an empty block, so leaving it out picks the same
+        term as scanning every weight in order would.  r's offset in the block
+        is read in the term's radices, least significant digit first; the rest
+        rank, below the count of the term's last part, is what is left.
         """
         plans = self._plans
         plan = plans.get(key)
@@ -236,26 +241,36 @@ class ChordalSampler:
         else:
             plans[key] = plans.pop(key)  # now the most recently used
             self._hits += 1
-        starts, terms = plan
+        starts, terms, radices = plan
         i = bisect_right(starts, r) - 1
-        return terms[i], r - starts[i]
+        r -= starts[i]
+        digits = []
+        for radix in radices[i]:
+            r, digit = divmod(r, radix)
+            digits.append(digit)
+        return terms[i], digits, r
 
-    def _build(self, key: tuple) -> tuple[tuple[int, ...], tuple]:
+    def _build(self, key: tuple) -> tuple[tuple[int, ...], tuple, tuple]:
         """Weigh a node with ``_weigh_<kind>``, cache its plan and evict the
         least recently used plans until at most PLAN_ENTRIES terms are kept."""
         self._misses += 1
         kind, *args = key
         starts = []
         terms = []
-        start = 0
-        for term, w in getattr(self, "_weigh_" + kind)(*args):
+        term_radices = []
+        start = weighed = 0
+        for term, radices, last in getattr(self, "_weigh_" + kind)(*args):
+            weighed += 1
+            w = prod(radices) * last
             if w:
                 starts.append(start)
                 terms.append(term)
+                term_radices.append(radices)
                 start += w
+        self.ops += weighed
         if start != getattr(self.ctx, "count_" + kind)(*args):
             raise AssertionError(f"the weights of {kind}{tuple(args)} do not sum to its count")
-        plan = tuple(starts), tuple(terms)
+        plan = tuple(starts), tuple(terms), tuple(term_radices)
         plans = self._plans
         plans[key] = plan
         self._entries += len(terms)
@@ -265,80 +280,72 @@ class ChordalSampler:
 
     # -- one procedure per counted class --------------------------------------
     #
-    # _weigh_<kind> yields (term, weight) for each term of a node, in the
-    # order that fixes the blocks of ranks; _unrank_<kind> unpacks the term
-    # _term picks.  A term names the choices it stands for: a part size, or
-    # a tuple of them where a node chooses more than one thing.
+    # _weigh_<kind> states a node's recurrence once: it yields (term, radices,
+    # last) for each term, in the order that fixes the blocks of ranks, and
+    # the term's weight is prod(radices) * last, last counting its last part.
+    # _unrank_<kind> unpacks the term, one digit per radix and the last
+    # part's rank, as _term returns them.  A term names the choices it stands
+    # for: a part size, or a tuple of them where a node chooses more than one.
 
     def _weigh_all(self, m: int):
         ctx = self.ctx
-        self.ops += m
         for k in range(1, m + 1):
-            yield k, comb(m - 1, k - 1) * ctx.count_connected(k) * ctx.count_all(m - k)
+            yield k, (comb(m - 1, k - 1), ctx.count_connected(k)), ctx.count_all(m - k)
 
     def _unrank_all(self, n: int, r: int, labels: list[int], edges: list) -> None:
         # Split off the component holding the first remaining label, as
         # count_all does, until no label is left.
-        ctx = self.ctx
         rest = labels
         while rest:
-            m = len(rest)
-            k, r = self._term(("all", m), r)
-            r, s = divmod(r, comb(m - 1, k - 1))
-            r, r_comp = divmod(r, ctx.count_connected(k))
+            k, (s, r_comp), r = self._term(("all", len(rest)), r)
             first = rest[0]
             component, rest = _split(rest[1:], k - 1, s)
             self._unrank_connected(k, r_comp, [first] + component, edges)
 
     def _weigh_connected(self, n: int):
         ctx = self.ctx
-        self.ops += n
         for t in range(1, n + 1):
-            yield t, ctx.count_exact_single(t, 0, n)
+            yield t, (), ctx.count_exact_single(t, 0, n)
 
     def _unrank_connected(self, n: int, r: int, labels: list[int], edges: list) -> None:
-        t, r = self._term(("connected", n), r)
+        t, _, r = self._term(("connected", n), r)
         self._unrank_exact_single(t, 0, n, r, labels, edges)
 
     def _weigh_within(self, t: int, x: int, k: int, z: int):
         ctx = self.ctx
-        self.ops += k + 1
         for k2 in range(k + 1):
             a = ctx.count_exact(t, x, k2, z)
-            yield k2, comb(k, k2) * a * ctx.count_within(t - 1, x, k - k2, z) if a else 0
+            if a:
+                yield k2, (comb(k, k2), a), ctx.count_within(t - 1, x, k - k2, z)
 
     def _unrank_within(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
                        edges: list) -> None:
         # The k2 free vertices whose components finish in round t, then the
         # rest within t - 1 rounds, looping (t may exceed the last round by
         # far) until no free vertex is left.
-        ctx = self.ctx
         root, free = labels[:x], labels[x:]
         while free:
-            k = len(free)
-            k2, r = self._term(("within", t, x, k, z), r)
-            r, s = divmod(r, comb(k, k2))
-            r, r_exact = divmod(r, ctx.count_exact(t, x, k2, z))
+            k2, (s, r_exact), r = self._term(("within", t, x, len(free), z), r)
             chosen, free = _split(free, k2, s)
             if chosen:
                 self._unrank_exact(t, x, k2, z, r_exact, root + chosen, edges)
             t -= 1
 
     def _weigh_root_components(self, proper: bool, t: int, x: int, k: int, z: int):
-        # Term (k2, x2): a first component of k2 vertices with root contact x2.
+        # Term (k2, x2): a first component of k2 vertices with root contact x2,
+        # one of the x2-subsets of the root that escape the first z labels.
         ctx = self.ctx
         count_rest = ctx.count_exact_proper if proper else ctx.count_exact
         contacts = [comb(x, x2) - comb(z, x2) for x2 in range(x if proper else x + 1)]
-        self.ops += k * (len(contacts) - 1)
         for k2 in range(1, k + 1):
             rest = count_rest(t, x, k - k2, z)
             if not rest:
                 continue
-            share = comb(k - 1, k2 - 1) * rest
+            b = comb(k - 1, k2 - 1)
             for x2 in range(1, len(contacts)):
                 single = ctx.count_exact_single(t, x2, k2)
                 if single:
-                    yield (k2, x2), contacts[x2] * share * single
+                    yield (k2, x2), (contacts[x2], b, single), rest
 
     def _unrank_root_components(self, proper: bool, t: int, x: int, k: int, z: int, r: int,
                                 labels: list[int], edges: list) -> None:
@@ -346,11 +353,8 @@ class ChordalSampler:
         the first free vertex, with root contact x2 (below x if proper)."""
         if k == 0:
             return
-        (k2, x2), r = self._term(("exact_proper" if proper else "exact", t, x, k, z), r)
-        # Root contacts of x2 labels that escape the first z.
-        r, c = divmod(r, comb(x, x2) - comb(z, x2))
-        r, s = divmod(r, comb(k - 1, k2 - 1))
-        r_rest, r_comp = divmod(r, self.ctx.count_exact_single(t, x2, k2))
+        key = ("exact_proper" if proper else "exact", t, x, k, z)
+        (k2, x2), (c, s, r_comp), r_rest = self._term(key, r)
         root, free = labels[:x], labels[x:]
         # In colex order the subsets inside root[:z] take the ranks below C(z, x2).
         contact, _ = _split(root, x2, comb(z, x2) + c)
@@ -374,14 +378,12 @@ class ChordalSampler:
 
     def _weigh_exact_single(self, t: int, x: int, k: int):
         ctx = self.ctx
-        self.ops += k
         for l in range(1, k + 1):
-            yield l, comb(k, l) * ctx.count_pinned(t, x, l, k - l)
+            yield l, (comb(k, l),), ctx.count_pinned(t, x, l, k - l)
 
     def _unrank_exact_single(self, t: int, x: int, k: int, r: int, labels: list[int],
                              edges: list) -> None:
-        l, r = self._term(("exact_single", t, x, k), r)
-        r, s = divmod(r, comb(k, l))
+        l, (s,), r = self._term(("exact_single", t, x, k), r)
         root = labels[:x]
         layer, rest = _split(labels[x:], l, s)
         edges.extend(product(layer, root))
@@ -392,21 +394,18 @@ class ChordalSampler:
         # Term (k2, more): the first component has k2 vertices, then one
         # further component, or at least two if more.
         ctx = self.ctx
-        self.ops += 2 * k
         for more in (False, True):
             count_rest = ctx.count_exact_multi if more else ctx.count_exact_single
             for k2 in range(1, k):
                 single = ctx.count_exact_single(t, x, k2)
                 if single:
-                    yield (k2, more), comb(k - 1, k2 - 1) * single * count_rest(t, x, k - k2)
+                    yield (k2, more), (comb(k - 1, k2 - 1), single), count_rest(t, x, k - k2)
 
     def _unrank_exact_multi(self, t: int, x: int, k: int, r: int, labels: list[int],
                             edges: list) -> None:
         # The component holding the first free vertex, then one further
         # component or at least two.
-        (k2, more), r = self._term(("exact_multi", t, x, k), r)
-        r, s = divmod(r, comb(k - 1, k2 - 1))
-        r_rest, r_comp = divmod(r, self.ctx.count_exact_single(t, x, k2))
+        (k2, more), (s, r_comp), r_rest = self._term(("exact_multi", t, x, k), r)
         root, free = labels[:x], labels[x:]
         component, rest = _split(free[1:], k2 - 1, s)
         self._unrank_exact_single(t, x, k2, r_comp, root + [free[0]] + component, edges)
@@ -417,18 +416,16 @@ class ChordalSampler:
 
     def _weigh_pinned(self, t: int, x: int, l: int, k: int):
         ctx = self.ctx
-        self.ops += k
         for k2 in range(1, k + 1):
             a = ctx.count_pinned_exact(t, x, l, k2)
-            yield k2, comb(k, k2) * a * ctx.count_within(t - 2, x + l, k - k2, x) if a else 0
+            if a:
+                yield k2, (comb(k, k2), a), ctx.count_within(t - 2, x + l, k - k2, x)
 
     def _unrank_pinned(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
                        edges: list) -> None:
         if t == 1 and k == 0:
             return
-        k2, r = self._term(("pinned", t, x, l, k), r)
-        r, s = divmod(r, comb(k, k2))
-        r_rest, r_exact = divmod(r, self.ctx.count_pinned_exact(t, x, l, k2))
+        k2, (s, r_exact), r_rest = self._term(("pinned", t, x, l, k), r)
         hull = labels[:x + l]
         chosen, rest = _split(labels[x + l:], k2, s)
         self._unrank_pinned_exact(t, x, l, k2, r_exact, hull + chosen, edges)
@@ -440,36 +437,31 @@ class ChordalSampler:
         # or at least two if more.
         ctx = self.ctx
         xl = x + l
-        self.ops += 1 + 2 * k
-        yield None, ctx.count_pinned_proper(t, x, l, k)
+        yield None, (), ctx.count_pinned_proper(t, x, l, k)
         for k2 in range(1, k + 1):
             one = ctx.count_exact_single(t - 1, xl, k2)
             if one:
-                yield (k2, False), comb(k, k2) * one * ctx.count_pinned_proper(t, x, l, k - k2)
+                yield (k2, False), (comb(k, k2), one), ctx.count_pinned_proper(t, x, l, k - k2)
         for k2 in range(1, k + 1):
             more = ctx.count_exact_multi(t - 1, xl, k2)
             # more is 0 at t = 1, below the rounds exact_proper accepts.
             if more:
-                yield (k2, True), comb(k, k2) * more * ctx.count_exact_proper(t - 1, xl, k - k2, x)
+                yield (k2, True), (comb(k, k2), more), ctx.count_exact_proper(t - 1, xl, k - k2, x)
 
     def _unrank_pinned_exact(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
                              edges: list) -> None:
-        term, r = self._term(("pinned_exact", t, x, l, k), r)
+        term, digits, r_rest = self._term(("pinned_exact", t, x, l, k), r)
         if term is None:
-            self._unrank_pinned_proper(t, x, l, k, r, labels, edges)
+            self._unrank_pinned_proper(t, x, l, k, r_rest, labels, edges)
             return
-        ctx = self.ctx
         xl = x + l
-        k2, more = term
-        r, s = divmod(r, comb(k, k2))
+        (k2, more), (s, r_seeing) = term, digits
         hull = labels[:xl]
         chosen, rest = _split(labels[xl:], k2, s)
         if more:
-            r_rest, r_seeing = divmod(r, ctx.count_exact_multi(t - 1, xl, k2))
             self._unrank_exact_multi(t - 1, xl, k2, r_seeing, hull + chosen, edges)
             self._unrank_exact_proper(t - 1, xl, k - k2, x, r_rest, hull + rest, edges)
         else:
-            r_rest, r_seeing = divmod(r, ctx.count_exact_single(t - 1, xl, k2))
             self._unrank_exact_single(t - 1, xl, k2, r_seeing, hull + chosen, edges)
             self._unrank_pinned_proper(t, x, l, k - k2, r_rest, hull + rest, edges)
 
@@ -479,9 +471,9 @@ class ChordalSampler:
 
     def _weigh_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int):
         # Term (k2, l2, x2): the first component has k2 vertices and touches
-        # x2 root labels and l2 layer labels.
+        # x2 root labels and l2 layer labels.  If it misses the layer, its
+        # root contact must escape the first z root labels.
         ctx = self.ctx
-        self.ops += k * (x + 1) * (l + 1)
         for k2 in range(1, k + 1):
             singles = [ctx.count_exact_single(t - 1, m, k2) for m in range(x + l)]
             if not any(singles):  # always so at t = 1, below exact_proper's rounds
@@ -492,22 +484,18 @@ class ChordalSampler:
                         else ctx.count_exact_proper(t - 1, x + l, k - k2, z))
                 if not rest:
                     continue
-                share = b * comb(l, l2) * rest
+                layer_contacts = comb(l, l2)
                 for x2 in range(x + 1 if l2 < l else x):
                     contacts = comb(x, x2) - (0 if l2 else comb(z, x2))
-                    yield (k2, l2, x2), contacts * singles[x2 + l2] * share
+                    yield (k2, l2, x2), (contacts, layer_contacts, b, singles[x2 + l2]), rest
 
     def _unrank_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int, r: int,
                                 labels: list[int], edges: list) -> None:
         # The component holding the first free vertex has k2 vertices and
         # touches x2 root labels and l2 layer labels, a proper nonempty part
-        # of root-plus-layer.  If it misses the layer, its root contact must
-        # escape the first z root labels.
-        (k2, l2, x2), r = self._term(("pinned_proper_z", t, x, l, k, z), r)
-        r, c = divmod(r, comb(x, x2) - (0 if l2 else comb(z, x2)))
-        r, c_layer = divmod(r, comb(l, l2))
-        r, s = divmod(r, comb(k - 1, k2 - 1))
-        r_rest, r_comp = divmod(r, self.ctx.count_exact_single(t - 1, x2 + l2, k2))
+        # of root-plus-layer.
+        key = ("pinned_proper_z", t, x, l, k, z)
+        (k2, l2, x2), (c, c_layer, s, r_comp), r_rest = self._term(key, r)
 
         # The [1, z] prefix is positional: a contact that must escape it has
         # colex rank at least C(z, x2).
@@ -531,6 +519,17 @@ class ChordalSampler:
 # Conveniences
 # ---------------------------------------------------------------------------
 
+def _context(n: int, omega: int | None, ctx: CountingContext | None) -> CountingContext:
+    """``ctx``, or a new ``CountingContext(n, omega)`` if it is None; raises
+    ValueError if a given ``omega`` and ``ctx.omega`` differ once clamped to n
+    (every budget of n or more allows every graph on [n])."""
+    if ctx is None:
+        return CountingContext(n, omega)
+    if omega is not None and min(omega, n) != min(ctx.omega, n):
+        raise ValueError(f"omega = {omega} differs from the given context's omega = {ctx.omega}")
+    return ctx
+
+
 def sample_chordal(n: int, omega: int | None = None, seed: int | None = None,
                    ctx: CountingContext | None = None) -> LabeledGraph:
     """One uniform w-colorable chordal graph on [n].
@@ -539,10 +538,9 @@ def sample_chordal(n: int, omega: int | None = None, seed: int | None = None,
     fill, and every call builds a new :class:`ChordalSampler` and weighs
     every node it meets from scratch; for many draws, hold one context and
     one sampler (``ChordalSampler(CountingContext(n, omega)).sample_chordal(n, rng)``).
+    An ``omega`` given with a ``ctx`` of another color budget raises ValueError.
     """
-    if ctx is None:
-        ctx = CountingContext(n, omega)
-    return ChordalSampler(ctx).sample_chordal(n, RandomStream(seed))
+    return ChordalSampler(_context(n, omega, ctx)).sample_chordal(n, RandomStream(seed))
 
 
 def sample_connected_chordal(n: int, omega: int | None = None, seed: int | None = None,
@@ -553,7 +551,6 @@ def sample_connected_chordal(n: int, omega: int | None = None, seed: int | None 
     fill, and every call builds a new :class:`ChordalSampler` and weighs
     every node it meets from scratch; for many draws, hold one context and
     one sampler (``ChordalSampler(CountingContext(n, omega)).sample_connected(n, rng)``).
+    An ``omega`` given with a ``ctx`` of another color budget raises ValueError.
     """
-    if ctx is None:
-        ctx = CountingContext(n, omega)
-    return ChordalSampler(ctx).sample_connected(n, RandomStream(seed))
+    return ChordalSampler(_context(n, omega, ctx)).sample_connected(n, RandomStream(seed))

@@ -216,6 +216,13 @@ class TestTables:
         code, _, err = run_cli(["tables", "--n", "0"], capsys)
         assert code == 1 and "n >= 1" in err
 
+    def test_rejects_omega(self, capsys):
+        # the rows fix omega themselves, so the flag would do nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--n", "4", "--omega", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --omega 2" in capsys.readouterr().err
+
     def test_by_omega_output_is_pinned(self, capsys):
         code, out, _ = run_cli(["tables", "--n", "12", "--by-omega"], capsys)
         assert code == 0

@@ -182,6 +182,19 @@ class TestSampleChordal:
         h = sample_connected_chordal(4, omega=2, seed=5)
         assert is_connected(h) and max_clique_size(h) <= 2
 
+    @pytest.mark.parametrize("wrapper", [sample_chordal, sample_connected_chordal])
+    def test_convenience_wrappers_check_omega_against_ctx(self, wrapper):
+        ctx = CountingContext(10)
+        with pytest.raises(ValueError, match="omega"):
+            wrapper(10, omega=2, seed=0, ctx=ctx)
+        # on [10], budgets of 10 and more are the same class
+        for omega in (None, 10, 12):
+            assert wrapper(10, omega=omega, seed=0, ctx=ctx) == wrapper(10, seed=0, ctx=ctx)
+        g = wrapper(10, omega=10, seed=0, ctx=CountingContext(12))
+        assert g.vertices == tuple(range(1, 11))
+        g = wrapper(10, omega=2, seed=0, ctx=CountingContext(10, 2))
+        assert max_clique_size(g) <= 2
+
 
 class TestSampleClass:
     CASES = [
@@ -523,7 +536,7 @@ class TestPlanCache:
             s.sample_chordal(12, rng)
             stats = s.plan_stats()
             assert stats["hits"] + stats["misses"] == len(lookups)
-            assert stats["entries"] == sum(len(terms) for _, terms in s._plans.values()) <= 200
+            assert stats["entries"] == sum(len(terms) for _, terms, _ in s._plans.values()) <= 200
             assert stats["plans"] == len(s._plans)
         assert stats["hits"] > stats["misses"] > 0
 
@@ -531,7 +544,9 @@ class TestPlanCache:
 class TestTermDecoders:
     """Every term of every plan a few draws build at n = 10 decodes to members
     of its class, and distinct blocks of ranks to distinct members; the
-    bijection tests above reach the decoders at n <= 6 only."""
+    bijection tests above reach the decoders at n <= 6 only.  At a block's
+    first rank every mixed-radix digit ``_term`` reads is 0, and at its last
+    rank every digit is its radix - 1, so the radices tile the block."""
 
     @pytest.mark.parametrize("omega", [3, 10])
     def test_first_and_last_rank_of_every_block(self, omega):
@@ -546,9 +561,17 @@ class TestTermDecoders:
         # pinned_proper has no plan of its own: it unranks as pinned_proper_z.
         want = set(CLASS_ARGS) - {"pinned_proper"} | {"all", "connected"}
         assert {key[0] for key in plans} == want
-        for (kind, *args), (starts, terms) in plans.items():
+        for (kind, *args), (starts, terms, radices) in plans.items():
             count = getattr(ctx, "count_" + kind)(*args)
             ends = starts[1:] + (count,)
+            key = (kind, *args)
+            for start, end, term, term_radices in zip(starts, ends, terms, radices):
+                assert s._term(key, start) == (term, [0] * len(term_radices), 0)
+                width = end - start
+                assert width % math.prod(term_radices) == 0, (key, term)
+                last = (term, [radix - 1 for radix in term_radices],
+                        width // math.prod(term_radices) - 1)
+                assert s._term(key, end - 1) == last, (key, term)
             ranks = {r for start, end in zip(starts, ends) for r in (start, end - 1)}
             graphs = {s.unrank(kind, args, r) for r in ranks}
             assert len(graphs) == len(ranks), (kind, args)
