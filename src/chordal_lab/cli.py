@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Iterable
+from functools import partial
+from typing import IO, Callable
 
 from .counting import CountingContext, exact_counts
 from .decimal_text import decimal_string
@@ -37,28 +38,30 @@ def allow_huge_decimal_output() -> None:
         pass  # interpreter without the guard prints any size already
 
 
-def _check_n(n: int) -> None:
-    if n < 0:
+def _check_n(args: argparse.Namespace) -> None:
+    if args.n < 0:
         raise CliError("n must be nonnegative")
+    if args.connected and args.n < 1:
+        raise CliError("--connected requires n >= 1")
 
 
-def _emit_graphs(graphs: Iterable[LabeledGraph], fmt: str, out: IO[str]) -> None:
-    first = True
-    for g in graphs:
-        if fmt == "json":
+def _emit_samples(draw: Callable[[RandomStream], LabeledGraph], args: argparse.Namespace,
+                  out: IO[str]) -> None:
+    """Write ``args.count`` draws from one ``RandomStream(args.seed)``."""
+    rng = RandomStream(args.seed)
+    for i in range(args.count):
+        g = draw(rng)
+        if args.format == "json":
             out.write(json.dumps(to_json_dict(g), separators=(",", ":")) + "\n")
         else:
-            if not first:
+            if i:
                 out.write("\n")
             out.write(to_edge_list_text(g))
-        first = False
 
 
 def cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
-    _check_n(args.n)
+    _check_n(args)
     connected, total = exact_counts(args.n, args.omega, allow_large=args.allow_large)
-    if args.connected and args.n < 1:
-        raise CliError("--connected requires n >= 1")
     value = (connected if args.connected else total)[args.n]
     out.write(decimal_string(value) + "\n")
 
@@ -70,23 +73,13 @@ def _check_count(count: int) -> None:
 
 def cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
     _check_count(args.count)
-    _check_n(args.n)
+    _check_n(args)
     ctx = CountingContext(args.n, args.omega, allow_large=args.allow_large)
-    if args.connected and args.n < 1:
-        raise CliError("--connected requires n >= 1")
-    sampler = ChordalSampler(ctx)
-    rng = RandomStream(args.seed)
     if args.connected and ctx.count_connected(args.n) == 0:
         raise CliError(f"no connected chordal graph on [{args.n}] is {ctx.omega}-colorable")
-
-    def gen():
-        for _ in range(args.count):
-            if args.connected:
-                yield sampler.sample_connected(args.n, rng)
-            else:
-                yield sampler.sample_chordal(args.n, rng)
-
-    _emit_graphs(gen(), args.format, out)
+    sampler = ChordalSampler(ctx)
+    draw = sampler.sample_connected if args.connected else sampler.sample_chordal
+    _emit_samples(partial(draw, args.n), args, out)
 
 
 def _table_row(counts: tuple[list[int], list[int]], n: int, omega: int) -> str:
@@ -120,9 +113,7 @@ def cmd_approx_count(args: argparse.Namespace, out: IO[str]) -> None:
 
 def cmd_approx_sample(args: argparse.Namespace, out: IO[str]) -> None:
     _check_count(args.count)
-    draw = approx_sampler(args.n, _parse_epsilon(args.epsilon))
-    rng = RandomStream(args.seed)
-    _emit_graphs((draw(rng) for _ in range(args.count)), args.format, out)
+    _emit_samples(approx_sampler(args.n, _parse_epsilon(args.epsilon)), args, out)
 
 
 def _parse_epsilon(raw: str):

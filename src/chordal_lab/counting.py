@@ -30,12 +30,13 @@ phases:
 The invariant is that every read is of an earlier round, or of the same
 round and an earlier phase, or of a row the current phase has completed, or
 of entries of the row being filled at fewer free vertices.  The fill stops
-after the first round whose ``single`` table is all zero: every later round
-is zero too, apart from ``within`` (which keeps its last value) and the
-k = 0 bases.  Rows whose root clique, or root plus layer, is larger than
-omega are empty, since every graph there contains that clique; the accessors
-return 0 for them and nothing stores them.  A constructed context is
-therefore filled and immutable, and may be read from any number of threads.
+after the first round whose ``single`` table is all zero.  No component
+finishes then or later, so that round, ``last_round``, holds every table's
+value at every later t: the accessors read round min(t, last_round).  Rows
+whose root clique, or root plus layer, is larger than omega are empty, since
+every graph there contains that clique; the accessors return 0 for them and
+nothing stores them.  A constructed context is therefore filled and
+immutable, and may be read from any number of threads.
 
 Most entries of most rows are zero, and the two row kernels
 (``_first_component_row`` and ``_conv``) multiply only over the nonzero band
@@ -186,7 +187,14 @@ class CountingContext:
             return 0
         return self._C[a][b]
 
+    @property
+    def last_round(self) -> int:
+        """The last stored round; every count at a later t equals its count here."""
+        return self._last
+
     # -- public counter accessors (validate, clamp the round, index) ---------
+    # The clamp is min(t, last_round) as a conditional: plan builds call these
+    # hundreds of times a sample, and min() cost 4-6 % of one at n = 40, omega = 3.
 
     def count_within(self, t: int, x: int, k: int, z: int) -> int:
         """Rooted graphs on [x+k] that fully evaporate within t rounds.
@@ -197,7 +205,7 @@ class CountingContext:
         self._check(t >= 0, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
         if x > self._w:
             return 0
-        return self._within[min(t, self._last)][x][z][k]
+        return self._within[t if t < self._last else self._last][x][z][k]
 
     def count_exact(self, t: int, x: int, k: int, z: int) -> int:
         """Like :meth:`count_within`, but every free component finishes in
@@ -205,32 +213,28 @@ class CountingContext:
         self._check(t >= 1, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
         if x > self._w:
             return 0
-        if t > self._last:
-            return 1 if k == 0 else 0
-        return self._exact[t][x][z][k]
+        return self._exact[t if t < self._last else self._last][x][z][k]
 
     def count_exact_proper(self, t: int, x: int, k: int, z: int) -> int:
         """Like :meth:`count_exact`, with no component adjacent to the whole root."""
         self._check(t >= 1, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
         if x > self._w:
             return 0
-        if t > self._last:
-            return 1 if k == 0 else 0
-        return self._exact_proper[t][x][z][k]
+        return self._exact_proper[t if t < self._last else self._last][x][z][k]
 
     def count_exact_single(self, t: int, x: int, k: int) -> int:
         """One free component, adjacent to the whole root, finishing exactly at t."""
         self._check(t >= 0, x >= 0, k >= 0, x + k <= self.n_max)
-        if t > self._last or x >= self._w:
+        if x >= self._w:
             return 0
-        return self._single[t][x][k]
+        return self._single[t if t < self._last else self._last][x][k]
 
     def count_exact_multi(self, t: int, x: int, k: int) -> int:
         """At least two free components, each seeing the whole root, each exact at t."""
         self._check(t >= 0, x >= 1, k >= 0, x + k <= self.n_max)
-        if t > self._last or x >= self._w:
+        if x >= self._w:
             return 0
-        return self._multi[t][x][k]
+        return self._multi[t if t < self._last else self._last][x][k]
 
     def count_pinned(self, t: int, x: int, l: int, k: int) -> int:
         """Graphs on [x+l+k] whose last layer is exactly the labels [x+1, x+l].
@@ -240,32 +244,29 @@ class CountingContext:
         connected.
         """
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        if t > self._last or x + l > self._w:
+        if x + l > self._w:
             return 0
-        return self._pinned[t][x][l][k]
+        return self._pinned[t if t < self._last else self._last][x][l][k]
 
     def count_pinned_exact(self, t: int, x: int, l: int, k: int) -> int:
         """Like :meth:`count_pinned`, but every component outside root-plus-layer
         finishes exactly in round t-1, and at least one such component exists."""
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        if t > self._last or x + l > self._w:
+        if x + l > self._w:
             return 0
-        return self._pinned_exact[t][x][l][k]
+        return self._pinned_exact[t if t < self._last else self._last][x][l][k]
 
     def count_pinned_proper(self, t: int, x: int, l: int, k: int) -> int:
         """Like :meth:`count_pinned_exact`, with no component adjacent to all of
-        root-plus-layer."""
-        self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        if t > self._last or x + l > self._w:
-            return 0
-        return self._pinned_proper[t][x][l][x][k]
+        root-plus-layer: the five-argument form at z = x."""
+        return self.count_pinned_proper_z(t, x, l, k, x)
 
     def count_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int) -> int:
         """Five-argument form: connectivity is required only outside [z]."""
         self._check(t >= 1, x >= 0, l >= 1, k >= 0, 0 <= z <= x, x + l + k <= self.n_max)
-        if t > self._last or x + l > self._w:
+        if x + l > self._w:
             return 0
-        return self._pinned_proper[t][x][l][z][k]
+        return self._pinned_proper[t if t < self._last else self._last][x][l][z][k]
 
     @staticmethod
     def _check(*conds: bool) -> None:

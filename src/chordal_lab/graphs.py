@@ -34,23 +34,17 @@ class LabeledGraph:
     __slots__ = ("_vertices", "_adj", "_hash")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
-        nbs: dict[int, list[int]] = {v: [] for v in _sorted_labels(vertices)}
+        nbs: dict[int, set[int]] = {v: set() for v in _sorted_labels(vertices)}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             try:
-                nbs[u].append(v)
-                nbs[v].append(u)
+                nbs[u].add(v)
+                nbs[v].add(u)
             except KeyError:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set") from None
-        lists = nbs.values()
-        for nb in lists:
-            nb.sort()
-        # A repeated edge repeats a neighbour in both of its endpoints' lists.
-        if sum(map(len, map(set, lists))) < sum(map(len, lists)):
-            lists = map(sorted, map(set, lists))
         self._vertices: tuple[int, ...] = tuple(nbs)
-        self._adj: dict[int, tuple[int, ...]] = dict(zip(nbs, map(tuple, lists)))
+        self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(nb)) for v, nb in nbs.items()}
         self._hash: int | None = None
 
     @property
@@ -257,9 +251,7 @@ def glue(g1: LabeledGraph, g2: LabeledGraph, shared: Iterable[int]) -> LabeledGr
     for g in (g1, g2):
         if not is_clique(g, y):
             raise ValueError("glue set is not a clique in both inputs")
-    verts = set(g1.vertices) | set(g2.vertices)
-    edges = set(g1.edges()) | set(g2.edges())
-    return LabeledGraph(verts, edges)
+    return LabeledGraph(g1.vertices + g2.vertices, g1.edges() + g2.edges())
 
 
 def is_clique(g: LabeledGraph, vs: Iterable[int]) -> bool:

@@ -321,8 +321,8 @@ class ChordalSampler:
     def _unrank_within(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
                        edges: list) -> None:
         # The k2 free vertices whose components finish in round t, then the
-        # rest within t - 1 rounds, looping (t may exceed the last round by
-        # far) until no free vertex is left.
+        # rest within t - 1 rounds until none is left; no round past the last adds one.
+        t = min(t, self.ctx.last_round)
         root, free = labels[:x], labels[x:]
         while free:
             k2, (s, r_exact), r = self._term(("within", t, x, len(free), z), r)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
-from math import ceil, comb, isqrt
+from functools import cache, lru_cache, partial, reduce
+from math import ceil, comb, isqrt, log
 from operator import and_, or_
 from typing import Callable
 
@@ -68,16 +68,42 @@ def as_epsilon(value) -> Fraction:
 def _ceil_log(base: Fraction, value: Fraction) -> int:
     """Smallest integer m >= 0 with base**m >= value, exactly, for base > 1.
 
-    With base = p/q and value = a/b in lowest terms, base**m >= value is
-    p**m * b >= a * q**m, so the loop multiplies integers, not Fractions.
+    With base = p/q and value = a/b, base**m >= value is p**m * b >= a * q**m.
+    A float estimate of log(value) / log(base) starts m within one of the
+    answer, and exact comparisons settle it without multiplying out powers of
+    millions of bits: both sides are bracketed (``_bracket``) to 128 bits, then
+    to 16 times as many until the brackets decide, as they must once exact.
     """
-    lhs, rhs = value.denominator, value.numerator  # b * p**m and a * q**m
-    m = 0
-    while lhs < rhs:
-        lhs *= base.numerator
-        rhs *= base.denominator
+    def reaches(m: int) -> bool:
+        bits = 128
+        while True:
+            xlo, xhi, xe = _bracket(value.denominator, base.numerator, m, bits)
+            ylo, yhi, ye = _bracket(value.numerator, base.denominator, m, bits)
+            e = min(xe, ye)
+            if xlo << xe - e >= yhi << ye - e:
+                return True
+            if xhi << xe - e < ylo << ye - e:
+                return False
+            bits *= 16
+
+    m = max(0, ceil((log(value.numerator) - log(value.denominator)) / log(base)))
+    while m and reaches(m - 1):
+        m -= 1
+    while not reaches(m):
         m += 1
     return m
+
+
+def _bracket(c: int, p: int, m: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= c * p**m <= hi * 2**e, by binary powering
+    that keeps the top ``bits`` bits, rounding lo down and hi up."""
+    lo, hi, e = 1, 1, 0
+    for digit in bin(m)[2:]:
+        f = p if digit == "1" else 1
+        lo, hi = lo * lo * f, hi * hi * f
+        s = max(0, hi.bit_length() - bits)
+        lo, hi, e = lo >> s, -(-hi >> s), 2 * e + s
+    return c * lo, c * hi, e
 
 
 def ceil_log2_inverse(eps: Fraction) -> int:
@@ -492,22 +518,15 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
                      swing=frozenset(white))
 
 
-# The sampler's windows for the last CACHE_SIZE (n, working epsilon) pairs;
-# the oldest is dropped on insert.
+# (n, working epsilon) pairs whose sampler windows stay cached, least
+# recently used dropped first: the library's one cache kept between calls.
 CACHE_SIZE = 4
-_plan_cache: dict[tuple[int, Fraction], SplitWindows] = {}
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _split_plan(n: int, eps_work: Fraction) -> SplitWindows:
-    """The windows the sampler draws from at (n, eps_work), cached: those of
-    ``_certified_windows``, which leave out at most eps_work of the total."""
-    plan = _plan_cache.get((n, eps_work))
-    if plan is None:
-        plan = _certified_windows(n, eps_work)
-        if len(_plan_cache) >= CACHE_SIZE:
-            del _plan_cache[next(iter(_plan_cache))]
-        _plan_cache[(n, eps_work)] = plan
-    return plan
+    """The certified windows the sampler draws from at (n, eps_work)."""
+    return _certified_windows(n, eps_work)
 
 
 def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
@@ -521,8 +540,8 @@ def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
     distribution over the graphs the two-sided sums count.  That this is
     uniform over split graphs assumes the two-sided sums equal the true
     stratum counts (see SPLIT_FLOOR).  The expected number of build-and-check
-    iterations is at most 2.  The plans of the last CACHE_SIZE (n, eps) pairs
-    built are cached.
+    iterations is at most 2.  The plans of the CACHE_SIZE (n, eps) pairs
+    drawn at most recently are cached.
     """
     eps = as_epsilon(eps)
     floor = threshold_f(eps / 2)
@@ -539,12 +558,8 @@ def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
             return SplitDraw(graph=g, branch="q_full", q=n, c=0, iterations=iteration,
                              cyan=frozenset(), indigo=frozenset(),
                              swing=frozenset(labels))
-        if case == 0:
-            c = plan.cells[categorical(plan.q0_terms, rng)]
-            draw = _build_low_q(n, c, with_witness=False, rng=rng)
-        else:
-            c = plan.cells[categorical(plan.q1_terms, rng)]
-            draw = _build_low_q(n, c, with_witness=True, rng=rng)
+        c = plan.cells[categorical(plan.q1_terms if case else plan.q0_terms, rng)]
+        draw = _build_low_q(n, c, with_witness=case == 1, rng=rng)
         if draw is not None:
             draw.iterations = iteration
             return draw

@@ -27,3 +27,26 @@ def test_benchmark_names_exist():
     assert sampler.ops == 0
     sampler.sample_chordal(4, sampling.RandomStream(1))
     assert sampler.ops > 0
+
+
+def test_one_shot_split_draws_certify_their_windows_once(monkeypatch):
+    # The ``split`` workload draws through the one-shot approx_sample_chordal,
+    # which decides its path and builds its sampler on every call.  The window
+    # cache is what keeps each draw (about 35 ms at n = 1000) from certifying
+    # its windows again (about 0.03 s there).  Removing that cache (ROADMAP
+    # item 11) waits for a benchmark change that draws through approx_sampler.
+    calls = []
+    windows = splits.split_windows
+
+    def counted(n, eps):
+        calls.append((n, eps))
+        return windows(n, eps)
+
+    monkeypatch.setattr(splits, "split_windows", counted)
+    splits._split_plan.cache_clear()
+    try:
+        for seed in (1, 2):
+            splits.approx_sample_chordal(120, "1e-2", sampling.RandomStream(seed))
+    finally:
+        splits._split_plan.cache_clear()
+    assert len(calls) == 1

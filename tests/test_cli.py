@@ -252,6 +252,16 @@ class TestApprox:
         assert code == 1 and out == "" and err.startswith("error:")
         assert "count_all(40)" in err
 
+    def test_a_tiny_epsilon_is_refused_fast(self, capsys):
+        # The floor here is 2,185,442; its ceilings take a few exact
+        # comparisons, not one big multiplication per unit of the floor.
+        start = time.perf_counter()
+        code, out, err = run_cli(["approx-count", "--n", "100", "--epsilon", "1e-100000"],
+                                 capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == ""
+        assert "below the split-graph floor 2185442" in err
+
     def test_epsilon_validation(self, capsys):
         for bad in ("0", "1", "1.5", "-0.2"):
             code, _, err = run_cli(["approx-count", "--n", "80", "--epsilon", bad], capsys)

@@ -671,3 +671,81 @@ class TestNoProcessWideState:
         assert _new_contexts(before) == []
         monkeypatch.undo()
         assert count_connected(7) == 489287
+
+
+def _keys_at(ctx: CountingContext, kind: str) -> list[tuple[int, ...]]:
+    """The arguments after t of every key the accessor of ``kind`` accepts."""
+    n = ctx.n_max
+    count = getattr(ctx, "count_" + kind)
+    keys = []
+    for rest in product(range(n + 1), repeat=len(CLASS_ARGS[kind]) - 1):
+        _, x, l, k, _ = class_params(kind, (1, *rest))
+        if x + l + k > n:
+            continue
+        try:
+            count(ctx.last_round, *rest)
+        except ValueError:
+            continue
+        keys.append(rest)
+    return keys
+
+
+class TestPastTheLastRound:
+    """The stored last round holds every table's value at every later t."""
+
+    @pytest.mark.parametrize("n,omega", [(5, 1), (6, 6), (8, 3), (10, 10), (12, 4)])
+    def test_later_rounds_read_the_last(self, n, omega):
+        ctx = CountingContext(n, omega)
+        last = ctx.last_round
+        for kind in CLASS_ARGS:
+            count = getattr(ctx, "count_" + kind)
+            keys = _keys_at(ctx, kind)
+            assert keys, kind
+            for key in keys:
+                at_last = count(last, *key)
+                assert count(last + 1, *key) == at_last, (kind, key)
+                assert count(last + 100, *key) == at_last, (kind, key)
+
+    @pytest.mark.parametrize("n,omega", [(1, 1), (2, 2), (5, 1), (6, 6), (8, 3), (9, 2)])
+    def test_the_last_round_is_the_limit(self, n, omega):
+        # No component finishes in the last round: only the bare root is
+        # exact there, nothing is single, multi or pinned, and within keeps
+        # the value of the round before.
+        ctx = CountingContext(n, omega)
+        last = ctx.last_round
+        for kind in CLASS_ARGS:
+            count = getattr(ctx, "count_" + kind)
+            for key in _keys_at(ctx, kind):
+                _, x, l, k, _ = class_params(kind, (last, *key))
+                if kind == "within":
+                    want = count(last - 1, *key)
+                elif kind in ("exact", "exact_proper"):
+                    want = int(k == 0 and x <= ctx.omega)
+                else:
+                    want = 0
+                assert count(last, *key) == want, (kind, key)
+
+    def test_last_round_is_read_only(self, ctx5):
+        assert ctx5.last_round == 5
+        with pytest.raises(AttributeError):
+            ctx5.last_round = 6
+
+
+class TestIndependentCertificates:
+    """Closed forms the counting engine does not use."""
+
+    def test_omega_2_counts_cayley_trees(self):
+        connected, _ = exact_counts(100, 2)
+        assert all(connected[n] == n ** (n - 2) for n in range(1, 101))
+
+    def test_omega_n_minus_2_excludes_the_big_cliques(self):
+        # A chordal graph with an (n - 1)-clique is that clique plus one vertex
+        # joined to a proper subset of it: n * (2**(n - 1) - 1) choices, where
+        # the C(n, 2) graphs K_n minus an edge are counted twice.  With K_n,
+        # those are the graphs omega = n - 2 leaves out.
+        _, total = exact_counts(20)
+        for n in range(3, 21):
+            want = total[n] - 1 - n * (2 ** (n - 1) - 1) + comb(n, 2)
+            assert exact_counts(n, n - 2)[1][n] == want, n
+            if n <= 12:
+                assert CountingContext(n, n - 2).count_all(n) == want, n

@@ -1,4 +1,5 @@
 import math
+import time
 import zlib
 from collections import Counter
 from itertools import product
@@ -432,7 +433,7 @@ class TestUnrankDomain:
 
     def test_rounds_far_past_the_last(self, ctx5):
         # within keeps its last round's count for every later t, and unranking
-        # it does not recurse once per round
+        # starts its walk down the rounds at the context's last round
         args = (2000, 2, 3, 1)
         count = ctx5.count_within(*args)
         assert count == ctx5.count_within(5, 2, 3, 1)
@@ -440,6 +441,18 @@ class TestUnrankDomain:
         graphs = {s.unrank("within", args, r) for r in range(count)}
         assert len(graphs) == count
         assert all(check_class_membership("within", args, g, 5) for g in graphs)
+
+    def test_a_huge_round_unranks_as_the_last(self, ctx5):
+        last = ctx5.last_round
+        count = ctx5.count_within(last, 2, 3, 1)
+        assert ctx5.count_within(10 ** 9, 2, 3, 1) == count
+        s = ChordalSampler(ctx5)
+        start = time.perf_counter()
+        for r in range(count):
+            assert s.unrank("within", (10 ** 9, 2, 3, 1), r) == \
+                s.unrank("within", (last, 2, 3, 1), r)
+        assert time.perf_counter() - start < 1
+        assert max(key[1] for key in s._plans if key[0] == "within") == last
 
     @pytest.mark.parametrize("kind,args", [
         ("pinned", (2, 0, 1)), ("exact", (1, 2, 3, 1, 0)), ("all", (3, 1)), ("connected", ()),

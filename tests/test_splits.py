@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import chordal_lab.splits as splits
 from chordal_lab.counting import CountingContext
 from chordal_lab.graphs import (
     LabeledGraph,
@@ -16,10 +17,12 @@ from chordal_lab.bruteforce import split_class_counts
 from chordal_lab.sampling import RandomStream, sample_subset
 from chordal_lab.splits import (
     EXACT_LIMIT,
+    SPLIT_FLOOR,
     approx_count_chordal,
     approx_count_split,
     _build_low_q,
     _ceil_log,
+    _q_window,
     approx_sample_chordal,
     approx_sampler,
     as_epsilon,
@@ -48,6 +51,14 @@ BRUTE_SPLIT_CLASSES = {
     6: (9654, 4980, 1440, 3234),
     7: (202484, 125160, 34860, 42464),
 }
+
+
+@pytest.fixture(autouse=True)
+def fresh_window_cache():
+    # A plan built under a patched guard or bound must not serve another test.
+    splits._split_plan.cache_clear()
+    yield
+    splits._split_plan.cache_clear()
 
 
 class TestEpsilonParsing:
@@ -106,6 +117,34 @@ class TestThresholds:
     def test_g_dominates_f_of_half(self):
         for e in (Fraction(1, 2 ** 10), Fraction(1, 1000), Fraction(1, 7)):
             assert threshold_g(e) >= threshold_f(e / 2)
+
+    def test_ceilings_equal_the_multiplication_loop(self):
+        def loop_ceil_log(base, value):
+            # the reference: one exact multiplication per unit of the answer
+            lhs, rhs = value.denominator, value.numerator
+            m = 0
+            while lhs < rhs:
+                lhs *= base.numerator
+                rhs *= base.denominator
+                m += 1
+            return m
+
+        def loop_threshold_f(eps):
+            return max(SPLIT_FLOOR, loop_ceil_log(Fraction(3, 2), (1 / eps) ** 3))
+
+        rnd = random.Random(26)
+        sweep = [Fraction(k, 10 ** e) for e in range(1, 301, 13) for k in (1, 3, 7)]
+        sweep += [Fraction(1, 2 ** e) for e in (1, 2, 3, 10, 64, 333)]
+        # values on the boundaries of the 3/2 and 10/9 ceilings
+        sweep += [Fraction(2, 3) ** j for j in (1, 2, 5, 40)]
+        sweep += [2 * Fraction(9, 10) ** m for m in (7, 8, 50, 700)]
+        sweep += [Fraction(rnd.randrange(1, 10 ** 40), 10 ** 40) for _ in range(30)]
+        for eps in sweep:
+            assert ceil_log2_inverse(eps) == loop_ceil_log(Fraction(2), 1 / eps), eps
+            assert _q_window(eps) == loop_ceil_log(Fraction(2), (1 / eps) ** 10) + 47, eps
+            assert threshold_f(eps) == loop_threshold_f(eps), eps
+            assert threshold_g(eps) == max(loop_threshold_f(eps / 2),
+                                           loop_ceil_log(Fraction(10, 9), 2 / eps)), eps
 
 
 class TestExactStratumCounts:
@@ -194,12 +233,9 @@ class TestCertifiedWindows:
 
     @pytest.mark.parametrize("n, eps", CERTIFIED_GRID)
     def test_fresh_plan_uses_the_windows(self, n, eps, monkeypatch):
-        import chordal_lab.splits as splits
-
         # the |Q| >= 2 guard has its own tests and refuses n below its floor;
         # this one is about the windows the plan draws from
         monkeypatch.setattr(splits, "_check_q_ge2_negligible", lambda n, delta, rest: None)
-        monkeypatch.setattr(splits, "_plan_cache", {})
         plan = splits._split_plan(n, eps)
         assert plan.w0 == split_count_q0_truncated(n, eps)
         assert plan.w1 == split_count_q1_truncated(n, eps)
@@ -253,8 +289,6 @@ class TestCertifiedWindows:
                                                 split_count_q1_full(n))
 
     def test_certificate_is_live(self, monkeypatch):
-        import chordal_lab.splits as splits
-
         n, eps = 70, Fraction(1, 2 ** 7)
         assert len(split_windows(n, eps).cells) < n - 3
         monkeypatch.setattr(splits, "_term_bound", lambda N, c: 1 << (N * N))
@@ -265,8 +299,6 @@ class TestCertifiedWindows:
 
     def test_one_pow_per_distinct_base_and_no_cache(self, monkeypatch):
         # every big power goes through the module-level name ``pow``
-        import chordal_lab.splits as splits
-
         calls = []
 
         def counting_pow(*args):
@@ -315,8 +347,6 @@ class TestApproxCountSplit:
             assert split_count_q_ge2_bound(n) >= split_count_q_ge2_exact(n), n
 
     def test_large_n_skips_q_ge2_window(self, monkeypatch):
-        import chordal_lab.splits as splits
-
         def refuse(n, eps):
             raise AssertionError("the |Q| >= 2 window was evaluated")
 
@@ -348,8 +378,6 @@ class TestQGe2Guard:
     path accepts and checked on every call."""
 
     def test_guard_passes_at_every_floor(self, monkeypatch):
-        import chordal_lab.splits as splits
-
         checked = []
         guard = splits._check_q_ge2_negligible
 
@@ -358,27 +386,23 @@ class TestQGe2Guard:
             guard(n, delta, rest)
 
         monkeypatch.setattr(splits, "_check_q_ge2_negligible", counting_guard)
-        monkeypatch.setattr(splits, "_plan_cache", {})
         calls = 0
         for eps in GUARD_EPSILONS:
             floor = threshold_f(eps)
             for n in (floor, floor + 1):
                 assert approx_count_split(n, eps) > 0
-                splits._plan_cache.clear()
+                splits._split_plan.cache_clear()
                 splits._split_plan(n, min(eps, Fraction(1, 3)))
                 calls += 2
         assert len(checked) == calls
 
     def test_guard_is_live(self, monkeypatch):
-        import chordal_lab.splits as splits
-
         monkeypatch.setattr(splits, "split_count_q_ge2_bound", lambda n: 1 << (n * n))
-        monkeypatch.setattr(splits, "_plan_cache", {})
         with pytest.raises(AssertionError, match=r"\|Q\| >= 2 bound at n = 70"):
             approx_count_split(70, "1e-2")
         with pytest.raises(AssertionError, match=r"\|Q\| >= 2 bound at n = 70"):
             sample_split_draw(70, "1e-2", RandomStream(1))
-        assert splits._plan_cache == {}
+        assert splits._split_plan.cache_info().currsize == 0
 
 
 class TestApproxCountChordal:
@@ -462,32 +486,27 @@ class TestSplitSampler:
         b = [sample_split_approx(70, "0.25", RandomStream(5)) for _ in range(3)]
         assert a == b
 
-    def test_full_q_branch_fair_coin(self):
+    def test_full_q_branch_fair_coin(self, monkeypatch):
         # the |Q| = n stratum carries weight 2 against astronomically larger
         # strata, so force it through an injected plan: the branch must flip
         # a fair coin between the complete graph and the edgeless graph
         from collections import Counter
 
         from chordal_lab.graphs import complete_graph, LabeledGraph
-        from chordal_lab.splits import SplitWindows, _plan_cache, as_epsilon
+        from chordal_lab.splits import SplitWindows
 
         n = 70
-        eps = as_epsilon("0.25")
-        eps_work = min(eps / 2, Fraction(1, 3))
-        _plan_cache[(n, eps_work)] = SplitWindows(
-            cells=range(0), q0_terms=(), q1_terms=(), w0=0, w1=0)
-        try:
-            rng = RandomStream(1234)
-            outcomes = Counter()
-            for _ in range(400):
-                d = sample_split_draw(n, eps, rng)
-                assert d.branch == "q_full" and d.swing == frozenset(range(1, n + 1))
-                full = d.graph == complete_graph(range(1, n + 1))
-                empty = d.graph == LabeledGraph(range(1, n + 1))
-                assert full != empty
-                outcomes["full" if full else "empty"] += 1
-        finally:
-            del _plan_cache[(n, eps_work)]
+        plan = SplitWindows(cells=range(0), q0_terms=(), q1_terms=(), w0=0, w1=0)
+        monkeypatch.setattr(splits, "_split_plan", lambda n, eps_work: plan)
+        rng = RandomStream(1234)
+        outcomes = Counter()
+        for _ in range(400):
+            d = sample_split_draw(n, "0.25", rng)
+            assert d.branch == "q_full" and d.swing == frozenset(range(1, n + 1))
+            full = d.graph == complete_graph(range(1, n + 1))
+            empty = d.graph == LabeledGraph(range(1, n + 1))
+            assert full != empty
+            outcomes["full" if full else "empty"] += 1
         assert abs(outcomes["full"] - 200) < 4 * (400 * 0.25) ** 0.5
 
     def test_witness_branch(self, monkeypatch):
@@ -495,11 +514,9 @@ class TestSplitSampler:
         # draw takes it: empty the |Q| = 0 window in an injected plan
         from dataclasses import replace
 
-        import chordal_lab.splits as splits
-
         n, eps_work = 70, Fraction(1, 8)
-        monkeypatch.setitem(splits._plan_cache, (n, eps_work),
-                            replace(split_windows(n, eps_work), w0=0))
+        plan = replace(split_windows(n, eps_work), w0=0)
+        monkeypatch.setattr(splits, "_split_plan", lambda n, eps_work: plan)
         rng = RandomStream(42)
         for _ in range(20):
             d = sample_split_draw(n, "0.25", rng)
@@ -511,11 +528,11 @@ class TestSplitSampler:
     def test_rejection_cap(self, monkeypatch):
         # one cell, c = 1 with no witness: every mask is 0, so no cyan vertex
         # is ever covered; w0 = 10^30 keeps the |Q| = n branch out of reach
-        import chordal_lab.splits as splits
         from chordal_lab.splits import RejectionCapError, SplitWindows
 
-        monkeypatch.setitem(splits._plan_cache, (70, Fraction(1, 200)), SplitWindows(
-            cells=range(1, 2), q0_terms=(10 ** 30,), q1_terms=(0,), w0=10 ** 30, w1=0))
+        plan = SplitWindows(
+            cells=range(1, 2), q0_terms=(10 ** 30,), q1_terms=(0,), w0=10 ** 30, w1=0)
+        monkeypatch.setattr(splits, "_split_plan", lambda n, eps_work: plan)
         attempts = []
 
         def counted(*args, **kwargs):
@@ -645,16 +662,17 @@ class TestApproxSampleChordal:
 
 
 class TestPlanCache:
-    def test_a_fifth_plan_drops_the_oldest(self, monkeypatch):
-        import chordal_lab.splits as splits
-
-        monkeypatch.setattr(splits, "_plan_cache", {})
+    def test_a_fifth_plan_drops_the_oldest(self):
         rng = RandomStream(3)
-        keys = []
-        for n in range(70, 75):
+        for n in (70, 71, 72, 73, 70, 74):
             sample_split_draw(n, "1e-2", rng)
-            keys.append((n, Fraction(1, 200)))
-        assert list(splits._plan_cache) == keys[1:]
+        info = splits._split_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 5, splits.CACHE_SIZE)
+        for n in (70, 72, 73, 74):  # 71 was the least recently drawn
+            sample_split_draw(n, "1e-2", rng)
+        assert splits._split_plan.cache_info().misses == 5
+        sample_split_draw(71, "1e-2", rng)
+        assert splits._split_plan.cache_info().misses == 6
 
     def test_exact_limit_is_the_counting_limit(self):
         import chordal_lab.counting as counting
