@@ -32,11 +32,14 @@ round and an earlier phase, or of a row the current phase has completed, or
 of entries of the row being filled at fewer free vertices.  The fill stops
 after the first round whose ``single`` table is all zero.  No component
 finishes then or later, so that round, ``last_round``, holds every table's
-value at every later t: the accessors read round min(t, last_round).  Rows
-whose root clique, or root plus layer, is larger than omega are empty, since
-every graph there contains that clique; the accessors return 0 for them and
-nothing stores them.  A constructed context is therefore filled and
-immutable, and may be read from any number of threads.
+value at every later t.  Rows whose root clique, or root plus layer, is
+larger than omega are empty, since every graph there contains that clique,
+and nothing stores them.  :meth:`CountingContext.row` is the one reader of
+the tables: it checks a kind's arguments, reads round min(t, last_round),
+and returns the stored row over k (a shared all-zero row above omega);
+each ``count_<kind>`` is that row's entry at k.  The finished tables are
+tuples, so a constructed context is filled and immutable, and may be read
+from any number of threads.
 
 Most entries of most rows are zero, and the two row kernels
 (``_first_component_row`` and ``_conv``) multiply only over the nonzero band
@@ -172,9 +175,10 @@ class CountingContext:
             rows[a][0] = 1
             for b in range(1, a + 1):
                 rows[a][b] = rows[a - 1][b - 1] + rows[a - 1][b]
-        self._C = rows
+        self._C = tuple(map(tuple, rows))
         # Largest root-plus-layer a stored row may have.
         self._w = min(self.omega, n_max)
+        self._zeros = tuple((0,) * (m + 1) for m in range(size))  # by row length
         self._fill()
 
     # -- public arithmetic ---------------------------------------------------
@@ -192,9 +196,53 @@ class CountingContext:
         """The last stored round; every count at a later t equals its count here."""
         return self._last
 
-    # -- public counter accessors (validate, clamp the round, index) ---------
-    # The clamp is min(t, last_round) as a conditional: plan builds call these
-    # hundreds of times a sample, and min() cost 4-6 % of one at n = 40, omega = 3.
+    @property
+    def pascal(self) -> tuple[tuple[int, ...], ...]:
+        """Pascal's triangle to n_max, read-only: pascal[a][b] = C(a, b) for
+        0 <= b <= a <= n_max, with every row zero-padded to n_max + 1 entries."""
+        return self._C
+
+    def row(self, kind: str, t: int, x: int, l: int = 0, z: int = 0) -> tuple[int, ...]:
+        """The stored row of ``count_<kind>`` over the free vertices
+        k = 0..n_max - x - l, at round min(t, last_round), as a read-only tuple.
+
+        ``kind`` is a ``CLASS_ARGS`` kind; l and z stay 0 where it takes none,
+        and ``pinned_proper`` reads ``pinned_proper_z`` at z = x.  This is
+        where every accessor's arguments are checked, its round clamped and
+        omega applied: a row whose root, or root plus layer, exceeds omega
+        counts only graphs containing that clique, so it is the shared
+        all-zero row of its length.  Raises ValueError for an unknown kind or
+        arguments outside its domain.
+        """
+        if kind in ("within", "exact", "exact_proper"):
+            ok = t >= (kind != "within") and 0 <= z < x and l == 0
+            top, key = x, (x, z)
+        elif kind in ("exact_single", "exact_multi"):
+            # Each member has a free component of its own beside the root.
+            ok = t >= 0 and x >= (kind == "exact_multi") and l == z == 0
+            top, key = x + 1, (x,)
+        elif kind in ("pinned", "pinned_exact"):
+            ok = t >= 1 and x >= 0 and l >= 1 and z == 0
+            top, key = x + l, (x, l)
+        elif kind in ("pinned_proper", "pinned_proper_z"):
+            if kind == "pinned_proper":
+                kind, ok, z = "pinned_proper_z", z == 0, x
+            else:
+                ok = 0 <= z <= x
+            ok = ok and t >= 1 and x >= 0 and l >= 1
+            top, key = x + l, (x, l, z)
+        else:
+            raise ValueError(f"unknown class kind {kind!r}; expected one of {tuple(CLASS_ARGS)}")
+        if not ok or x + l > self.n_max:
+            raise ValueError(f"counter arguments outside the domain of {kind}")
+        if top > self._w:
+            return self._zeros[self.n_max - x - l]
+        rows = self._tables[kind][t if t < self._last else self._last]
+        for i in key:
+            rows = rows[i]
+        return rows
+
+    # -- public counter accessors: a row, then the free vertices k -------------
 
     def count_within(self, t: int, x: int, k: int, z: int) -> int:
         """Rooted graphs on [x+k] that fully evaporate within t rounds.
@@ -202,39 +250,24 @@ class CountingContext:
         The root [x] is a clique held in place; every component of the free
         part must keep a neighbor among root labels z+1..x.
         """
-        self._check(t >= 0, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
-        if x > self._w:
-            return 0
-        return self._within[t if t < self._last else self._last][x][z][k]
+        return _at(self.row("within", t, x, z=z), k)
 
     def count_exact(self, t: int, x: int, k: int, z: int) -> int:
         """Like :meth:`count_within`, but every free component finishes in
         exactly round t.  A bare root (k = 0) counts once."""
-        self._check(t >= 1, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
-        if x > self._w:
-            return 0
-        return self._exact[t if t < self._last else self._last][x][z][k]
+        return _at(self.row("exact", t, x, z=z), k)
 
     def count_exact_proper(self, t: int, x: int, k: int, z: int) -> int:
         """Like :meth:`count_exact`, with no component adjacent to the whole root."""
-        self._check(t >= 1, x >= 1, 0 <= z < x, k >= 0, x + k <= self.n_max)
-        if x > self._w:
-            return 0
-        return self._exact_proper[t if t < self._last else self._last][x][z][k]
+        return _at(self.row("exact_proper", t, x, z=z), k)
 
     def count_exact_single(self, t: int, x: int, k: int) -> int:
         """One free component, adjacent to the whole root, finishing exactly at t."""
-        self._check(t >= 0, x >= 0, k >= 0, x + k <= self.n_max)
-        if x >= self._w:
-            return 0
-        return self._single[t if t < self._last else self._last][x][k]
+        return _at(self.row("exact_single", t, x), k)
 
     def count_exact_multi(self, t: int, x: int, k: int) -> int:
         """At least two free components, each seeing the whole root, each exact at t."""
-        self._check(t >= 0, x >= 1, k >= 0, x + k <= self.n_max)
-        if x >= self._w:
-            return 0
-        return self._multi[t if t < self._last else self._last][x][k]
+        return _at(self.row("exact_multi", t, x), k)
 
     def count_pinned(self, t: int, x: int, l: int, k: int) -> int:
         """Graphs on [x+l+k] whose last layer is exactly the labels [x+1, x+l].
@@ -243,35 +276,21 @@ class CountingContext:
         the root) takes exactly t rounds, and the part outside the root is
         connected.
         """
-        self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        if x + l > self._w:
-            return 0
-        return self._pinned[t if t < self._last else self._last][x][l][k]
+        return _at(self.row("pinned", t, x, l), k)
 
     def count_pinned_exact(self, t: int, x: int, l: int, k: int) -> int:
         """Like :meth:`count_pinned`, but every component outside root-plus-layer
         finishes exactly in round t-1, and at least one such component exists."""
-        self._check(t >= 1, x >= 0, l >= 1, k >= 0, x + l + k <= self.n_max)
-        if x + l > self._w:
-            return 0
-        return self._pinned_exact[t if t < self._last else self._last][x][l][k]
+        return _at(self.row("pinned_exact", t, x, l), k)
 
     def count_pinned_proper(self, t: int, x: int, l: int, k: int) -> int:
         """Like :meth:`count_pinned_exact`, with no component adjacent to all of
         root-plus-layer: the five-argument form at z = x."""
-        return self.count_pinned_proper_z(t, x, l, k, x)
+        return _at(self.row("pinned_proper", t, x, l), k)
 
     def count_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int) -> int:
         """Five-argument form: connectivity is required only outside [z]."""
-        self._check(t >= 1, x >= 0, l >= 1, k >= 0, 0 <= z <= x, x + l + k <= self.n_max)
-        if x + l > self._w:
-            return 0
-        return self._pinned_proper[t if t < self._last else self._last][x][l][z][k]
-
-    @staticmethod
-    def _check(*conds: bool) -> None:
-        if not all(conds):
-            raise ValueError("counter arguments outside their domain")
+        return _at(self.row("pinned_proper_z", t, x, l, z), k)
 
     # -- top-level counts ----------------------------------------------------
 
@@ -317,14 +336,19 @@ class CountingContext:
     def _fill(self) -> None:
         n, w = self.n_max, self._w
         hulls = range(1, w + 1)
-        self._single = [[[0] * (n - x + 1) for x in range(w)]]
-        self._multi = [[[0] * (n - x + 1) for x in range(w)]]
-        self._within = [[None] + [[[1] + [0] * (n - x) for _ in range(x)] for x in hulls]]
+        self._single = [[(0,) * (n - x + 1) for x in range(w)]]
+        self._multi = [[(0,) * (n - x + 1) for x in range(w)]]
+        self._within = [[None] + [[(1,) + (0,) * (n - x) for _ in range(x)] for x in hulls]]
         self._exact = [None]
         self._exact_proper = [None]
         self._pinned = [None]
         self._pinned_exact = [None]
         self._pinned_proper = [None]
+        self._tables = {
+            "within": self._within, "exact": self._exact, "exact_proper": self._exact_proper,
+            "exact_single": self._single, "exact_multi": self._multi, "pinned": self._pinned,
+            "pinned_exact": self._pinned_exact, "pinned_proper_z": self._pinned_proper,
+        }
         weights = _NO_WEIGHTS  # round 0 has no component at all
         connected = [0] * (n + 1)
         t = 0
@@ -339,6 +363,7 @@ class CountingContext:
                 break
             self._release(t)
         self._last = t
+        self._freeze(t)
 
         self._connected = connected
         a = [1]
@@ -349,7 +374,17 @@ class CountingContext:
 
     def _release(self, t: int) -> None:
         """Called after each round t but the last; a full context keeps
-        every round, since the sampler reads them all."""
+        every round, since the sampler reads them all, and freezes it."""
+        self._freeze(t)
+
+    def _freeze(self, t: int) -> None:
+        """Turn every row of round t into a tuple, so that :meth:`row` hands
+        out the stored rows themselves.  Done as each round ends, the lists'
+        memory serves the next round.  The fill shares some rows between the
+        tables of one round, never across rounds; each becomes one tuple."""
+        frozen = {}
+        for table in self._tables.values():
+            _freeze_rows(table[t], frozen)
 
     def _fill_pinned(self, t: int, weights: tuple) -> None:
         """Phase A of round t: pinned_proper_z, pinned_exact, pinned.
@@ -728,6 +763,28 @@ class _CountOnly(CountingContext):
             table[t - 1] = None
         if t >= 2:
             self._within[t - 2] = None
+
+
+def _at(row: tuple[int, ...], k: int) -> int:
+    """row[k], for a count at k free vertices; ValueError outside the row."""
+    if 0 <= k < len(row):
+        return row[k]
+    raise ValueError("counter arguments outside their domain")
+
+
+def _freeze_rows(table: list, frozen: dict) -> None:
+    """Turn every row of ints in nested lists into a tuple, in place, one row
+    at a time.  ``frozen`` maps the id of each list turned so far to its
+    tuple, so that a row stored in several places becomes one tuple."""
+    for i, item in enumerate(table):
+        if isinstance(item, list):
+            if item and isinstance(item[0], int):
+                row = frozen.get(id(item))
+                if row is None:
+                    row = frozen[id(item)] = tuple(item)
+                table[i] = row
+            else:
+                _freeze_rows(item, frozen)
 
 
 def _first_nonzero(row: list[int], start: int = 0) -> int | None:

@@ -26,12 +26,14 @@ _MASK64 = (1 << 64) - 1
 
 # Terms a sampler's plan cache keeps, over all its plans (the cache bound
 # beside splits.CACHE_SIZE).  The largest plan at n = omega = 30 holds 956.
-# 2**13 terms, each with its start and radices, retain 1.8-1.9 MB after
-# 2,000 draws at (n, omega) = (20, 20), (30, 30) and (40, 3) (tracemalloc,
-# 64-bit CPython 3.11) and keep most of the gain; 2**14 and 2**15 ran faster
-# but raised the peak RSS of 10 s of sampling at n = 40, omega = 3 by
-# 8-10 % (from 26.7 MB, when a term kept no radices).
-PLAN_ENTRIES = 1 << 13
+# A term costs its start (an int of up to a few dozen bytes) and one slot per
+# term and per radix in its plan's tuples: equal terms are one object, and
+# radices are ints the context already holds.  So 2**14 terms retain 1.8,
+# 1.4 and 1.9 MB after 2,000 draws at (n, omega) = (20, 20) connected,
+# (40, 3) and (30, 30) connected (tracemalloc after a full collection,
+# 64-bit CPython 3.11), about what 2**13 terms with a tuple of radices each
+# retained, and the sampler rebuilds about half as many plans.
+PLAN_ENTRIES = 1 << 14
 
 
 class RandomStream:
@@ -145,21 +147,24 @@ class ChordalSampler:
     layer's edges where the layer is picked.
 
     A node's *plan* holds its nonzero-weight terms, the rank at which each
-    term's block starts and each term's radices.  ``_weigh_<kind>`` states
-    the node's recurrence once: it yields each term with its radices and the
-    count of its last part, read through the validating ``count_*``
-    accessors, the first time the node is met, and the plan is kept in a
-    least-recently-used cache.  The cache holds at most ``PLAN_ENTRIES``
-    terms in all, a megabyte or two at the sizes measured; a draw that meets
-    an evicted node weighs it again.  ``ops`` counts the terms the weighers
-    have yielded to plan builds since construction, so a draw that meets
-    only cached nodes adds none, and :meth:`plan_stats` reports the cache.
+    term's block starts and the terms' radices, in one flat tuple with the
+    same number per term.  ``_weigh_<kind>`` states the node's recurrence
+    once: the first time the node is met, it reads the table rows it needs
+    once each (``CountingContext.row``, which checks their arguments) and
+    yields each term with its radices and the count of its last part, and
+    the plan is kept in a least-recently-used cache.  Equal terms are one
+    object per sampler.  The cache holds at most ``PLAN_ENTRIES`` terms in
+    all, a megabyte or two at the sizes measured; a draw that meets an
+    evicted node weighs it again.  ``ops`` counts the terms the weighers have
+    yielded to plan builds since construction, so a draw that meets only
+    cached nodes adds none, and :meth:`plan_stats` reports the cache.
     """
 
     def __init__(self, ctx: CountingContext):
         self.ctx = ctx
         self.ops = 0
         self._plans: dict[tuple, tuple] = {}  # (starts, terms, radices), least recently used first
+        self._interned: dict = {}  # one object per distinct term, shared by all plans
         self._entries = 0
         self._hits = 0
         self._misses = 0
@@ -225,14 +230,16 @@ class ChordalSampler:
         """(term, digits, rest rank) for the term whose block of ranks holds r
         at node ``key`` = (kind, *args).
 
-        A node's plan is three parallel tuples over its nonzero-weight terms
-        in order: ``starts``, where each term's block of ranks starts (the sum
-        of the weights before it), ``terms`` and ``radices``.  The last start
-        at most r begins the block holding r, and bisect_right finds it.  A
-        zero-weight term has an empty block, so leaving it out picks the same
-        term as scanning every weight in order would.  r's offset in the block
-        is read in the term's radices, least significant digit first; the rest
-        rank, below the count of the term's last part, is what is left.
+        A node's plan is three tuples over its nonzero-weight terms in order:
+        ``starts``, where each term's block of ranks starts (the sum of the
+        weights before it), ``terms``, and ``radices``, flat, with the same
+        number a of radices for every term of the plan (term i's are
+        ``radices[i*a:(i+1)*a]``).  The last start at most r begins the block
+        holding r, and bisect_right finds it.  A zero-weight term has an empty
+        block, so leaving it out picks the same term as scanning every weight
+        in order would.  r's offset in the block is read in the term's
+        radices, least significant digit first; the rest rank, below the
+        count of the term's last part, is what is left.
         """
         plans = self._plans
         plan = plans.get(key)
@@ -244,33 +251,35 @@ class ChordalSampler:
         starts, terms, radices = plan
         i = bisect_right(starts, r) - 1
         r -= starts[i]
+        a = len(radices) // len(terms)
         digits = []
-        for radix in radices[i]:
+        for radix in radices[i * a:i * a + a]:
             r, digit = divmod(r, radix)
             digits.append(digit)
         return terms[i], digits, r
 
-    def _build(self, key: tuple) -> tuple[tuple[int, ...], tuple, tuple]:
+    def _build(self, key: tuple) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
         """Weigh a node with ``_weigh_<kind>``, cache its plan and evict the
         least recently used plans until at most PLAN_ENTRIES terms are kept."""
         self._misses += 1
         kind, *args = key
         starts = []
         terms = []
-        term_radices = []
+        flat = []
+        intern = self._interned.setdefault
         start = weighed = 0
         for term, radices, last in getattr(self, "_weigh_" + kind)(*args):
             weighed += 1
             w = prod(radices) * last
             if w:
                 starts.append(start)
-                terms.append(term)
-                term_radices.append(radices)
+                terms.append(intern(term, term))
+                flat += radices
                 start += w
         self.ops += weighed
         if start != getattr(self.ctx, "count_" + kind)(*args):
             raise AssertionError(f"the weights of {kind}{tuple(args)} do not sum to its count")
-        plan = tuple(starts), tuple(terms), tuple(term_radices)
+        plan = tuple(starts), tuple(terms), tuple(flat)
         plans = self._plans
         plans[key] = plan
         self._entries += len(terms)
@@ -283,14 +292,19 @@ class ChordalSampler:
     # _weigh_<kind> states a node's recurrence once: it yields (term, radices,
     # last) for each term, in the order that fixes the blocks of ranks, and
     # the term's weight is prod(radices) * last, last counting its last part.
-    # _unrank_<kind> unpacks the term, one digit per radix and the last
-    # part's rank, as _term returns them.  A term names the choices it stands
-    # for: a part size, or a tuple of them where a node chooses more than one.
+    # Every term of a kind has the same number of radices.  The weighers read
+    # whole table rows (``CountingContext.row``) and binomials from the
+    # context's Pascal rows, each fetched once per node, and skip terms they
+    # can see are zero.  _unrank_<kind> unpacks the term, one digit per radix
+    # and the last part's rank, as _term returns them.  A term names the
+    # choices it stands for: a part size, or a tuple of them where a node
+    # chooses more than one.
 
     def _weigh_all(self, m: int):
         ctx = self.ctx
+        C = ctx.pascal[m - 1]
         for k in range(1, m + 1):
-            yield k, (comb(m - 1, k - 1), ctx.count_connected(k)), ctx.count_all(m - k)
+            yield k, (C[k - 1], ctx.count_connected(k)), ctx.count_all(m - k)
 
     def _unrank_all(self, n: int, r: int, labels: list[int], edges: list) -> None:
         # Split off the component holding the first remaining label, as
@@ -303,9 +317,9 @@ class ChordalSampler:
             self._unrank_connected(k, r_comp, [first] + component, edges)
 
     def _weigh_connected(self, n: int):
-        ctx = self.ctx
+        row = self.ctx.row
         for t in range(1, n + 1):
-            yield t, (), ctx.count_exact_single(t, 0, n)
+            yield t, (), row("exact_single", t, 0)[n]
 
     def _unrank_connected(self, n: int, r: int, labels: list[int], edges: list) -> None:
         t, _, r = self._term(("connected", n), r)
@@ -313,10 +327,13 @@ class ChordalSampler:
 
     def _weigh_within(self, t: int, x: int, k: int, z: int):
         ctx = self.ctx
+        C = ctx.pascal[k]
+        exact = ctx.row("exact", t, x, z=z)
+        within = ctx.row("within", t - 1, x, z=z)
         for k2 in range(k + 1):
-            a = ctx.count_exact(t, x, k2, z)
+            a = exact[k2]
             if a:
-                yield k2, (comb(k, k2), a), ctx.count_within(t - 1, x, k - k2, z)
+                yield k2, (C[k2], a), within[k - k2]
 
     def _unrank_within(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
                        edges: list) -> None:
@@ -335,17 +352,24 @@ class ChordalSampler:
         # Term (k2, x2): a first component of k2 vertices with root contact x2,
         # one of the x2-subsets of the root that escape the first z labels.
         ctx = self.ctx
-        count_rest = ctx.count_exact_proper if proper else ctx.count_exact
-        contacts = [comb(x, x2) - comb(z, x2) for x2 in range(x if proper else x + 1)]
+        C = ctx.pascal
+        Ck1 = C[k - 1]
+        top = x if proper else x + 1
+        contacts = [cx - cz for cx, cz in zip(C[x][1:top], C[z][1:])]
+        rest = ctx.row("exact_proper" if proper else "exact", t, x, z=z)
+        # singles[k2][x2 - 1] counts a component of k2 vertices with contact x2.
+        singles = list(zip(*[ctx.row("exact_single", t, x2) for x2 in range(1, top)]))
         for k2 in range(1, k + 1):
-            rest = count_rest(t, x, k - k2, z)
-            if not rest:
+            column = singles[k2]
+            if not any(column):
                 continue
-            b = comb(k - 1, k2 - 1)
-            for x2 in range(1, len(contacts)):
-                single = ctx.count_exact_single(t, x2, k2)
+            r = rest[k - k2]
+            if not r:
+                continue
+            b = Ck1[k2 - 1]
+            for x2, (c, single) in enumerate(zip(contacts, column), 1):
                 if single:
-                    yield (k2, x2), (contacts[x2], b, single), rest
+                    yield (k2, x2), (c, b, single), r
 
     def _unrank_root_components(self, proper: bool, t: int, x: int, k: int, z: int, r: int,
                                 labels: list[int], edges: list) -> None:
@@ -377,9 +401,11 @@ class ChordalSampler:
         self._unrank_root_components(True, t, x, k, z, r, labels, edges)
 
     def _weigh_exact_single(self, t: int, x: int, k: int):
+        # pinned(t, x, l, .) is zero once root plus layer exceed omega.
         ctx = self.ctx
-        for l in range(1, k + 1):
-            yield l, (comb(k, l),), ctx.count_pinned(t, x, l, k - l)
+        C = ctx.pascal[k]
+        for l in range(1, min(k, ctx.omega - x) + 1):
+            yield l, (C[l],), ctx.row("pinned", t, x, l)[k - l]
 
     def _unrank_exact_single(self, t: int, x: int, k: int, r: int, labels: list[int],
                              edges: list) -> None:
@@ -394,12 +420,14 @@ class ChordalSampler:
         # Term (k2, more): the first component has k2 vertices, then one
         # further component, or at least two if more.
         ctx = self.ctx
-        for more in (False, True):
-            count_rest = ctx.count_exact_multi if more else ctx.count_exact_single
+        C = ctx.pascal[k - 1]
+        single = ctx.row("exact_single", t, x)
+        multi = ctx.row("exact_multi", t, x)
+        for more, rest in ((False, single), (True, multi)):
             for k2 in range(1, k):
-                single = ctx.count_exact_single(t, x, k2)
-                if single:
-                    yield (k2, more), (comb(k - 1, k2 - 1), single), count_rest(t, x, k - k2)
+                s = single[k2]
+                if s:
+                    yield (k2, more), (C[k2 - 1], s), rest[k - k2]
 
     def _unrank_exact_multi(self, t: int, x: int, k: int, r: int, labels: list[int],
                             edges: list) -> None:
@@ -415,11 +443,16 @@ class ChordalSampler:
             self._unrank_exact_single(t, x, k - k2, r_rest, root + rest, edges)
 
     def _weigh_pinned(self, t: int, x: int, l: int, k: int):
+        # Only nodes with k >= 1 are weighed, and pinned(1, ., ., k) is zero
+        # for those, so t >= 2 here.
         ctx = self.ctx
+        C = ctx.pascal[k]
+        exact = ctx.row("pinned_exact", t, x, l)
+        within = ctx.row("within", t - 2, x + l, z=x)
         for k2 in range(1, k + 1):
-            a = ctx.count_pinned_exact(t, x, l, k2)
+            a = exact[k2]
             if a:
-                yield k2, (comb(k, k2), a), ctx.count_within(t - 2, x + l, k - k2, x)
+                yield k2, (C[k2], a), within[k - k2]
 
     def _unrank_pinned(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
                        edges: list) -> None:
@@ -432,21 +465,28 @@ class ChordalSampler:
         self._unrank_within(t - 2, x + l, k - k2, x, r_rest, hull + rest, edges)
 
     def _weigh_pinned_exact(self, t: int, x: int, l: int, k: int):
-        # Term None: no component outside the hull sees all of it.  Term
-        # (k2, more): k2 free vertices chosen hold exactly one such component,
-        # or at least two if more.
+        # Term None: no component outside the hull sees all of it; its two
+        # radices are 1, so their digits are 0.  Term (k2, more): k2 free
+        # vertices chosen hold exactly one such component, or at least two if
+        # more.
         ctx = self.ctx
+        C = ctx.pascal[k]
         xl = x + l
-        yield None, (), ctx.count_pinned_proper(t, x, l, k)
+        proper = ctx.row("pinned_proper", t, x, l)
+        yield None, (1, 1), proper[k]
+        single = ctx.row("exact_single", t - 1, xl)
         for k2 in range(1, k + 1):
-            one = ctx.count_exact_single(t - 1, xl, k2)
+            one = single[k2]
             if one:
-                yield (k2, False), (comb(k, k2), one), ctx.count_pinned_proper(t, x, l, k - k2)
+                yield (k2, False), (C[k2], one), proper[k - k2]
+        if t == 1:
+            return  # exact_multi is zero in round 0, below exact_proper's rounds
+        multi = ctx.row("exact_multi", t - 1, xl)
+        rest = ctx.row("exact_proper", t - 1, xl, z=x)
         for k2 in range(1, k + 1):
-            more = ctx.count_exact_multi(t - 1, xl, k2)
-            # more is 0 at t = 1, below the rounds exact_proper accepts.
+            more = multi[k2]
             if more:
-                yield (k2, True), (comb(k, k2), more), ctx.count_exact_proper(t - 1, xl, k - k2, x)
+                yield (k2, True), (C[k2], more), rest[k - k2]
 
     def _unrank_pinned_exact(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
                              edges: list) -> None:
@@ -473,21 +513,32 @@ class ChordalSampler:
         # Term (k2, l2, x2): the first component has k2 vertices and touches
         # x2 root labels and l2 layer labels.  If it misses the layer, its
         # root contact must escape the first z root labels.
+        if t == 1:
+            return  # no component finishes in round 0, below exact_proper's rounds
         ctx = self.ctx
+        C = ctx.pascal
+        Cx, Cl, Ck1 = C[x], C[l], C[k - 1]
+        escaping = [cx - cz for cx, cz in zip(Cx, C[z])]
+        # singles[k2][m] counts a component of k2 vertices with contact m.
+        singles = list(zip(*[ctx.row("exact_single", t - 1, m) for m in range(x + l)]))
+        rests = [ctx.row("pinned_proper_z", t, x + l2, l - l2, z) for l2 in range(l)]
+        rests.append(ctx.row("exact_proper", t - 1, x + l, z=z))
         for k2 in range(1, k + 1):
-            singles = [ctx.count_exact_single(t - 1, m, k2) for m in range(x + l)]
-            if not any(singles):  # always so at t = 1, below exact_proper's rounds
+            column = singles[k2]
+            if not any(column):
                 continue
-            b = comb(k - 1, k2 - 1)
-            for l2 in range(l + 1):
-                rest = (ctx.count_pinned_proper_z(t, x + l2, l - l2, k - k2, z) if l2 < l
-                        else ctx.count_exact_proper(t - 1, x + l, k - k2, z))
-                if not rest:
+            b = Ck1[k2 - 1]
+            for l2, rest in enumerate(rests):
+                r = rest[k - k2]
+                if not r:
                     continue
-                layer_contacts = comb(l, l2)
+                layer_contacts = Cl[l2]
+                root_contacts = Cx if l2 else escaping
                 for x2 in range(x + 1 if l2 < l else x):
-                    contacts = comb(x, x2) - (0 if l2 else comb(z, x2))
-                    yield (k2, l2, x2), (contacts, layer_contacts, b, singles[x2 + l2]), rest
+                    single = column[x2 + l2]
+                    contacts = root_contacts[x2]
+                    if single and contacts:
+                        yield (k2, l2, x2), (contacts, layer_contacts, b, single), r
 
     def _unrank_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int, r: int,
                                 labels: list[int], edges: list) -> None:

@@ -65,20 +65,24 @@ def as_epsilon(value) -> Fraction:
     return eps
 
 
-def _ceil_log(base: Fraction, value: Fraction) -> int:
-    """Smallest integer m >= 0 with base**m >= value, exactly, for base > 1.
+def _ceil_log(base: Fraction, value: Fraction, power: int = 1) -> int:
+    """Smallest integer m >= 0 with base**m >= value**power, exactly, for
+    base > 1 and power >= 1.
 
-    With base = p/q and value = a/b, base**m >= value is p**m * b >= a * q**m.
-    A float estimate of log(value) / log(base) starts m within one of the
-    answer, and exact comparisons settle it without multiplying out powers of
-    millions of bits: both sides are bracketed (``_bracket``) to 128 bits, then
-    to 16 times as many until the brackets decide, as they must once exact.
+    With base = p/q and value = a/b, base**m >= value**power is
+    p**m * b**power >= a**power * q**m.  A float estimate of
+    power * log(value) / log(base) starts m within one of the answer, and
+    exact comparisons settle it without multiplying out powers of millions of
+    bits: each power is bracketed (``_bracket``) to 128 bits, then to 16
+    times as many until the brackets decide, as they must once exact.
     """
+    p, q, a, b = base.numerator, base.denominator, value.numerator, value.denominator
+
     def reaches(m: int) -> bool:
         bits = 128
         while True:
-            xlo, xhi, xe = _bracket(value.denominator, base.numerator, m, bits)
-            ylo, yhi, ye = _bracket(value.numerator, base.denominator, m, bits)
+            xlo, xhi, xe = _bracket((p, m), (b, power), bits=bits)
+            ylo, yhi, ye = _bracket((q, m), (a, power), bits=bits)
             e = min(xe, ye)
             if xlo << xe - e >= yhi << ye - e:
                 return True
@@ -86,7 +90,7 @@ def _ceil_log(base: Fraction, value: Fraction) -> int:
                 return False
             bits *= 16
 
-    m = max(0, ceil((log(value.numerator) - log(value.denominator)) / log(base)))
+    m = max(0, ceil(power * (log(a) - log(b)) / log(base)))
     while m and reaches(m - 1):
         m -= 1
     while not reaches(m):
@@ -94,16 +98,20 @@ def _ceil_log(base: Fraction, value: Fraction) -> int:
     return m
 
 
-def _bracket(c: int, p: int, m: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2**e <= c * p**m <= hi * 2**e, by binary powering
-    that keeps the top ``bits`` bits, rounding lo down and hi up."""
+def _bracket(*powers: tuple[int, int], bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= the product of c**k over (c, k) in
+    powers <= hi * 2**e.  Each power is taken by binary powering that keeps
+    the top ``bits`` bits, rounding lo down and hi up."""
     lo, hi, e = 1, 1, 0
-    for digit in bin(m)[2:]:
-        f = p if digit == "1" else 1
-        lo, hi = lo * lo * f, hi * hi * f
-        s = max(0, hi.bit_length() - bits)
-        lo, hi, e = lo >> s, -(-hi >> s), 2 * e + s
-    return c * lo, c * hi, e
+    for c, k in powers:
+        plo, phi, pe = 1, 1, 0
+        for digit in bin(k)[2:]:
+            f = c if digit == "1" else 1
+            plo, phi = plo * plo * f, phi * phi * f
+            s = max(0, phi.bit_length() - bits)
+            plo, phi, pe = plo >> s, -(-phi >> s), 2 * pe + s
+        lo, hi, e = lo * plo, hi * phi, e + pe
+    return lo, hi, e
 
 
 def ceil_log2_inverse(eps: Fraction) -> int:
@@ -114,7 +122,7 @@ def ceil_log2_inverse(eps: Fraction) -> int:
 def threshold_f(eps) -> int:
     """Smallest n for which the truncated split count carries its guarantee."""
     eps = as_epsilon(eps)
-    log_term = _ceil_log(Fraction(3, 2), (1 / eps) ** 3)  # ceil(3*log_{3/2}(1/eps))
+    log_term = _ceil_log(Fraction(3, 2), 1 / eps, 3)  # ceil(3*log_{3/2}(1/eps))
     return max(SPLIT_FLOOR, log_term)
 
 
@@ -226,7 +234,7 @@ def split_count_q1_full(n: int) -> int:
 
 def _q_window(eps: Fraction) -> int:
     """Upper bound for q in the |Q| >= 2 stratum: ceil(10*log2(1/eps)) + 47."""
-    return _ceil_log(Fraction(2), (1 / eps) ** 10) + 47
+    return _ceil_log(Fraction(2), 1 / eps, 10) + 47
 
 
 def _q_mid_window_cells(n: int, eps: Fraction):

@@ -583,6 +583,9 @@ class TestCountOnlyFill:
             assert total == [ctx.count_all(m) for m in range(n + 1)], omega
 
     def test_peak_is_a_fraction_of_a_full_context(self):
+        # Earlier tests' cyclic garbage, freed by a collection inside the
+        # measured window, would be subtracted from the context's size.
+        gc.collect()
         tracemalloc.start()
         try:
             exact_counts(16)
@@ -637,6 +640,7 @@ class TestNoFillOutlivesItsCall:
         assert _new_contexts(before) == []
 
     def test_approx_count_fallback_peaks_at_a_fraction_of_a_full_context(self):
+        gc.collect()  # as in TestCountOnlyFill.test_peak_is_a_fraction_of_a_full_context
         tracemalloc.start()
         try:
             approx_count_chordal(16, "1e-9")
@@ -729,6 +733,81 @@ class TestPastTheLastRound:
         assert ctx5.last_round == 5
         with pytest.raises(AttributeError):
             ctx5.last_round = 6
+
+
+class TestRows:
+    """``row`` is each accessor's whole row over k: its values at every k,
+    at rounds up to and past the last, and its empty rows above omega."""
+
+    @pytest.mark.parametrize("n,omega", [(8, 3), (10, 10), (12, 4)])
+    def test_row_equals_the_counts(self, n, omega):
+        ctx = CountingContext(n, omega)
+        last = ctx.last_round
+        for kind, names in CLASS_ARGS.items():
+            count = getattr(ctx, "count_" + kind)
+            layers = range(n + 2) if "l" in names else (0,)
+            contacts = range(-1, n + 2) if "z" in names else (0,)
+            rows = 0
+            for t, x, l, z in product((0, 1, 2, last, last + 1, last + 50), range(-1, n + 2),
+                                      layers, contacts):
+                args = dict(t=t, x=x, l=l, z=z)
+                try:
+                    row = ctx.row(kind, t, x, l, z)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        count(*(args.get(name, 0) for name in names))
+                    continue
+                rows += 1
+                assert isinstance(row, tuple) and len(row) == n - x - l + 1, (kind, args)
+                for k in range(-1, len(row) + 1):
+                    args["k"] = k
+                    call = [args[name] for name in names]
+                    if 0 <= k < len(row):
+                        assert count(*call) == row[k], (kind, args)
+                    else:
+                        with pytest.raises(ValueError):
+                            count(*call)
+                if t > last:
+                    assert row == ctx.row(kind, last, x, l, z), (kind, args)
+                # A single or multi class has a free component beside its root.
+                hull = x + l + (kind in ("exact_single", "exact_multi"))
+                if hull > ctx.omega:
+                    assert not any(row), (kind, args)
+            assert rows, kind
+
+    def test_rows_above_omega_are_empty(self):
+        ctx = CountingContext(12, 4)
+        assert ctx.row("within", 3, 5, 0, 1) == (0,) * 8
+        assert ctx.row("exact_single", 3, 4) == (0,) * 9
+        assert ctx.row("exact_multi", 3, 4) == (0,) * 9
+        assert ctx.row("pinned_proper_z", 3, 2, 3, 1) == (0,) * 8
+        assert any(ctx.row("exact_single", 3, 3))
+
+    def test_rows_are_the_stored_ones(self):
+        ctx = CountingContext(8, 3)
+        assert ctx.row("pinned", 3, 1, 2) is ctx.row("pinned", 3, 1, 2)
+        assert ctx.row("pinned_proper", 4, 1, 2) is ctx.row("pinned_proper_z", 4, 1, 2, 1)
+        assert ctx.row("exact", ctx.last_round + 9, 2, 0, 1) is ctx.row("exact", ctx.last_round, 2, 0, 1)
+        assert ctx.pascal[8][3] == 56 and ctx.pascal[3][5] == 0
+        assert all(isinstance(row, tuple) for row in ctx.pascal)
+
+    def test_outside_the_domain(self, ctx5):
+        for kind, args in [
+            ("single", (1, 0)),  # not a kind
+            ("exact", (0, 2, 0, 1)),  # rounds start at 1
+            ("within", (1, 0)),  # root must be nonempty
+            ("within", (1, 2, 0, 2)),  # z < x
+            ("within", (1, 2, 1, 0)),  # no layer
+            ("exact_single", (1, 1, 0, 1)),  # no contact
+            ("exact_multi", (1, 0)),  # root must be nonempty
+            ("pinned", (1, 2, 0)),  # layer must be nonempty
+            ("pinned", (1, 3, 3)),  # 6 vertices exceed n_max = 5
+            ("pinned_proper", (2, 2, 1, 1)),  # z is x, not given
+            ("pinned_proper_z", (2, 1, 1, 2)),  # z <= x
+            ("pinned_proper_z", (2, -1, 1, 0)),
+        ]:
+            with pytest.raises(ValueError):
+                ctx5.row(kind, *args)
 
 
 class TestIndependentCertificates:

@@ -1,5 +1,8 @@
+import gc
+import hashlib
 import math
 import time
+import tracemalloc
 import zlib
 from collections import Counter
 from itertools import product
@@ -14,6 +17,7 @@ from chordal_lab.graphs import (
     is_chordal,
     is_connected,
     max_clique_size,
+    to_edge_list_text,
 )
 from chordal_lab.bruteforce import (
     bitmask_of,
@@ -578,7 +582,10 @@ class TestTermDecoders:
             count = getattr(ctx, "count_" + kind)(*args)
             ends = starts[1:] + (count,)
             key = (kind, *args)
-            for start, end, term, term_radices in zip(starts, ends, terms, radices):
+            a = len(radices) // len(terms)  # radices per term, flat
+            assert len(radices) == a * len(terms), key
+            for i, (start, end, term) in enumerate(zip(starts, ends, terms)):
+                term_radices = radices[i * a:(i + 1) * a]
                 assert s._term(key, start) == (term, [0] * len(term_radices), 0)
                 width = end - start
                 assert width % math.prod(term_radices) == 0, (key, term)
@@ -595,6 +602,57 @@ class TestTermDecoders:
                     assert g.vertices == tuple(range(1, args[0] + 1))
                     assert is_chordal(g) and max_clique_size(g) <= omega
                     assert kind == "all" or is_connected(g)
+
+
+def _draw_1000(n, omega, connected):
+    """The sampler after 1,000 draws at seed 11, and the sha1 of the edge-list
+    texts of the draws, concatenated."""
+    s = ChordalSampler(CountingContext(n, omega))
+    rng = RandomStream(11)
+    digest = hashlib.sha1()
+    for _ in range(1000):
+        g = s.sample_connected(n, rng) if connected else s.sample_chordal(n, rng)
+        digest.update(to_edge_list_text(g).encode())
+    return s, digest.hexdigest()
+
+
+class TestPinnedWork:
+    """The plan misses and weighed terms of 1,000 seeded draws on the two
+    benchmarked samplers, and the bytes they print.  The digests are those of
+    the sampler before plans were read from whole table rows; a change that
+    moves a count here moves the sampler's work, and says so."""
+
+    @pytest.mark.parametrize("n,omega,connected,misses,ops,sha1", [
+        (20, 20, True, 2591, 48117, "ab593792947561ed44079ae8e41e33f1814fd65e"),
+        (40, 3, False, 3099, 33705, "268bcfe36c605de07ef4aea8c2a239271340e676"),
+    ])
+    def test_misses_ops_and_output(self, n, omega, connected, misses, ops, sha1):
+        s, digest = _draw_1000(n, omega, connected)
+        assert digest == sha1
+        assert (s.plan_stats()["misses"], s.ops) == (misses, ops)
+
+
+class TestPlanMemory:
+    @pytest.mark.parametrize("n,omega,connected", [(40, 3, False), (20, 20, True)])
+    def test_sampler_retains_at_most_2_3_mb(self, n, omega, connected):
+        # A full cache of PLAN_ENTRIES terms held about 1.4 and 1.8 MB here;
+        # the full collection frees what the interpreter's free lists keep.
+        ctx = CountingContext(n, omega)
+        rng = RandomStream(11)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s = ChordalSampler(ctx)
+            for _ in range(2000):
+                s.sample_connected(n, rng) if connected else s.sample_chordal(n, rng)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # The cache is full: no plan holds 1,000 terms.
+        assert s.plan_stats()["entries"] > sampling.PLAN_ENTRIES - 1000
+        assert kept <= 2_300_000, kept
 
 
 class TestConcurrentReads:

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -145,6 +146,16 @@ class TestThresholds:
             assert threshold_f(eps) == loop_threshold_f(eps), eps
             assert threshold_g(eps) == max(loop_threshold_f(eps / 2),
                                            loop_ceil_log(Fraction(10, 9), 2 / eps)), eps
+
+
+    def test_floors_at_a_million_digit_epsilon_take_milliseconds(self):
+        # The values the multiplication loop's powers give; forming (1/eps)**3
+        # and (1/eps)**10 as Fractions took 1.4 and 11 s.
+        eps = Fraction(1, 10 ** 1000000)
+        for floor, want in ((threshold_g, 21854352), (_q_window, 33219328)):
+            start = time.perf_counter()
+            assert floor(eps) == want
+            assert time.perf_counter() - start < 0.5, floor.__name__
 
 
 class TestExactStratumCounts:
