@@ -775,14 +775,6 @@ class TestRows:
                     assert not any(row), (kind, args)
             assert rows, kind
 
-    def test_rows_above_omega_are_empty(self):
-        ctx = CountingContext(12, 4)
-        assert ctx.row("within", 3, 5, 0, 1) == (0,) * 8
-        assert ctx.row("exact_single", 3, 4) == (0,) * 9
-        assert ctx.row("exact_multi", 3, 4) == (0,) * 9
-        assert ctx.row("pinned_proper_z", 3, 2, 3, 1) == (0,) * 8
-        assert any(ctx.row("exact_single", 3, 3))
-
     def test_rows_are_the_stored_ones(self):
         ctx = CountingContext(8, 3)
         assert ctx.row("pinned", 3, 1, 2) is ctx.row("pinned", 3, 1, 2)
