@@ -62,9 +62,9 @@ from operator import mul
 from typing import Sequence
 
 # The counted class kinds and the names of their arguments, in order.
-# ``CountingContext.count_<kind>`` counts a class and
-# ``ChordalSampler._unrank_<kind>`` maps each rank below that count to one
-# member.
+# ``CountingContext.count_<kind>`` counts a class; ``ChordalSampler._KINDS``
+# holds the weigher and the handler that unrank it (``pinned_proper`` as
+# ``pinned_proper_z`` at z = x).
 CLASS_ARGS = {
     "within": "txkz", "exact": "txkz", "exact_proper": "txkz",
     "exact_single": "txk", "exact_multi": "txk",

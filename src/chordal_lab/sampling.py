@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate, combinations, product
 from math import comb, prod
 from typing import Sequence
@@ -132,19 +133,19 @@ class ChordalSampler:
     :class:`RandomStream`: it keeps a cache of plans that every draw updates.
 
     :meth:`unrank` maps each rank below a class's count to one member; a
-    sample is the member of one uniform rank.  ``_unrank_<kind>`` unranks the
-    class ``CountingContext.count_<kind>`` counts.  It takes the arguments
-    ``CLASS_ARGS[kind]`` names (or ``n`` for "all" and "connected"), then the
-    rank ``r``, ``labels`` (``labels[i]`` is the label of canonical vertex
-    i + 1) and an ``edges`` list it appends to.  At each node :meth:`_term`
-    picks the term whose block holds r, which names the part sizes and
-    contacts, and reads the remainder as mixed-radix digits: the indices of
-    the parts' label subsets and the ranks of all parts but the last, which
-    takes the rank left over.  So the parts receive their labels before they
-    recurse and a sample builds one graph, at the end.  Each edge is appended
-    once: the clique on the class's given labels (``labels[:x]``, or
-    ``labels[:x + l]`` where the kind has a layer) by :meth:`unrank`, a
-    layer's edges where the layer is picked.
+    sample is the member of one uniform rank.  It runs *steps* ``(key, r,
+    given, free)`` depth first from one stack: the node ``key`` = (kind,
+    *args) of a class ``CountingContext.count_<kind>`` counts, a rank ``r``
+    below its count, the labels of its given clique (the root, or the root
+    plus the layer) and its free labels.  At each step :meth:`_term` picks
+    the term whose block holds r, which names the part sizes and contacts,
+    and reads the remainder as mixed-radix digits: the indices of the parts'
+    label subsets and the ranks of all parts but the last, which takes the
+    rank left over.  The kind's handler ``_parts_<kind>`` returns the parts
+    as steps with their labels, so a sample builds one graph, at the end.  A
+    step with no free label is a leaf: its one member is its given clique.
+    Each edge is appended once: the given clique of the class by
+    :meth:`unrank`, a layer's edges where ``exact_single`` picks the layer.
 
     A node's *plan* holds its nonzero-weight terms, the rank at which each
     term's block starts and the terms' radices, in one flat tuple with the
@@ -191,10 +192,7 @@ class ChordalSampler:
         Raises if the kind is unknown, the argument count is wrong, or the
         class is empty (count zero).
         """
-        count = self._class(kind, args)[0]
-        if count == 0:
-            raise ValueError(f"class {kind}{tuple(args)} is empty at omega = {self.ctx.omega}")
-        return self.unrank(kind, args, rng.uniform_below(count))
+        return self._unrank(kind, args, None, rng)
 
     def unrank(self, kind: str, args: Sequence[int], r: int) -> LabeledGraph:
         """The member of rank r of one counted class, for 0 <= r < its count.
@@ -204,12 +202,35 @@ class ChordalSampler:
         ranks give distinct graphs.  Raises ValueError for an unknown kind, a
         wrong argument count, or a rank outside [0, count).
         """
+        return self._unrank(kind, args, r, None)
+
+    def _unrank(self, kind: str, args: Sequence[int], r: int | None,
+                rng: RandomStream | None) -> LabeledGraph:
+        """The member of rank r, or of a uniform rank drawn from rng if r is None."""
         count, size, hull = self._class(kind, args)
-        if not 0 <= r < count:
+        if rng is not None:
+            if count == 0:
+                raise ValueError(f"class {kind}{tuple(args)} is empty at omega = {self.ctx.omega}")
+            r = rng.uniform_below(count)
+        elif not 0 <= r < count:
             raise ValueError(f"rank {r} outside [0, {count}) of class {kind}{tuple(args)}")
         labels = list(range(1, size + 1))
         edges = list(combinations(labels[:hull], 2))
-        getattr(self, "_unrank_" + kind)(*args, r, labels, edges)
+        if kind == "pinned_proper":
+            key = ("pinned_proper_z", *args, args[1])  # at z = x
+        elif kind == "within":
+            # Every round past the last counts as the last: start there.
+            key = ("within", min(args[0], self.ctx.last_round), *args[1:])
+        else:
+            key = (kind, *args)
+        kinds = self._KINDS
+        term = self._term
+        steps = [(key, r, labels[:hull], labels[hull:])]
+        while steps:
+            key, r, given, free = steps.pop()
+            if free:  # else its one member is its given clique, already written
+                # Last part pushed first: the parts and plan lookups run in order.
+                steps += reversed(kinds[key[0]][1](self, key, *term(key, r), given, free, edges))
         return LabeledGraph(labels, edges)
 
     def _class(self, kind: str, args: Sequence[int]) -> tuple[int, int, int]:
@@ -259,7 +280,7 @@ class ChordalSampler:
         return terms[i], digits, r
 
     def _build(self, key: tuple) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
-        """Weigh a node with ``_weigh_<kind>``, cache its plan and evict the
+        """Weigh a node with its kind's weigher, cache its plan and evict the
         least recently used plans until at most PLAN_ENTRIES terms are kept."""
         self._misses += 1
         kind, *args = key
@@ -268,7 +289,7 @@ class ChordalSampler:
         flat = []
         intern = self._interned.setdefault
         start = weighed = 0
-        for term, radices, last in getattr(self, "_weigh_" + kind)(*args):
+        for term, radices, last in self._KINDS[kind][0](self, *args):
             weighed += 1
             w = prod(radices) * last
             if w:
@@ -287,7 +308,7 @@ class ChordalSampler:
             self._entries -= len(plans.pop(next(iter(plans)))[1])
         return plan
 
-    # -- one procedure per counted class --------------------------------------
+    # -- one weigher and one handler per counted class -------------------------
     #
     # _weigh_<kind> states a node's recurrence once: it yields (term, radices,
     # last) for each term, in the order that fixes the blocks of ranks, and
@@ -295,10 +316,14 @@ class ChordalSampler:
     # Every term of a kind has the same number of radices.  The weighers read
     # whole table rows (``CountingContext.row``) and binomials from the
     # context's Pascal rows, each fetched once per node, and skip terms they
-    # can see are zero.  _unrank_<kind> unpacks the term, one digit per radix
-    # and the last part's rank, as _term returns them.  A term names the
-    # choices it stands for: a part size, or a tuple of them where a node
-    # chooses more than one.
+    # can see are zero.  A term names the choices it stands for: a part size,
+    # or a tuple of them where a node chooses more than one.
+    #
+    # _parts_<kind>(key, term, digits, r, given, free, edges) unpacks its
+    # key, the term, one digit per radix and the last part's rank, as _term
+    # returns them, and returns the parts' steps in the recurrence's order; it
+    # calls no _term and no handler.  exact and exact_proper share a weigher
+    # and a handler; _unrank reads pinned_proper as pinned_proper_z at z = x.
 
     def _weigh_all(self, m: int):
         ctx = self.ctx
@@ -306,24 +331,22 @@ class ChordalSampler:
         for k in range(1, m + 1):
             yield k, (C[k - 1], ctx.count_connected(k)), ctx.count_all(m - k)
 
-    def _unrank_all(self, n: int, r: int, labels: list[int], edges: list) -> None:
-        # Split off the component holding the first remaining label, as
-        # count_all does, until no label is left.
-        rest = labels
-        while rest:
-            k, (s, r_comp), r = self._term(("all", len(rest)), r)
-            first = rest[0]
-            component, rest = _split(rest[1:], k - 1, s)
-            self._unrank_connected(k, r_comp, [first] + component, edges)
+    def _parts_all(self, key, k, digits, r, given, free, edges):
+        # The component holding the first label, as count_all splits it off,
+        # then the rest.
+        s, r_comp = digits
+        component, rest = _split(free[1:], k - 1, s)
+        return ((("connected", k), r_comp, given, [free[0]] + component),
+                (("all", len(rest)), r, given, rest))
 
     def _weigh_connected(self, n: int):
         row = self.ctx.row
         for t in range(1, n + 1):
             yield t, (), row("exact_single", t, 0)[n]
 
-    def _unrank_connected(self, n: int, r: int, labels: list[int], edges: list) -> None:
-        t, _, r = self._term(("connected", n), r)
-        self._unrank_exact_single(t, 0, n, r, labels, edges)
+    def _parts_connected(self, key, t, digits, r, given, free, edges):
+        # One component, beside an empty root, that evaporates in round t.
+        return (("exact_single", t, 0, key[1]), r, given, free),
 
     def _weigh_within(self, t: int, x: int, k: int, z: int):
         ctx = self.ctx
@@ -335,20 +358,16 @@ class ChordalSampler:
             if a:
                 yield k2, (C[k2], a), within[k - k2]
 
-    def _unrank_within(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
-                       edges: list) -> None:
+    def _parts_within(self, key, k2, digits, r, given, free, edges):
         # The k2 free vertices whose components finish in round t, then the
-        # rest within t - 1 rounds until none is left; no round past the last adds one.
-        t = min(t, self.ctx.last_round)
-        root, free = labels[:x], labels[x:]
-        while free:
-            k2, (s, r_exact), r = self._term(("within", t, x, len(free), z), r)
-            chosen, free = _split(free, k2, s)
-            if chosen:
-                self._unrank_exact(t, x, k2, z, r_exact, root + chosen, edges)
-            t -= 1
+        # rest within t - 1 rounds.
+        _, t, x, k, z = key
+        s, r_exact = digits
+        chosen, rest = _split(free, k2, s)
+        return ((("exact", t, x, k2, z), r_exact, given, chosen),
+                (("within", t - 1, x, k - k2, z), r, given, rest))
 
-    def _weigh_root_components(self, proper: bool, t: int, x: int, k: int, z: int):
+    def _weigh_root_components(self, t: int, x: int, k: int, z: int, *, proper: bool):
         # Term (k2, x2): a first component of k2 vertices with root contact x2,
         # one of the x2-subsets of the root that escape the first z labels.
         ctx = self.ctx
@@ -371,34 +390,16 @@ class ChordalSampler:
                 if single:
                     yield (k2, x2), (c, b, single), r
 
-    def _unrank_root_components(self, proper: bool, t: int, x: int, k: int, z: int, r: int,
-                                labels: list[int], edges: list) -> None:
-        """The exact and exact_proper classes: split off the component holding
-        the first free vertex, with root contact x2 (below x if proper)."""
-        if k == 0:
-            return
-        key = ("exact_proper" if proper else "exact", t, x, k, z)
-        (k2, x2), (c, s, r_comp), r_rest = self._term(key, r)
-        root, free = labels[:x], labels[x:]
+    def _parts_root_components(self, key, term, digits, r, given, free, edges):
+        # The component holding the first free vertex, then the rest of the
+        # class, of the same kind.
+        kind, t, x, k, z = key
+        (k2, x2), (c, s, r_comp) = term, digits
         # In colex order the subsets inside root[:z] take the ranks below C(z, x2).
-        contact, _ = _split(root, x2, comb(z, x2) + c)
+        contact, _ = _split(given, x2, comb(z, x2) + c)
         component, rest = _split(free[1:], k2 - 1, s)
-        self._unrank_exact_single(t, x2, k2, r_comp, contact + [free[0]] + component, edges)
-        self._unrank_root_components(proper, t, x, k - k2, z, r_rest, root + rest, edges)
-
-    def _weigh_exact(self, t: int, x: int, k: int, z: int):
-        return self._weigh_root_components(False, t, x, k, z)
-
-    def _weigh_exact_proper(self, t: int, x: int, k: int, z: int):
-        return self._weigh_root_components(True, t, x, k, z)
-
-    def _unrank_exact(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
-                      edges: list) -> None:
-        self._unrank_root_components(False, t, x, k, z, r, labels, edges)
-
-    def _unrank_exact_proper(self, t: int, x: int, k: int, z: int, r: int, labels: list[int],
-                             edges: list) -> None:
-        self._unrank_root_components(True, t, x, k, z, r, labels, edges)
+        return ((("exact_single", t, x2, k2), r_comp, contact, [free[0]] + component),
+                ((kind, t, x, k - k2, z), r, given, rest))
 
     def _weigh_exact_single(self, t: int, x: int, k: int):
         # pinned(t, x, l, .) is zero once root plus layer exceed omega.
@@ -407,14 +408,14 @@ class ChordalSampler:
         for l in range(1, min(k, ctx.omega - x) + 1):
             yield l, (C[l],), ctx.row("pinned", t, x, l)[k - l]
 
-    def _unrank_exact_single(self, t: int, x: int, k: int, r: int, labels: list[int],
-                             edges: list) -> None:
-        l, (s,), r = self._term(("exact_single", t, x, k), r)
-        root = labels[:x]
-        layer, rest = _split(labels[x:], l, s)
-        edges.extend(product(layer, root))
+    def _parts_exact_single(self, key, l, digits, r, given, free, edges):
+        # The last layer, l free vertices that see the root and each other,
+        # then the rest, pinned under root plus layer.
+        _, t, x, k = key
+        layer, rest = _split(free, l, digits[0])
+        edges.extend(product(layer, given))
         edges.extend(combinations(layer, 2))
-        self._unrank_pinned(t, x, l, k - l, r, root + layer + rest, edges)
+        return (("pinned", t, x, l, k - l), r, given + layer, rest),
 
     def _weigh_exact_multi(self, t: int, x: int, k: int):
         # Term (k2, more): the first component has k2 vertices, then one
@@ -429,18 +430,14 @@ class ChordalSampler:
                 if s:
                     yield (k2, more), (C[k2 - 1], s), rest[k - k2]
 
-    def _unrank_exact_multi(self, t: int, x: int, k: int, r: int, labels: list[int],
-                            edges: list) -> None:
+    def _parts_exact_multi(self, key, term, digits, r, given, free, edges):
         # The component holding the first free vertex, then one further
         # component or at least two.
-        (k2, more), (s, r_comp), r_rest = self._term(("exact_multi", t, x, k), r)
-        root, free = labels[:x], labels[x:]
+        _, t, x, k = key
+        (k2, more), (s, r_comp) = term, digits
         component, rest = _split(free[1:], k2 - 1, s)
-        self._unrank_exact_single(t, x, k2, r_comp, root + [free[0]] + component, edges)
-        if more:
-            self._unrank_exact_multi(t, x, k - k2, r_rest, root + rest, edges)
-        else:
-            self._unrank_exact_single(t, x, k - k2, r_rest, root + rest, edges)
+        return ((("exact_single", t, x, k2), r_comp, given, [free[0]] + component),
+                (("exact_multi" if more else "exact_single", t, x, k - k2), r, given, rest))
 
     def _weigh_pinned(self, t: int, x: int, l: int, k: int):
         # Only nodes with k >= 1 are weighed, and pinned(1, ., ., k) is zero
@@ -454,15 +451,14 @@ class ChordalSampler:
             if a:
                 yield k2, (C[k2], a), within[k - k2]
 
-    def _unrank_pinned(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
-                       edges: list) -> None:
-        if t == 1 and k == 0:
-            return
-        k2, (s, r_exact), r_rest = self._term(("pinned", t, x, l, k), r)
-        hull = labels[:x + l]
-        chosen, rest = _split(labels[x + l:], k2, s)
-        self._unrank_pinned_exact(t, x, l, k2, r_exact, hull + chosen, edges)
-        self._unrank_within(t - 2, x + l, k - k2, x, r_rest, hull + rest, edges)
+    def _parts_pinned(self, key, k2, digits, r, given, free, edges):
+        # The k2 free vertices whose components finish in round t - 1, then
+        # the rest within t - 2 rounds.
+        _, t, x, l, k = key
+        s, r_exact = digits
+        chosen, rest = _split(free, k2, s)
+        return ((("pinned_exact", t, x, l, k2), r_exact, given, chosen),
+                (("within", t - 2, x + l, k - k2, x), r, given, rest))
 
     def _weigh_pinned_exact(self, t: int, x: int, l: int, k: int):
         # Term None: no component outside the hull sees all of it; its two
@@ -488,26 +484,18 @@ class ChordalSampler:
             if more:
                 yield (k2, True), (C[k2], more), rest[k - k2]
 
-    def _unrank_pinned_exact(self, t: int, x: int, l: int, k: int, r: int, labels: list[int],
-                             edges: list) -> None:
-        term, digits, r_rest = self._term(("pinned_exact", t, x, l, k), r)
+    def _parts_pinned_exact(self, key, term, digits, r, given, free, edges):
+        _, t, x, l, k = key
         if term is None:
-            self._unrank_pinned_proper(t, x, l, k, r_rest, labels, edges)
-            return
+            return (("pinned_proper_z", t, x, l, k, x), r, given, free),
         xl = x + l
         (k2, more), (s, r_seeing) = term, digits
-        hull = labels[:xl]
-        chosen, rest = _split(labels[xl:], k2, s)
+        chosen, rest = _split(free, k2, s)
         if more:
-            self._unrank_exact_multi(t - 1, xl, k2, r_seeing, hull + chosen, edges)
-            self._unrank_exact_proper(t - 1, xl, k - k2, x, r_rest, hull + rest, edges)
-        else:
-            self._unrank_exact_single(t - 1, xl, k2, r_seeing, hull + chosen, edges)
-            self._unrank_pinned_proper(t, x, l, k - k2, r_rest, hull + rest, edges)
-
-    def _unrank_pinned_proper(self, t: int, x: int, l: int, k: int, r: int,
-                              labels: list[int], edges: list) -> None:
-        self._unrank_pinned_proper_z(t, x, l, k, x, r, labels, edges)
+            return ((("exact_multi", t - 1, xl, k2), r_seeing, given, chosen),
+                    (("exact_proper", t - 1, xl, k - k2, x), r, given, rest))
+        return ((("exact_single", t - 1, xl, k2), r_seeing, given, chosen),
+                (("pinned_proper_z", t, x, l, k - k2, x), r, given, rest))
 
     def _weigh_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int):
         # Term (k2, l2, x2): the first component has k2 vertices and touches
@@ -540,30 +528,39 @@ class ChordalSampler:
                     if single and contacts:
                         yield (k2, l2, x2), (contacts, layer_contacts, b, single), r
 
-    def _unrank_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int, r: int,
-                                labels: list[int], edges: list) -> None:
+    def _parts_pinned_proper_z(self, key, term, digits, r, given, free, edges):
         # The component holding the first free vertex has k2 vertices and
         # touches x2 root labels and l2 layer labels, a proper nonempty part
         # of root-plus-layer.
-        key = ("pinned_proper_z", t, x, l, k, z)
-        (k2, l2, x2), (c, c_layer, s, r_comp), r_rest = self._term(key, r)
-
+        _, t, x, l, k, z = key
+        (k2, l2, x2), (c, c_layer, s, r_comp) = term, digits
         # The [1, z] prefix is positional: a contact that must escape it has
         # colex rank at least C(z, x2).
-        root, layer, free = labels[:x], labels[x:x + l], labels[x + l:]
+        root, layer = given[:x], given[x:]
         contact, _ = _split(root, x2, c if l2 else comb(z, x2) + c)
         layer_contact, layer_rest = _split(layer, l2, c_layer)
         component, rest = _split(free[1:], k2 - 1, s)
-        self._unrank_exact_single(t - 1, x2 + l2, k2, r_comp,
-                                  contact + layer_contact + [free[0]] + component, edges)
+        first = (("exact_single", t - 1, x2 + l2, k2), r_comp, contact + layer_contact,
+                 [free[0]] + component)
         if l2 < l:
             # The touched layer labels join the root; the rest stay the layer.
             hull = root + layer_contact + layer_rest
-            self._unrank_pinned_proper_z(t, x + l2, l - l2, k - k2, z, r_rest, hull + rest,
-                                         edges)
-        else:
-            self._unrank_exact_proper(t - 1, x + l, k - k2, z, r_rest, root + layer + rest,
-                                      edges)
+            return first, (("pinned_proper_z", t, x + l2, l - l2, k - k2, z), r, hull, rest)
+        return first, (("exact_proper", t - 1, x + l, k - k2, z), r, given, rest)
+
+    # Each kind's weigher and handler, which a plan build and a step look up.
+    _KINDS = {
+        "all": (_weigh_all, _parts_all),
+        "connected": (_weigh_connected, _parts_connected),
+        "within": (_weigh_within, _parts_within),
+        "exact": (partial(_weigh_root_components, proper=False), _parts_root_components),
+        "exact_proper": (partial(_weigh_root_components, proper=True), _parts_root_components),
+        "exact_single": (_weigh_exact_single, _parts_exact_single),
+        "exact_multi": (_weigh_exact_multi, _parts_exact_multi),
+        "pinned": (_weigh_pinned, _parts_pinned),
+        "pinned_exact": (_weigh_pinned_exact, _parts_pinned_exact),
+        "pinned_proper_z": (_weigh_pinned_proper_z, _parts_pinned_proper_z),
+    }
 
 
 # ---------------------------------------------------------------------------

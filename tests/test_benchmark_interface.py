@@ -27,6 +27,10 @@ def test_benchmark_names_exist():
     assert sampler.ops == 0
     sampler.sample_chordal(4, sampling.RandomStream(1))
     assert sampler.ops > 0
+    # The exact workload draws connected graphs.
+    ops = sampler.ops
+    sampler.sample_connected(4, sampling.RandomStream(1))
+    assert sampler.ops > ops
 
 
 def test_one_shot_split_draws_certify_their_windows_once(monkeypatch):

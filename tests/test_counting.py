@@ -157,8 +157,16 @@ class TestClassRegistry:
         names = list(CLASS_ARGS[kind])
         count = inspect.signature(getattr(ctx5, "count_" + kind))
         assert list(count.parameters) == names
-        unrank = inspect.signature(getattr(ChordalSampler(ctx5), "_unrank_" + kind))
-        assert list(unrank.parameters) == names + ["r", "labels", "edges"]
+        if kind == "pinned_proper":  # unranked as pinned_proper_z at z = x
+            assert kind not in ChordalSampler._KINDS
+            return
+        weigh, _ = ChordalSampler._KINDS[kind]
+        params = inspect.signature(weigh).parameters.values()
+        assert [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD] == ["self"] + names
+
+    def test_the_sampler_has_a_handler_for_every_node_kind(self):
+        kinds = set(CLASS_ARGS) - {"pinned_proper"} | {"all", "connected"}
+        assert set(ChordalSampler._KINDS) == kinds
 
     def test_wrong_arity_rejected(self, ctx5):
         g = LabeledGraph([1, 2], [(1, 2)])
@@ -814,8 +822,8 @@ class TestIndependentCertificates:
         # joined to a proper subset of it: n * (2**(n - 1) - 1) choices, where
         # the C(n, 2) graphs K_n minus an edge are counted twice.  With K_n,
         # those are the graphs omega = n - 2 leaves out.
-        _, total = exact_counts(20)
-        for n in range(3, 21):
+        _, total = exact_counts(25)
+        for n in range(3, 26):
             want = total[n] - 1 - n * (2 ** (n - 1) - 1) + comb(n, 2)
             assert exact_counts(n, n - 2)[1][n] == want, n
             if n <= 12:

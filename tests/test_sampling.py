@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import inspect
 import math
+import sys
 import time
 import tracemalloc
 import zlib
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import chordal_lab.sampling as sampling
 from chordal_lab.counting import CLASS_ARGS, CountingContext, class_params
 from chordal_lab.graphs import (
+    evaporation_sequence,
     is_chordal,
     is_connected,
     max_clique_size,
@@ -486,6 +489,50 @@ class TestOneDrawPerSample:
             g = draw(12, rng)
             assert bounds == [getattr(ctx, "count_" + kind)(12)]
             assert is_chordal(g)
+
+
+class TestOneClassReadPerSample:
+    """A draw validates its class and reads its count once, for the rank it
+    draws and the walk it starts."""
+
+    @pytest.mark.parametrize("draw", [
+        lambda s, rng: s.sample_chordal(5, rng),
+        lambda s, rng: s.sample_class("pinned", (2, 1, 1, 2), rng),
+    ], ids=["sample_chordal", "sample_class"])
+    def test_one_class_call(self, ctx5, monkeypatch, draw):
+        calls = []
+        read = ChordalSampler._class
+
+        def counted(self, kind, args):
+            calls.append((kind, tuple(args)))
+            return read(self, kind, args)
+
+        monkeypatch.setattr(ChordalSampler, "_class", counted)
+        s = ChordalSampler(ctx5)
+        rng = RandomStream(6)
+        for _ in range(5):
+            calls.clear()
+            draw(s, rng)
+            assert len(calls) == 1
+
+
+class TestUnrankStack:
+    """Unranking runs its steps in one loop, so the interpreter's stack does
+    not grow with the evaporation rounds or the components of a member."""
+
+    def test_the_star_and_the_path_at_n_60(self):
+        ctx = CountingContext(60, 2)
+        s = ChordalSampler(ctx)
+        count = ctx.count_connected(60)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            star = s.unrank("connected", (60,), 0)
+            path = s.unrank("connected", (60,), count - 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(evaporation_sequence(star).layers) == 2
+        assert len(evaporation_sequence(path).layers) == 30
 
 
 class TestOperationBudget:
