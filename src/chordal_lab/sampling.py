@@ -224,13 +224,14 @@ class ChordalSampler:
         else:
             key = (kind, *args)
         kinds = self._KINDS
-        term = self._term
+        lookup = self._term
         steps = [(key, r, labels[:hull], labels[hull:])]
         while steps:
             key, r, given, free = steps.pop()
             if free:  # else its one member is its given clique, already written
-                # Last part pushed first: the parts and plan lookups run in order.
-                steps += reversed(kinds[key[0]][1](self, key, *term(key, r), given, free, edges))
+                term, digits, r = lookup(key, r)
+                parts = kinds[key[0]][1](self, key, term, digits, r, given, free, edges)
+                steps += parts[::-1]  # last first: parts and plan lookups run in order
         return LabeledGraph(labels, edges)
 
     def _class(self, kind: str, args: Sequence[int]) -> tuple[int, int, int]:
