@@ -549,7 +549,8 @@ class ChordalSampler:
             return first, (("pinned_proper_z", t, x + l2, l - l2, k - k2, z), r, hull, rest)
         return first, (("exact_proper", t - 1, x + l, k - k2, z), r, given, rest)
 
-    # Each kind's weigher and handler, which a plan build and a step look up.
+    # Each kind's weigher and handler, which a plan build and a step look up;
+    # plain functions, as bound methods would make each sampler a reference cycle.
     _KINDS = {
         "all": (_weigh_all, _parts_all),
         "connected": (_weigh_connected, _parts_connected),
