@@ -178,12 +178,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutFile:
+    """The ``--out`` file, opened for writing at the first write, so that a
+    command refused before it writes leaves an existing file as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.file: IO[str] | None = None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w")
+        return self.file.write(text)
+
+    def __enter__(self) -> _OutFile:
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if exc_type is None:
+            self.write("")  # a command that wrote nothing still leaves its empty file
+        if self.file is not None:
+            self.file.close()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.out is not None:
-            with open(args.out, "w") as fh:
+            with _OutFile(args.out) as fh:
                 args.func(args, fh)
         else:
             args.func(args, sys.stdout)

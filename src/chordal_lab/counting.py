@@ -14,43 +14,44 @@ never deleted.  The classifying data are
     z  -- components must keep at least one neighbor outside the first z root
           labels (ties the pieces of a decomposition back together)
 
-Every table is a dense nested list with k last (``[t][x][z][k]``,
-``[t][x][l][k]`` and ``[t][x][l][z][k]``), so each recurrence is a binomial
-convolution over whole rows.  :class:`CountingContext` fills them bottom-up
-when it is constructed.  Rounds run t = 1, 2, ... and each round has two
-phases:
+The tables live in one store keyed by ``CLASS_ARGS`` kind (``pinned_proper``
+is stored as ``pinned_proper_z``).  Every table is a dense nested list with
+k last (``[t][x][z][k]``, ``[t][x][l][k]`` and ``[t][x][l][z][k]``), so each
+recurrence is a binomial convolution over whole rows.
+:class:`CountingContext` fills them bottom-up when it is constructed.
+Rounds run t = 1, 2, ... and each round has two phases:
 
     A. for each hull size x + l: the five-argument pinned rows, as one chain
        over x descending at root contact z = 0, each row at z >= 1 derived
        from the z = 0 row by one convolution; then, with x descending,
        ``pinned_exact`` and ``pinned``;
-    B. ``single`` and ``multi``, then ``exact`` and ``exact_proper``, then
-       ``within``.
+    B. ``exact_single`` and ``exact_multi``, then ``exact`` and
+       ``exact_proper``, then ``within``.
 
 The invariant is that every read is of an earlier round, or of the same
 round and an earlier phase, or of a row the current phase has completed, or
 of entries of the row being filled at fewer free vertices.  The fill stops
-after the first round whose ``single`` table is all zero.  No component
+after the first round whose ``exact_single`` table is all zero.  No component
 finishes then or later, so that round, ``last_round``, holds every table's
 value at every later t.  Rows whose root clique, or root plus layer, is
 larger than omega are empty, since every graph there contains that clique,
 and nothing stores them.  :meth:`CountingContext.row` is the one reader of
 the tables: it checks a kind's arguments, reads round min(t, last_round),
 and returns the stored row over k (a shared all-zero row above omega);
-each ``count_<kind>`` is that row's entry at k.  The finished tables are
-tuples, so a constructed context is filled and immutable, and may be read
-from any number of threads.
+each ``count_<kind>`` is that row's entry at k.  Every row is a tuple when
+the fill stores it, so a constructed context is filled and immutable, and
+may be read from any number of threads.
 
 Most entries of most rows are zero, and the two row kernels
 (``_first_component_row`` and ``_conv``) multiply only over the nonzero band
 of each row.  The zeros have three sources.  Leading zeros: a component that
-finishes in round t has at least lo(t) vertices, so ``single``, ``exact`` and
-the pinned chain rows vanish at 0 < k < lo(t).  The gap after k = 0: an
-exact row is [1, 0, ..., 0, nonzero from lo(t)], the bare root at k = 0.
-The self row: a row that reads itself at fewer free vertices is [first, 0,
-..., 0, row[lo:]].  The kernels find each band from the values themselves
-(the first nonzero entry of a row), so they store the same values as full
-products would.
+finishes in round t has at least lo(t) vertices, so ``exact_single``,
+``exact`` and the pinned chain rows vanish at 0 < k < lo(t).  The gap after
+k = 0: an exact row is [1, 0, ..., 0, nonzero from lo(t)], the bare root at
+k = 0.  The self row: a row that reads itself at fewer free vertices is
+[first, 0, ..., 0, row[lo:]].  The kernels find each band from the values
+themselves (the first nonzero entry of a row), so they store the same values
+as full products would.
 
 All arithmetic is exact; values grow to roughly 2**(n*n).
 """
@@ -312,7 +313,9 @@ class CountingContext:
     # -- diagnostics -----------------------------------------------------------
 
     def table_sizes(self) -> dict[str, int]:
-        """Number of stored cells per table (for perf inspection)."""
+        """Number of stored cells per table, by ``CLASS_ARGS`` kind (every
+        kind but ``pinned_proper``, which is read from ``pinned_proper_z``),
+        for perf inspection."""
         def cells(rows) -> int:
             if rows is None:
                 return 0
@@ -320,34 +323,21 @@ class CountingContext:
                 return len(rows)
             return sum(cells(r) for r in rows)
 
-        return {
-            "within": cells(self._within),
-            "exact": cells(self._exact),
-            "exact_proper": cells(self._exact_proper),
-            "single": cells(self._single),
-            "multi": cells(self._multi),
-            "pinned": cells(self._pinned),
-            "pinned_exact": cells(self._pinned_exact),
-            "pinned_proper_z": cells(self._pinned_proper),
-        }
+        return {kind: cells(table) for kind, table in self._tables.items()}
 
     # -- the fill ----------------------------------------------------------------
 
     def _fill(self) -> None:
         n, w = self.n_max, self._w
         hulls = range(1, w + 1)
-        self._single = [[(0,) * (n - x + 1) for x in range(w)]]
-        self._multi = [[(0,) * (n - x + 1) for x in range(w)]]
-        self._within = [[None] + [[(1,) + (0,) * (n - x) for _ in range(x)] for x in hulls]]
-        self._exact = [None]
-        self._exact_proper = [None]
-        self._pinned = [None]
-        self._pinned_exact = [None]
-        self._pinned_proper = [None]
+        # Every table, by kind and then round; round 0 stores exact_single,
+        # exact_multi and within only.
         self._tables = {
-            "within": self._within, "exact": self._exact, "exact_proper": self._exact_proper,
-            "exact_single": self._single, "exact_multi": self._multi, "pinned": self._pinned,
-            "pinned_exact": self._pinned_exact, "pinned_proper_z": self._pinned_proper,
+            "within": [[None] + [[(1,) + (0,) * (n - x) for _ in range(x)] for x in hulls]],
+            "exact": [None], "exact_proper": [None],
+            "exact_single": [[(0,) * (n - x + 1) for x in range(w)]],
+            "exact_multi": [[(0,) * (n - x + 1) for x in range(w)]],
+            "pinned": [None], "pinned_exact": [None], "pinned_proper_z": [None],
         }
         weights = _NO_WEIGHTS  # round 0 has no component at all
         connected = [0] * (n + 1)
@@ -358,12 +348,11 @@ class CountingContext:
             del weights  # read by phase A only; phase B builds the next ones
             weights = self._fill_root(t)
             if w:
-                connected = [c + s for c, s in zip(connected, self._single[t][0])]
+                connected = [c + s for c, s in zip(connected, self._tables["exact_single"][t][0])]
             if weights[0] is None:
                 break
             self._release(t)
         self._last = t
-        self._freeze(t)
 
         self._connected = connected
         a = [1]
@@ -373,18 +362,9 @@ class CountingContext:
         self._all = a
 
     def _release(self, t: int) -> None:
-        """Called after each round t but the last; a full context keeps
-        every round, since the sampler reads them all, and freezes it."""
-        self._freeze(t)
-
-    def _freeze(self, t: int) -> None:
-        """Turn every row of round t into a tuple, so that :meth:`row` hands
-        out the stored rows themselves.  Done as each round ends, the lists'
-        memory serves the next round.  The fill shares some rows between the
-        tables of one round, never across rounds; each becomes one tuple."""
-        frozen = {}
-        for table in self._tables.values():
-            _freeze_rows(table[t], frozen)
+        """Called after each round t but the last to drop the rounds no later
+        round reads; a full context keeps every round, since the sampler
+        reads them all."""
 
     def _fill_pinned(self, t: int, weights: tuple) -> None:
         """Phase A of round t: pinned_proper_z, pinned_exact, pinned.
@@ -414,8 +394,9 @@ class CountingContext:
         weights.  ``factored=False`` runs the direct triple sum for every z
         and never uses the identity.
         """
-        n, w = self.n_max, self._w
+        n, w, tables = self.n_max, self._w, self._tables
         prev = t - 1
+        exact_proper = tables["exact_proper"]
         proper = [[None] * (w - x + 1) for x in range(w)]
         exact = [[None] * (w - x + 1) for x in range(w)]
         pinned = [[None] * (w - x + 1) for x in range(w)]
@@ -432,14 +413,14 @@ class CountingContext:
             # The direct path, and a round after one in which no component
             # finished (every row zero), run one chain per z.
             for z in range(hull if inv is None else 1):
-                rest = self._exact_proper[prev][hull][z] if prev else None
+                rest = exact_proper[prev][hull][z] if prev else None
                 chain = self._pinned_proper_chain(t, hull, z, weights, rest, partial)
                 for x in range(z, hull):
                     rows[x, z] = chain[x]
             if inv is not None:
                 for x in range(hull):
                     for z in self._derived_contacts(x):
-                        rows[x, z] = self._conv(inv[z], rows[x, 0], K, 0)
+                        rows[x, z] = tuple(self._conv(inv[z], rows[x, 0], K, 0))
             for x in range(hull - 1, -1, -1):
                 l = hull - x
                 proper[x][l] = [rows.get((x, z)) for z in range(x + 1)]
@@ -447,18 +428,18 @@ class CountingContext:
                 row = own
                 if prev and hull < w:
                     # Zero, one, or at least two components see all of the hull.
-                    one = self._conv(self._single[prev][hull], own, K, 1)
-                    more = self._conv(self._multi[prev][hull],
-                                      self._exact_proper[prev][hull][x], K, 1)
-                    row = [a + b + c for a, b, c in zip(own, one, more)]
+                    one = self._conv(tables["exact_single"][prev][hull], own, K, 1)
+                    more = self._conv(tables["exact_multi"][prev][hull],
+                                      exact_proper[prev][hull][x], K, 1)
+                    row = tuple(a + b + c for a, b, c in zip(own, one, more))
                 exact[x][l] = row
                 if t == 1:
-                    pinned[x][l] = [1] + [0] * K
+                    pinned[x][l] = (1,) + (0,) * K
                 else:
-                    pinned[x][l] = self._conv(row, self._within[t - 2][hull][x], K, 1)
-        self._pinned_proper.append(proper)
-        self._pinned_exact.append(exact)
-        self._pinned.append(pinned)
+                    pinned[x][l] = tuple(self._conv(row, tables["within"][t - 2][hull][x], K, 1))
+        tables["pinned_proper_z"].append(proper)
+        tables["pinned_exact"].append(exact)
+        tables["pinned"].append(pinned)
 
     def _derived_contacts(self, x: int) -> Sequence[int]:
         """The z >= 1 whose pinned_proper_z rows at x phase A derives from
@@ -467,8 +448,8 @@ class CountingContext:
 
     def _fill_root(self, t: int) -> tuple:
         """Phase B of round t; returns the round's component weights."""
-        n, w, C = self.n_max, self._w, self._C
-        pinned = self._pinned[t]
+        n, w, C, tables = self.n_max, self._w, self._C, self._tables
+        pinned = tables["pinned"][t]
         single = []
         for x in range(w):
             row = [0] * (n - x + 1)
@@ -476,16 +457,16 @@ class CountingContext:
                 # The last layer has l labels, chosen among the k free ones.
                 row[l:] = [r + C[k][l] * v
                            for k, (r, v) in enumerate(zip(row[l:], pinned[x][l]), l)]
-            single.append(row)
-        self._single.append(single)
+            single.append(tuple(row))
+        tables["exact_single"].append(single)
 
         weights = self._weights(t)
         lo, wg, _, _ = weights
         # multi(t, x, k): the component with the lowest free label, then one or
         # more further components (single + multi at fewer free vertices).
-        self._multi.append([self._first_component_row(
-            0, [(wg[0][x], 1, single[x]), (wg[0][x], 1, None)], n - x, lo)
-            if wg else [0] * (n - x + 1) for x in range(w)])
+        tables["exact_multi"].append([tuple(self._first_component_row(
+            0, [(wg[0][x], 1, single[x]), (wg[0][x], 1, None)], n - x, lo))
+            if wg else (0,) * (n - x + 1) for x in range(w)])
         exact = [None]
         exact_proper = [None]
         within = [None]
@@ -496,13 +477,13 @@ class CountingContext:
                 e, ep = self._exact_rows(hull, z, weights)
                 e_rows.append(e)
                 ep_rows.append(ep)
-                w_rows.append(self._conv(e, self._within[t - 1][hull][z], K, 0))
+                w_rows.append(tuple(self._conv(e, tables["within"][t - 1][hull][z], K, 0)))
             exact.append(e_rows)
             exact_proper.append(ep_rows)
             within.append(w_rows)
-        self._exact.append(exact)
-        self._exact_proper.append(exact_proper)
-        self._within.append(within)
+        tables["exact"].append(exact)
+        tables["exact_proper"].append(exact_proper)
+        tables["within"].append(within)
         return weights
 
     # -- row code ----------------------------------------------------------------
@@ -524,7 +505,7 @@ class CountingContext:
         if single(t) is all zero.
         """
         n, C, top = self.n_max, self._C, self._w
-        s = self._single[t] + [[0] * (n - top + 1)]
+        s = self._tables["exact_single"][t] + [(0,) * (n - top + 1)]
         firsts = [row.index(next(filter(None, row))) for row in s if any(row)]
         if not firsts:
             return _NO_WEIGHTS
@@ -574,17 +555,18 @@ class CountingContext:
         K = self.n_max - hull
         lo, wg, escape, _ = weights
         if lo is None:
-            row = [1] + [0] * K
+            row = (1,) + (0,) * K
             return row, row
         terms = [(escape[hull, z], 1, None)]
-        exact = self._first_component_row(1, terms, K, lo)
+        exact = tuple(self._first_component_row(1, terms, K, lo))
         if wg[0][hull] is None:
             return exact, exact
         terms.append((wg[0][hull], -1, None))
-        return exact, self._first_component_row(1, terms, K, lo)
+        return exact, tuple(self._first_component_row(1, terms, K, lo))
 
     def _pinned_proper_chain(self, t: int, hull: int, z: int, weights: tuple,
-                             rest: list[int] | None, partial: list | None) -> dict[int, list[int]]:
+                             rest: tuple[int, ...] | None,
+                             partial: list | None) -> dict[int, tuple[int, ...]]:
         """pinned_proper_z(t, x, hull - x, ., z) rows for x = hull-1 down to z.
 
         ``weights`` are those of round t - 1, ``partial`` their
@@ -594,15 +576,15 @@ class CountingContext:
         """
         K = self.n_max - hull
         lo, wg, escape, _ = weights
-        chain: dict[int, list[int]] = {}
+        chain: dict[int, tuple[int, ...]] = {}
         for x in range(hull - 1, z - 1, -1):
             if lo is None or lo > K:
-                chain[x] = [0] * (K + 1)
+                chain[x] = (0,) * (K + 1)
                 continue
             l = hull - x
             rests = [None] + [chain[x + l2] for l2 in range(1, l)] + [rest]
             if not self.factored:
-                chain[x] = self._pinned_proper_direct(t, x, l, z, K, rests)
+                chain[x] = tuple(self._pinned_proper_direct(t, x, l, z, K, rests))
                 continue
             # The component with the lowest free label touches x2 root labels
             # and l2 layer labels.  Grouped by l2, its weights summed over x2
@@ -615,14 +597,14 @@ class CountingContext:
             terms = [(escape.get((x, z)), 1, None)]
             terms += [(wg[x][l2], Cl[l2], rests[l2]) for l2 in range(1, l)]
             terms += [(partial[x], 1, rest)]
-            chain[x] = self._first_component_row(0, terms, K, lo)
+            chain[x] = tuple(self._first_component_row(0, terms, K, lo))
         return chain
 
     def _pinned_proper_direct(self, t: int, x: int, l: int, z: int, K: int,
                               rests: list) -> list[int]:
         C = self._C
         Cl, Cx, Cz = C[l], C[x], C[z]
-        single = self._single[t - 1]
+        single = self._tables["exact_single"][t - 1]
         row = [0] * (K + 1)
         rests = [row] + rests[1:]
         for k in range(1, K + 1):
@@ -757,12 +739,13 @@ class _CountOnly(CountingContext):
         return (x,) if x else ()
 
     def _release(self, t: int) -> None:
-        for table in (self._pinned, self._pinned_exact, self._pinned_proper, self._exact):
-            table[t] = None
-        for table in (self._single, self._multi, self._exact_proper):
-            table[t - 1] = None
+        tables = self._tables
+        for kind in ("pinned", "pinned_exact", "pinned_proper_z", "exact"):
+            tables[kind][t] = None
+        for kind in ("exact_single", "exact_multi", "exact_proper"):
+            tables[kind][t - 1] = None
         if t >= 2:
-            self._within[t - 2] = None
+            tables["within"][t - 2] = None
 
 
 def _at(row: tuple[int, ...], k: int) -> int:
@@ -770,21 +753,6 @@ def _at(row: tuple[int, ...], k: int) -> int:
     if 0 <= k < len(row):
         return row[k]
     raise ValueError("counter arguments outside their domain")
-
-
-def _freeze_rows(table: list, frozen: dict) -> None:
-    """Turn every row of ints in nested lists into a tuple, in place, one row
-    at a time.  ``frozen`` maps the id of each list turned so far to its
-    tuple, so that a row stored in several places becomes one tuple."""
-    for i, item in enumerate(table):
-        if isinstance(item, list):
-            if item and isinstance(item[0], int):
-                row = frozen.get(id(item))
-                if row is None:
-                    row = frozen[id(item)] = tuple(item)
-                table[i] = row
-            else:
-                _freeze_rows(item, frozen)
 
 
 def _first_nonzero(row: list[int], start: int = 0) -> int | None:

@@ -1,11 +1,13 @@
 """Names the benchmark harness in ``perfbench/`` reads or wraps by name.
 
-Its traced runs replace these module attributes from outside the program, so
-removing one (for instance an import that looks unused) would break every
-traced benchmark run without any other test failing.
+Its traced runs replace the wrapped module attributes from outside the
+program, and its workloads call the others, so removing or renaming one (for
+instance an import that looks unused) would break every benchmark run without
+any other test failing.
 """
 
 import chordal_lab.cli as cli
+import chordal_lab.graphs as graphs
 import chordal_lab.sampling as sampling
 import chordal_lab.splits as splits
 from chordal_lab.counting import CountingContext
@@ -18,10 +20,19 @@ WRAPPED = {
     cli: ["allow_huge_decimal_output"],
 }
 
+CALLED = {
+    CountingContext: ["count_all", "count_connected", "table_sizes"],
+    cli: ["build_parser", "cmd_approx_count", "cmd_count"],
+    splits: ["approx_count_chordal", "approx_sample_chordal", "as_epsilon"],
+    graphs: ["to_edge_list_text"],
+    sampling: ["ChordalSampler", "RandomStream"],
+}
+
 
 def test_benchmark_names_exist():
-    missing = [f"{module.__name__}.{name}" for module, names in WRAPPED.items()
-               for name in names if not callable(getattr(module, name, None))]
+    missing = [f"{owner.__name__}.{name}" for table in (WRAPPED, CALLED)
+               for owner, names in table.items()
+               for name in names if not callable(getattr(owner, name, None))]
     assert missing == []
     sampler = sampling.ChordalSampler(CountingContext(4, 4))
     assert sampler.ops == 0

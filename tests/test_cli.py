@@ -186,6 +186,21 @@ class TestSample:
         assert code == 0 and out == ""
         assert len(target.read_text().split("\n\n")) == 2
 
+    @pytest.mark.parametrize("argv", ["count --n 40", "approx-count --n 50 --epsilon 0.1"])
+    def test_a_refused_command_leaves_the_out_file_as_it_was(self, tmp_path, capsys, argv):
+        target = tmp_path / "counts.txt"
+        target.write_bytes(b"precious")
+        code, out, err = run_cli(argv.split() + ["--out", str(target)], capsys)
+        assert (code, out) == (1, "") and err.startswith("error:")
+        assert target.read_bytes() == b"precious"
+
+    def test_a_command_that_writes_nothing_leaves_an_empty_out_file(self, tmp_path, capsys):
+        target = tmp_path / "graphs.txt"
+        target.write_bytes(b"old")
+        assert run_cli(["sample", "--n", "3", "--count", "0", "--out", str(target)],
+                       capsys) == (0, "", "")
+        assert target.read_bytes() == b""
+
 
 class TestTables:
     def test_default_diagonal(self, capsys):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import inspect
+import os
 import sys
 import time
 import timeit
@@ -8,6 +9,7 @@ import tracemalloc
 from functools import lru_cache
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,9 @@ from chordal_lab.sampling import (
     sample_connected_chordal,
 )
 from chordal_lab.splits import approx_count_chordal, approx_sample_chordal
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import references  # noqa: E402
 
 # Oracle-frozen class sizes, from exhaustive enumeration of every labeled
 # graph on the class's vertex set with the class definition applied directly.
@@ -581,6 +586,20 @@ class TestFillBudget:
         assert CountingContext(6, 6, allow_large=True).count_connected(6) == 13302
 
 
+class TestTableStore:
+    def test_one_table_per_stored_kind(self):
+        ctx = CountingContext(10, 10)
+        sizes = ctx.table_sizes()
+        # pinned_proper is read from pinned_proper_z at z = x.
+        assert set(sizes) == set(CLASS_ARGS) - {"pinned_proper"}
+        assert sum(sizes.values()) == fill_cells(10, 10)
+        # A row two tables share is stored once: at t = 1 no component sees
+        # the whole hull, so pinned_exact is pinned_proper_z at z = x.
+        for x in range(10):
+            for l in range(1, 11 - x):
+                assert ctx.row("pinned_exact", 1, x, l) is ctx.row("pinned_proper", 1, x, l)
+
+
 class TestCountOnlyFill:
     @pytest.mark.parametrize("n", range(23))
     def test_equals_the_full_fill(self, n):
@@ -828,3 +847,24 @@ class TestIndependentCertificates:
             assert exact_counts(n, n - 2)[1][n] == want, n
             if n <= 12:
                 assert CountingContext(n, n - 2).count_all(n) == want, n
+
+    @pytest.mark.skipif(os.environ.get("CHORDAL_LAB_STRETCH") != "1",
+                        reason="stretch target; set CHORDAL_LAB_STRETCH=1 to run")
+    def test_omega_n_minus_2_at_65(self):
+        # The check above, past EXACT_LIMIT: two count-only fills, about 85 s
+        # in all on a 2-core x86-64.
+        n = 65
+        total = exact_counts(n, allow_large=True)[1][n]
+        want = total - 1 - n * (2 ** (n - 1) - 1) + comb(n, 2)
+        assert exact_counts(n, n - 2, allow_large=True)[1][n] == want
+
+    def test_omega_3_counts_block_graphs_of_2_trees(self):
+        # A connected chordal graph with no K4 has blocks that are single
+        # edges or 2-trees; the reference counts them by block decomposition.
+        want = references.treewidth2_connected(100)
+        connected, total = exact_counts(100, 3)
+        assert connected == want
+        assert total == references.sets_of(want)
+        ctx = CountingContext(40, 3)
+        assert [0] + [ctx.count_connected(n) for n in range(1, 41)] == want[:41]
+        assert [ctx.count_all(n) for n in range(41)] == total[:41]
