@@ -12,10 +12,10 @@ alone is 0.11-0.13 s) and 1.8-2.1 s at n = 3000 (678k digits), over ten
 process runs each.  The cost follows the size
 of the count, about n**2 / 4 bits, so it grows much faster than n.  A warm
 `chordal-lab approx-sample --n 1000 --epsilon 1e-3` sample, drawn and written
-as edge-list text, takes about 84 ms on that machine (benchmark median): the
-sampler builds each graph from one bipartite 0/1 byte matrix, whose rows and
-columns give every vertex's neighbours without a symmetry check (0.16 s
-before that, and 0.43 s when it listed every edge pair).
+as edge-list text, takes about 26.7 ms on that machine (median of ten
+benchmark runs, `split` workload, BENCH_29.json): the sampler builds each
+graph from one bipartite 0/1 byte matrix, whose rows and columns give every
+vertex's neighbours without a symmetry check.
 
 Run: python demos/approximate_large_n.py
 """

@@ -188,7 +188,10 @@ class _OutFile:
 
     def write(self, text: str) -> int:
         if self.file is None:
-            self.file = open(self.path, "w")
+            try:
+                self.file = open(self.path, "w")
+            except OSError as exc:
+                raise CliError(f"cannot write {self.path}: {exc.strerror or exc}") from None
         return self.file.write(text)
 
     def __enter__(self) -> _OutFile:

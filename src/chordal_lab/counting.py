@@ -14,9 +14,8 @@ never deleted.  The classifying data are
     z  -- components must keep at least one neighbor outside the first z root
           labels (ties the pieces of a decomposition back together)
 
-The tables live in one store keyed by ``CLASS_ARGS`` kind (``pinned_proper``
-is stored as ``pinned_proper_z``).  Every table is a dense nested list with
-k last (``[t][x][z][k]``, ``[t][x][l][k]`` and ``[t][x][l][z][k]``), so each
+The tables live in one store keyed by ``CLASS_ARGS`` kind.  Every table is
+a dense nested list with k last (``[t][x][z][k]``, ``[t][x][l][k]`` and ``[t][x][l][z][k]``), so each
 recurrence is a binomial convolution over whole rows.
 :class:`CountingContext` fills them bottom-up when it is constructed.
 Rounds run t = 1, 2, ... and each round has two phases:
@@ -64,12 +63,11 @@ from typing import Sequence
 
 # The counted class kinds and the names of their arguments, in order.
 # ``CountingContext.count_<kind>`` counts a class; ``ChordalSampler._KINDS``
-# holds the weigher and the handler that unrank it (``pinned_proper`` as
-# ``pinned_proper_z`` at z = x).
+# holds the weigher and the handler that unrank it.
 CLASS_ARGS = {
     "within": "txkz", "exact": "txkz", "exact_proper": "txkz",
     "exact_single": "txk", "exact_multi": "txk",
-    "pinned": "txlk", "pinned_exact": "txlk", "pinned_proper": "txlk",
+    "pinned": "txlk", "pinned_exact": "txlk",
     "pinned_proper_z": "txlkz",
 }
 
@@ -207,13 +205,12 @@ class CountingContext:
         """The stored row of ``count_<kind>`` over the free vertices
         k = 0..n_max - x - l, at round min(t, last_round), as a read-only tuple.
 
-        ``kind`` is a ``CLASS_ARGS`` kind; l and z stay 0 where it takes none,
-        and ``pinned_proper`` reads ``pinned_proper_z`` at z = x.  This is
-        where every accessor's arguments are checked, its round clamped and
-        omega applied: a row whose root, or root plus layer, exceeds omega
-        counts only graphs containing that clique, so it is the shared
-        all-zero row of its length.  Raises ValueError for an unknown kind or
-        arguments outside its domain.
+        ``kind`` is a ``CLASS_ARGS`` kind; l and z stay 0 where it takes none.
+        This is where every accessor's arguments are checked, its round
+        clamped and omega applied: a row whose root, or root plus layer,
+        exceeds omega counts only graphs containing that clique, so it is the
+        shared all-zero row of its length.  Raises ValueError for an unknown
+        kind or arguments outside its domain.
         """
         if kind in ("within", "exact", "exact_proper"):
             ok = t >= (kind != "within") and 0 <= z < x and l == 0
@@ -225,12 +222,8 @@ class CountingContext:
         elif kind in ("pinned", "pinned_exact"):
             ok = t >= 1 and x >= 0 and l >= 1 and z == 0
             top, key = x + l, (x, l)
-        elif kind in ("pinned_proper", "pinned_proper_z"):
-            if kind == "pinned_proper":
-                kind, ok, z = "pinned_proper_z", z == 0, x
-            else:
-                ok = 0 <= z <= x
-            ok = ok and t >= 1 and x >= 0 and l >= 1
+        elif kind == "pinned_proper_z":
+            ok = t >= 1 and 0 <= z <= x and l >= 1
             top, key = x + l, (x, l, z)
         else:
             raise ValueError(f"unknown class kind {kind!r}; expected one of {tuple(CLASS_ARGS)}")
@@ -284,13 +277,10 @@ class CountingContext:
         finishes exactly in round t-1, and at least one such component exists."""
         return _at(self.row("pinned_exact", t, x, l), k)
 
-    def count_pinned_proper(self, t: int, x: int, l: int, k: int) -> int:
-        """Like :meth:`count_pinned_exact`, with no component adjacent to all of
-        root-plus-layer: the five-argument form at z = x."""
-        return _at(self.row("pinned_proper", t, x, l), k)
-
     def count_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int) -> int:
-        """Five-argument form: connectivity is required only outside [z]."""
+        """Five-argument form: connectivity is required only outside [z].  At
+        z = x this is :meth:`count_pinned_exact` with no component adjacent to
+        all of root-plus-layer."""
         return _at(self.row("pinned_proper_z", t, x, l, z), k)
 
     # -- top-level counts ----------------------------------------------------
@@ -313,9 +303,8 @@ class CountingContext:
     # -- diagnostics -----------------------------------------------------------
 
     def table_sizes(self) -> dict[str, int]:
-        """Number of stored cells per table, by ``CLASS_ARGS`` kind (every
-        kind but ``pinned_proper``, which is read from ``pinned_proper_z``),
-        for perf inspection."""
+        """Number of stored cells per table, by ``CLASS_ARGS`` kind, for perf
+        inspection."""
         def cells(rows) -> int:
             if rows is None:
                 return 0

@@ -216,9 +216,7 @@ class ChordalSampler:
             raise ValueError(f"rank {r} outside [0, {count}) of class {kind}{tuple(args)}")
         labels = list(range(1, size + 1))
         edges = list(combinations(labels[:hull], 2))
-        if kind == "pinned_proper":
-            key = ("pinned_proper_z", *args, args[1])  # at z = x
-        elif kind == "within":
+        if kind == "within":
             # Every round past the last counts as the last: start there.
             key = ("within", min(args[0], self.ctx.last_round), *args[1:])
         else:
@@ -324,7 +322,12 @@ class ChordalSampler:
     # key, the term, one digit per radix and the last part's rank, as _term
     # returns them, and returns the parts' steps in the recurrence's order; it
     # calls no _term and no handler.  exact and exact_proper share a weigher
-    # and a handler; _unrank reads pinned_proper as pinned_proper_z at z = x.
+    # and a handler.
+    #
+    # A node is weighed only when met with a free label, through a term of
+    # positive weight or as a nonempty class, so its count is positive.  No
+    # component finishes in round 0, so pinned, pinned_exact and
+    # pinned_proper_z count zero at t = 1 then: their weighers see t >= 2.
 
     def _weigh_all(self, m: int):
         ctx = self.ctx
@@ -441,8 +444,6 @@ class ChordalSampler:
                 (("exact_multi" if more else "exact_single", t, x, k - k2), r, given, rest))
 
     def _weigh_pinned(self, t: int, x: int, l: int, k: int):
-        # Only nodes with k >= 1 are weighed, and pinned(1, ., ., k) is zero
-        # for those, so t >= 2 here.
         ctx = self.ctx
         C = ctx.pascal[k]
         exact = ctx.row("pinned_exact", t, x, l)
@@ -469,15 +470,13 @@ class ChordalSampler:
         ctx = self.ctx
         C = ctx.pascal[k]
         xl = x + l
-        proper = ctx.row("pinned_proper", t, x, l)
+        proper = ctx.row("pinned_proper_z", t, x, l, x)
         yield None, (1, 1), proper[k]
         single = ctx.row("exact_single", t - 1, xl)
         for k2 in range(1, k + 1):
             one = single[k2]
             if one:
                 yield (k2, False), (C[k2], one), proper[k - k2]
-        if t == 1:
-            return  # exact_multi is zero in round 0, below exact_proper's rounds
         multi = ctx.row("exact_multi", t - 1, xl)
         rest = ctx.row("exact_proper", t - 1, xl, z=x)
         for k2 in range(1, k + 1):
@@ -502,8 +501,6 @@ class ChordalSampler:
         # Term (k2, l2, x2): the first component has k2 vertices and touches
         # x2 root labels and l2 layer labels.  If it misses the layer, its
         # root contact must escape the first z root labels.
-        if t == 1:
-            return  # no component finishes in round 0, below exact_proper's rounds
         ctx = self.ctx
         C = ctx.pascal
         Cx, Cl, Ck1 = C[x], C[l], C[k - 1]

@@ -201,6 +201,13 @@ class TestSample:
                        capsys) == (0, "", "")
         assert target.read_bytes() == b""
 
+    @pytest.mark.parametrize("where", ["missing/counts.txt", "."])
+    def test_an_out_path_that_cannot_be_opened_is_one_error_line(self, tmp_path, capsys, where):
+        target = tmp_path / where  # a missing directory, then a directory
+        code, out, err = run_cli(["count", "--n", "5", "--out", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
 
 class TestTables:
     def test_default_diagonal(self, capsys):

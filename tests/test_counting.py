@@ -162,16 +162,12 @@ class TestClassRegistry:
         names = list(CLASS_ARGS[kind])
         count = inspect.signature(getattr(ctx5, "count_" + kind))
         assert list(count.parameters) == names
-        if kind == "pinned_proper":  # unranked as pinned_proper_z at z = x
-            assert kind not in ChordalSampler._KINDS
-            return
         weigh, _ = ChordalSampler._KINDS[kind]
         params = inspect.signature(weigh).parameters.values()
         assert [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD] == ["self"] + names
 
     def test_the_sampler_has_a_handler_for_every_node_kind(self):
-        kinds = set(CLASS_ARGS) - {"pinned_proper"} | {"all", "connected"}
-        assert set(ChordalSampler._KINDS) == kinds
+        assert set(ChordalSampler._KINDS) == set(CLASS_ARGS) | {"all", "connected"}
 
     def test_wrong_arity_rejected(self, ctx5):
         g = LabeledGraph([1, 2], [(1, 2)])
@@ -278,6 +274,11 @@ class TestTopLevelCounts:
         with pytest.raises(ValueError):
             CountingContext(4, 0)
 
+    def test_negative_n_max(self):
+        for run in (CountingContext, exact_counts):
+            with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+                run(-1)
+
 
 class TestOracleGateSmall:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -317,27 +318,19 @@ class TestEvaluationStrategies:
     # every entry of every row; banded kernels must store the same values,
     # and the direct (unfactored) pinned sums must agree with the factored.
     @pytest.mark.parametrize("n_max, omega, factored, digest", [
-        pytest.param(12, 12, True, "338704266713079031cc640b26403e300f33ab6eab8eb412d797b6a915c650fb",
+        pytest.param(12, 12, True, "d4caf92ccc5e043221c229d5254f8408e59035dcc8d53d83d11dcd3f7e77a53c",
                      id="n12-w12"),
-        pytest.param(12, 2, True, "1f4ad5badcf400889d26dfaeb6e55aa56bba7756d3cafe412fbce62e524e806e",
+        pytest.param(12, 2, True, "23362865757138b14044b30a6f6d36f9689ddcda074601c403628cb8f3d01839",
                      id="n12-w2"),
-        pytest.param(10, 1, True, "cce304f6f0a4ac46725c27afaf1225d93dc14f8b851910e2219b6c952f019e5c",
+        pytest.param(10, 1, True, "7d4fe0db5b25d82b24d34e5aa249fa1660ad406e617db04549895ee62399319a",
                      id="n10-w1"),
-        pytest.param(10, 10, True, "24905ddf46b07fe8f327e715cc87480fb722e00fbcad0a57d03fa32b835f5d5d",
+        pytest.param(10, 10, True, "74163dcaae2726565d6a8c321baeb2a37b976f6efbf0758dede849a8f27a6a2b",
                      id="n10-w10"),
-        pytest.param(10, 10, False, "24905ddf46b07fe8f327e715cc87480fb722e00fbcad0a57d03fa32b835f5d5d",
+        pytest.param(10, 10, False, "74163dcaae2726565d6a8c321baeb2a37b976f6efbf0758dede849a8f27a6a2b",
                      id="n10-w10-direct"),
     ])
     def test_every_cell_pinned(self, n_max, omega, factored, digest):
         assert table_digest(CountingContext(n_max, omega, factored=factored)) == digest
-
-    def test_four_arg_pinned_proper_equals_z_form(self, ctx5):
-        for t in range(1, 4):
-            for x in range(0, 3):
-                for l in range(1, 3):
-                    for k in range(0, 5 - x - l):
-                        assert ctx5.count_pinned_proper(t, x, l, k) == \
-                            ctx5.count_pinned_proper_z(t, x, l, k, x)
 
     def test_subclass_inequalities(self, ctx5):
         for t in range(1, 4):
@@ -503,7 +496,7 @@ PAST_OMEGA_VALUES = [
     ("exact", (13, 8, 4, 6), 0),
     ("exact_proper", (3, 8, 4, 6), 306780),
     ("pinned_exact", (4, 2, 3, 5), 294170),
-    ("pinned_proper", (4, 2, 3, 5), 294170),
+    ("pinned_proper_z", (4, 2, 3, 5, 2), 294170),
     ("pinned_proper_z", (4, 6, 1, 4, 3), 128712),
     ("pinned_proper_z", (2, 3, 2, 1, 0), 4),
 ]
@@ -590,14 +583,13 @@ class TestTableStore:
     def test_one_table_per_stored_kind(self):
         ctx = CountingContext(10, 10)
         sizes = ctx.table_sizes()
-        # pinned_proper is read from pinned_proper_z at z = x.
-        assert set(sizes) == set(CLASS_ARGS) - {"pinned_proper"}
+        assert set(sizes) == set(CLASS_ARGS)
         assert sum(sizes.values()) == fill_cells(10, 10)
         # A row two tables share is stored once: at t = 1 no component sees
         # the whole hull, so pinned_exact is pinned_proper_z at z = x.
         for x in range(10):
             for l in range(1, 11 - x):
-                assert ctx.row("pinned_exact", 1, x, l) is ctx.row("pinned_proper", 1, x, l)
+                assert ctx.row("pinned_exact", 1, x, l) is ctx.row("pinned_proper_z", 1, x, l, x)
 
 
 class TestCountOnlyFill:
@@ -805,7 +797,6 @@ class TestRows:
     def test_rows_are_the_stored_ones(self):
         ctx = CountingContext(8, 3)
         assert ctx.row("pinned", 3, 1, 2) is ctx.row("pinned", 3, 1, 2)
-        assert ctx.row("pinned_proper", 4, 1, 2) is ctx.row("pinned_proper_z", 4, 1, 2, 1)
         assert ctx.row("exact", ctx.last_round + 9, 2, 0, 1) is ctx.row("exact", ctx.last_round, 2, 0, 1)
         assert ctx.pascal[8][3] == 56 and ctx.pascal[3][5] == 0
         assert all(isinstance(row, tuple) for row in ctx.pascal)
@@ -821,7 +812,6 @@ class TestRows:
             ("exact_multi", (1, 0)),  # root must be nonempty
             ("pinned", (1, 2, 0)),  # layer must be nonempty
             ("pinned", (1, 3, 3)),  # 6 vertices exceed n_max = 5
-            ("pinned_proper", (2, 2, 1, 1)),  # z is x, not given
             ("pinned_proper_z", (2, 1, 1, 2)),  # z <= x
             ("pinned_proper_z", (2, -1, 1, 0)),
         ]:

@@ -131,6 +131,8 @@ class TestLabeledGraph:
         g = path(1, 2, 3)
         h = g.induced([1, 2])
         assert h.vertices == (1, 2) and h.edges() == [(1, 2)]
+        with pytest.raises(ValueError, match=r"vertices \[4\] not in graph"):
+            g.induced([1, 4])
 
     @pytest.mark.parametrize("seed", range(40))
     def test_edges_match_sorted_pairs(self, seed):
@@ -727,6 +729,11 @@ class TestSerialization:
     def test_edge_list_header_mismatch(self):
         with pytest.raises(ValueError):
             from_edge_list_text("2 1\n")
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n"])
+    def test_edge_list_empty_input(self, text):
+        with pytest.raises(ValueError, match="^empty edge-list input$"):
+            from_edge_list_text(text)
 
     @pytest.mark.parametrize("seed", range(0, 80, 2))
     def test_edge_list_text_matches_one_line_per_sorted_edge(self, seed):

@@ -54,6 +54,8 @@ class TestRandomStream:
 
     def test_zero_bits(self):
         assert RandomStream(1).bits(0) == 0
+        with pytest.raises(ValueError, match="^bit count must be nonnegative$"):
+            RandomStream(1).bits(-1)
 
 
 class TestUniformBelow:
@@ -217,7 +219,7 @@ class TestSampleClass:
         ("pinned", (2, 0, 1, 2)),
         ("pinned", (2, 1, 1, 2)),
         ("pinned_exact", (2, 1, 1, 3)),
-        ("pinned_proper", (2, 1, 1, 1)),
+        ("pinned_proper_z", (2, 1, 1, 1, 1)),
         ("pinned_proper_z", (2, 1, 1, 1, 0)),
         ("pinned_proper_z", (2, 1, 2, 2, 1)),
         ("pinned_proper_z", (3, 1, 1, 3, 0)),
@@ -392,8 +394,21 @@ class TestUnrankBijection:
         # At omega = 1 the members are single vertices and bare roots, so the
         # classes that need two components, or a component beside a pinned
         # layer, are empty.
-        empty = {"exact_multi", "pinned_exact", "pinned_proper", "pinned_proper_z"}
+        empty = {"exact_multi", "pinned_exact", "pinned_proper_z"}
         assert set(CLASS_ARGS) - nonempty == (empty if omega == 1 else set())
+
+    def test_pinned_nodes_are_weighed_past_round_1(self):
+        # The weighers of pinned_exact and pinned_proper_z read round t - 1
+        # tables with no guard at t = 1: no node they weigh has t = 1.
+        ctx = CountingContext(BIJECTION_N)
+        s = ChordalSampler(ctx)
+        for kind, args in _class_tuples(ctx, BIJECTION_N):
+            if kind in ("pinned_exact", "pinned_proper_z"):
+                for r in range(getattr(ctx, "count_" + kind)(*args)):
+                    s.unrank(kind, args, r)
+        assert s.plan_stats()["plans"] == s.plan_stats()["misses"]  # none evicted
+        rounds = {key[1] for key in s._plans if key[0] in ("pinned_exact", "pinned_proper_z")}
+        assert rounds and min(rounds) >= 2
 
     @staticmethod
     def _check_top_level(kinds: tuple, n: int, omega: int) -> None:
@@ -622,9 +637,7 @@ class TestTermDecoders:
             s.sample_chordal(n, rng)
             s.sample_connected(n, rng)
         plans = dict(s._plans)  # unranking below reorders and evicts the cache
-        # pinned_proper has no plan of its own: it unranks as pinned_proper_z.
-        want = set(CLASS_ARGS) - {"pinned_proper"} | {"all", "connected"}
-        assert {key[0] for key in plans} == want
+        assert {key[0] for key in plans} == set(CLASS_ARGS) | {"all", "connected"}
         for (kind, *args), (starts, terms, radices) in plans.items():
             count = getattr(ctx, "count_" + kind)(*args)
             ends = starts[1:] + (count,)

@@ -104,6 +104,11 @@ class TestEpsilonParsing:
                 # exact powers of the base sit on the boundary
                 for m in (0, 1, 7, 40):
                     assert _ceil_log(base, base ** m) == m
+        # Just above 2**e, the float estimate of the log lands on e, one below
+        # the answer, and the search steps up.
+        for e in (60, 100, 300):
+            value = Fraction(2 ** e + 1)
+            assert _ceil_log(Fraction(2), value) == fraction_ceil_log(2, value) == e + 1
 
 
 class TestThresholds:
@@ -354,7 +359,7 @@ class TestApproxCountSplit:
         assert (1 - eps) * full <= value <= full
 
     def test_q_ge2_bound_dominates_exact(self):
-        for n in range(2, 41):
+        for n in range(0, 41):
             assert split_count_q_ge2_bound(n) >= split_count_q_ge2_exact(n), n
 
     def test_large_n_skips_q_ge2_window(self, monkeypatch):
