@@ -15,8 +15,9 @@ never deleted.  The classifying data are
           labels (ties the pieces of a decomposition back together)
 
 The tables live in one store keyed by ``CLASS_ARGS`` kind.  Every table is
-a dense nested list with k last (``[t][x][z][k]``, ``[t][x][l][k]`` and ``[t][x][l][z][k]``), so each
-recurrence is a binomial convolution over whole rows.
+a dense nested list with k last (``[t][x][z][k]``, ``[t][x][l][k]`` and
+``[t][x][l][z][k]``), so each recurrence is a binomial convolution over
+whole rows.
 :class:`CountingContext` fills them bottom-up when it is constructed.
 Rounds run t = 1, 2, ... and each round has two phases:
 

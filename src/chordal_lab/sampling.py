@@ -325,9 +325,9 @@ class ChordalSampler:
     # and a handler.
     #
     # A node is weighed only when met with a free label, through a term of
-    # positive weight or as a nonempty class, so its count is positive.  No
-    # component finishes in round 0, so pinned, pinned_exact and
-    # pinned_proper_z count zero at t = 1 then: their weighers see t >= 2.
+    # positive weight or as a nonempty class, so its count is positive.  With
+    # a free label, pinned, pinned_exact and pinned_proper_z count zero at
+    # t = 1 (no component finishes in round 0), so their weighers see t >= 2.
 
     def _weigh_all(self, m: int):
         ctx = self.ctx
