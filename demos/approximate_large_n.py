@@ -1,9 +1,11 @@
 """Approximate counting and sampling far beyond the exact algorithm's range.
 
 Almost every large labeled chordal graph is a split graph, so truncated
-split-graph sums give certified (1 +- eps)-approximations where the exact
-dynamic program would take days.  The windows are narrow: the demo prints how
-few terms survive truncation and how little accuracy costs.
+split-graph sums give (1 +- eps)-approximations where the exact dynamic
+program would take days: the windows are certified, and the non-split share
+is assumed small (README, "Accuracy and thresholds").  The windows are
+narrow: the demo prints how few terms survive truncation and how little
+accuracy costs.
 
 Measured on a 2-core Intel Xeon machine with CPython 3.11.7, one
 `chordal-lab approx-count --epsilon 1e-3` process end to end, printing the
@@ -56,8 +58,8 @@ for eps_str in ("1e-2", "1e-6", "1e-12"):
           f"kept fraction 1 - {float(lost):.3e} of the full sum")
 
 print()
-print("== Dispatch ranges of approx_count_chordal ==")
-print("   (in between, the exact fill could take hours, so the call is refused)")
+print("== Dispatch ranges of approx_count_chordal and approx_sampler (one floor) ==")
+print("   (in between, the exact fill could take hours, so both calls are refused)")
 for eps_str in ("1e-2", "1e-6", "1e-12"):
     floor = threshold_g(as_epsilon(eps_str))
     print(f"  eps={eps_str:>6}: exact algorithm for n <= {EXACT_LIMIT}, "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from typing import IO, Callable
@@ -213,8 +214,18 @@ def main(argv: list[str] | None = None) -> int:
                 args.func(args, fh)
         else:
             args.func(args, sys.stdout)
+            sys.stdout.flush()  # a failed write surfaces here, not at exit
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        if args.out is None:
+            # Send what stdout still buffers to devnull, so that the
+            # interpreter's flush at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that left (| head) is no error
+            target = "stdout" if args.out is None else args.out
+            print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -8,10 +8,8 @@ of a split partition): the |Q| >= 2 stratum has a closed-form exact count, the
 approximations, and each sum concentrates on a narrow window of terms around
 its peak, which is all the fast path evaluates: an exact tail bound, checked
 on every call by ``split_windows``, certifies that each window keeps (1 - eps)
-of its sum.  The approximate count and the split sampler both leave the
-|Q| >= 2 stratum out: an exact-integer bound on it, checked on every call by
-``_check_q_ge2_negligible``, stays below a fixed 1/1024 slice of the epsilon
-budget wherever the split path runs.
+of its sum.  How the approximate count and the split sampler spend their
+epsilon is stated once, in ``_split_slice``.
 
 Every quantity here is exact integer or rational arithmetic; accuracy targets
 (epsilon) enter only through exactly-computed integer truncation bounds.
@@ -32,19 +30,17 @@ from .counting import EXACT_LIMIT, CountingContext, count_all
 from .graphs import LabeledGraph, complement, complete_graph, graph_from_biadjacency  # noqa: F401
 from .sampling import ChordalSampler, RandomStream, categorical, sample_subset
 
-# Smallest n the split path serves, at any epsilon.  Assumed, not proven
-# here: the two-sided |Q| in {0, 1} sums stand in for the true stratum counts,
-# and the non-split chordal graphs are a negligible share, both from n = 65
-# on.  The second assumption is false at the floor itself (an open defect):
-# the exact engine puts the non-split share of labeled chordal graphs at
-# 13.7 % for n = 65, so approx_count_chordal(65, eps) is 13.7 % low at every
-# eps it accepts, which breaks eps = 0.1 and 1e-2.  Proven and checked on
-# every call instead: each window keeps (1 - eps) of its two-sided sum (see
-# ``split_windows``), and leaving out the |Q| >= 2 stratum costs at most
-# eps/1024 (see ``_check_q_ge2_negligible``).
+# Smallest n the split path serves, at any epsilon.  Assumed, not proven:
+# the two-sided |Q| in {0, 1} sums stand in for the true stratum counts, and
+# the non-split share of chordal graphs is at most (9/10)^n, the model behind
+# the base 10/9 of ``threshold_g``.  That model is false near the floor (an
+# open defect): the exact engine puts the share at 13.7 % for n = 65, against
+# (9/10)^65 = 1.1e-3, so approx_count_chordal(65, eps) is 13.7 % low at every
+# eps it accepts, which breaks eps = 0.1 and 1e-2.
 SPLIT_FLOOR = 65
 
-REJECTION_CAP_FACTOR = 64
+# Build-and-check iterations one split draw may take; it expects at most 2.
+REJECTION_CAP = 128
 
 
 class RejectionCapError(RuntimeError):
@@ -127,9 +123,10 @@ def threshold_f(eps) -> int:
 
 
 def threshold_g(eps) -> int:
-    """Smallest n for which split counting stands in for chordal counting."""
-    eps = as_epsilon(eps)
-    return max(threshold_f(eps / 2), _ceil_log(Fraction(10, 9), 2 / eps))
+    """Smallest n at which approx-count and approx-sample take the split path,
+    from the two slices of eps (see ``_split_slice``)."""
+    non_split, split = _budget(as_epsilon(eps))
+    return max(threshold_f(split), _ceil_log(Fraction(10, 9), 1 / non_split))
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +209,8 @@ def _low_q_terms(n: int):
 
 
 def split_count_q0_full(n: int) -> int:
-    """Two-sided sum for the Q-empty stratum, untruncated.
-
-    For n past the proof floor this overshoots the true |Q| = 0 count by at
-    most a factor 1 + (2/3)**(n/3)-ish; the truncated variant keeps a
-    (1 - eps) fraction of it.
-    """
+    """Two-sided sum for the |Q| = 0 stratum, untruncated; SPLIT_FLOOR states
+    what it is assumed to stand in for."""
     q0, _ = _low_q_terms(n)
     return sum(q0(c) for c in range(2, n - 1))
 
@@ -343,7 +336,7 @@ def split_count_q1_truncated(n: int, eps) -> int:
     return split_windows(n, eps).w1
 
 
-# Share of the epsilon budget that leaving out the |Q| >= 2 stratum may use.
+# Share of the split slice that leaving out the |Q| >= 2 stratum may use.
 SKIP_SHARE = Fraction(1, 1024)
 
 
@@ -381,7 +374,8 @@ def _certified_windows(n: int, eps: Fraction) -> SplitWindows:
     """The windows at (n, eps) that leave out the |Q| >= 2 stratum, certified
     to miss at most eps of the total F defined in ``approx_count_split``.
 
-    Budget split: delta = eps * SKIP_SHARE (eps / 1024).  The windows come
+    eps is the split slice of the budget (``_split_slice``), divided here
+    once more: delta = eps * SKIP_SHARE (eps / 1024).  The windows come
     from ``split_windows(n, eps - delta)``, which certifies that each keeps
     at least (1 - eps + delta) of its full sum, and the two |Q| = n graphs
     are counted with them, for a total R = w0 + w1 + 2.  The |Q| >= 2
@@ -404,12 +398,8 @@ def approx_count_split(n: int, eps) -> int:
 
     R is the window total of ``_certified_windows(n, eps)``, which proves
     and checks F - R <= eps * F on every call, so this bound on F holds
-    unconditionally.
-
-    Requires n >= threshold_f(eps).  What is assumed is that F stands in for
-    the number of chordal graphs: that the two-sided sums approximate the
-    true stratum counts, and that non-split chordal graphs are negligible
-    (see SPLIT_FLOOR).
+    unconditionally.  Requires n >= threshold_f(eps).  ``approx_count_chordal``
+    passes the split slice of its budget as eps (see ``_split_slice``).
     """
     eps = as_epsilon(eps)
     floor = threshold_f(eps)
@@ -419,25 +409,42 @@ def approx_count_split(n: int, eps) -> int:
     return windows.w0 + windows.w1 + 2
 
 
-def _takes_exact_path(n: int, eps, share: int, exact_call: str) -> bool:
-    """True for n below the dispatch floor threshold_g(eps / share), False at
-    or above it.
+def _budget(eps: Fraction) -> tuple[Fraction, Fraction]:
+    """The (non-split, split) slices of eps; see ``_split_slice``."""
+    return eps / 2, eps / 2
 
+
+def _split_slice(n: int, eps, exact_call: str) -> Fraction | None:
+    """The dispatch of approx-count and approx-sample: None below the floor
+    threshold_g(eps), where the exact path runs, else the split slice of eps.
     Rejects a negative n before it parses eps.  Between EXACT_LIMIT and the
     floor it raises ValueError naming ``exact_call`` instead of starting an
     exact fill that could take hours.
+
+    The budget.  The count is promised within a factor 1 +- eps, and a draw
+    within total variation eps of uniform.  Both spend eps in the same two
+    slices (``_budget``):
+    - eps/2 for the non-split chordal graphs, which the split path leaves
+      out; the floor's 10/9 term assumes their share is at most (9/10)^n;
+    - eps/2 for the split path, returned here as the eps of
+      ``approx_count_split`` and ``sample_split_draw``.  ``_certified_windows``
+      divides it into the windows and the left-out |Q| >= 2 stratum, and
+      checks both on every call.
+    Granted SPLIT_FLOOR's two assumptions, the count's relative error and the
+    sampler's total variation are each at most the sum of the slices, eps.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    floor = threshold_g(as_epsilon(eps) / share)
+    eps = as_epsilon(eps)
+    floor = threshold_g(eps)
     if n >= floor:
-        return False
+        return _budget(eps)[1]
     if n > EXACT_LIMIT:
         raise ValueError(
             f"n = {n} is below the split-graph floor {floor} at this epsilon and above "
             f"the exact engine's limit {EXACT_LIMIT}; call {exact_call} to run the exact "
             "engine anyway (its fill may take hours)")
-    return True
+    return None
 
 
 def approx_count_chordal(n: int, eps) -> int:
@@ -445,13 +452,13 @@ def approx_count_chordal(n: int, eps) -> int:
 
     Below the dispatch floor the answer is computed exactly (unconditionally
     correct) by the count-only fill of ``counting.count_all``; above it,
-    split graphs stand in for chordal graphs.  Between EXACT_LIMIT and the
-    floor it raises ValueError instead of starting an exact fill that could
-    take hours.
+    split graphs stand in for chordal graphs.  ``_split_slice`` states the
+    dispatch, its refusals and the budget.
     """
-    if _takes_exact_path(n, eps, 1, f"CountingContext({n}, allow_large=True).count_all({n})"):
+    split = _split_slice(n, eps, f"CountingContext({n}, allow_large=True).count_all({n})")
+    if split is None:
         return count_all(n)
-    return approx_count_split(n, as_epsilon(eps) / 2)
+    return approx_count_split(n, split)
 
 
 # ---------------------------------------------------------------------------
@@ -526,39 +533,30 @@ def _build_low_q(n: int, c: int, with_witness: bool, rng: RandomStream) -> Split
                      swing=frozenset(white))
 
 
-# (n, working epsilon) pairs whose sampler windows stay cached, least
-# recently used dropped first: the library's one cache kept between calls.
+# The certified windows of the CACHE_SIZE (n, eps) pairs the sampler drew
+# from most recently, least recently used dropped first: the library's one
+# cache kept between calls.
 CACHE_SIZE = 4
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _split_plan(n: int, eps_work: Fraction) -> SplitWindows:
-    """The certified windows the sampler draws from at (n, eps_work)."""
-    return _certified_windows(n, eps_work)
+_split_plan = lru_cache(maxsize=CACHE_SIZE)(_certified_windows)
 
 
 def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
     """Approximately uniform n-vertex labeled split graph, with bookkeeping.
 
     Each iteration picks |Q| = 0, |Q| = 1 or |Q| = n in proportion to the
-    window totals w0, w1 and 2, at eps_work = min(eps/2, 1/3).  The windows
-    and the left-out |Q| >= 2 stratum together miss at most eps_work of the
-    total (``_certified_windows`` certifies this when the plan is built), so
-    the output is within total variation eps_work <= eps of the uniform
-    distribution over the graphs the two-sided sums count.  That this is
-    uniform over split graphs assumes the two-sided sums equal the true
-    stratum counts (see SPLIT_FLOOR).  The expected number of build-and-check
+    window totals w0, w1 and 2 of ``_certified_windows(n, eps)``, so the
+    output is within total variation eps of uniform over the graphs the
+    two-sided sums count; ``approx_sampler`` passes its split slice as eps
+    (see ``_split_slice``).  The expected number of build-and-check
     iterations is at most 2.  The plans of the CACHE_SIZE (n, eps) pairs
     drawn at most recently are cached.
     """
     eps = as_epsilon(eps)
-    floor = threshold_f(eps / 2)
+    floor = threshold_f(eps)
     if n < floor:
         raise ValueError(f"approx split sampling needs n >= {floor} at this epsilon")
-    eps_work = min(eps / 2, Fraction(1, 3))
-    plan = _split_plan(n, eps_work)
-    cap = REJECTION_CAP_FACTOR * ceil(1 / (1 - eps_work))
-    for iteration in range(1, cap + 1):
+    plan = _split_plan(n, eps)
+    for iteration in range(1, REJECTION_CAP + 1):
         case = categorical([plan.w0, plan.w1, 2], rng)
         if case == 2:
             labels = range(1, n + 1)
@@ -572,7 +570,7 @@ def sample_split_draw(n: int, eps, rng: RandomStream) -> SplitDraw:
             draw.iterations = iteration
             return draw
     raise RejectionCapError(
-        f"no draw accepted within {cap} iterations at n = {n}; the cover checks "
+        f"no draw accepted within {REJECTION_CAP} iterations at n = {n}; the cover checks "
         "reject far more often than the split floor assumes")
 
 
@@ -587,23 +585,23 @@ def approx_sampler(n: int, eps) -> Callable[[RandomStream], LabeledGraph]:
 
     Below the dispatch floor every draw goes to one exact ``ChordalSampler``
     over a ``CountingContext(n)`` built here, so draws share its fill and its
-    weighed plans; above it, each draw is a random split graph.  Raises
-    ValueError at once where ``approx_sample_chordal`` would.
+    weighed plans; above it, each draw is a random split graph drawn at the
+    split slice of the budget (see ``_split_slice``).  Raises ValueError at
+    once where ``approx_sample_chordal`` would.
     """
-    if _takes_exact_path(n, eps, 2,
-                         f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))"):
+    split = _split_slice(
+        n, eps, f"sample_chordal({n}, ctx=CountingContext({n}, allow_large=True))")
+    if split is None:
         return partial(ChordalSampler(CountingContext(n)).sample_chordal, n)
-    return partial(sample_split_approx, n, as_epsilon(eps) / 2)
+    return partial(sample_split_approx, n, split)
 
 
 def approx_sample_chordal(n: int, eps, rng: RandomStream) -> LabeledGraph:
     """Random n-vertex labeled chordal graph within total variation eps of uniform.
 
     Below the dispatch floor this is the exact uniform sampler; above it, a
-    random split graph (always chordal) is drawn instead.  Between
-    EXACT_LIMIT and the floor it raises ValueError instead of starting an
-    exact fill that could take hours.  Each call builds its own sampler (and,
-    below the floor, its own fill); for many draws, call :func:`approx_sampler`
-    once.
+    random split graph (always chordal) is drawn instead (see
+    :func:`approx_sampler`).  Each call builds its own sampler (and, below the
+    floor, its own fill); for many draws, call :func:`approx_sampler` once.
     """
     return approx_sampler(n, eps)(rng)

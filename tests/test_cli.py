@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -375,3 +376,44 @@ def test_library_and_cli_run_without_the_oracle_dependencies():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
     assert done.stdout == "822\n[]\n"
+
+
+class TestOutputFailures:
+    """A reader that leaves early, or a full device, ends a run without a traceback."""
+
+    SAMPLES = ["sample", "--n", "12", "--count", "3000", "--seed", "1"]  # about 0.5 MB
+
+    @staticmethod
+    def popen(argv, **kwargs):
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.Popen([sys.executable, "-m", "chordal_lab.cli", *argv],
+                                env={**os.environ, "PYTHONPATH": path},
+                                stderr=subprocess.PIPE, **kwargs)
+
+    def test_a_closed_pipe_ends_quietly(self):
+        proc = self.popen(self.SAMPLES, stdout=subprocess.PIPE)
+        head = proc.stdout.read(20)
+        proc.stdout.close()  # the output is far larger than a pipe holds
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+        assert len(head) == 20
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+        assert (code, err) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [SAMPLES, ["count", "--n", "5"]], ids=["sample", "count"])
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_a_full_device_is_one_error_line(self, argv, to_stdout):
+        with open("/dev/full", "w") as full:
+            if to_stdout:
+                proc = self.popen(argv, stdout=full)
+            else:
+                proc = self.popen(argv + ["--out", "/dev/full"], stdout=subprocess.PIPE)
+            _, err = proc.communicate(timeout=60)
+        target = "stdout" if to_stdout else "/dev/full"
+        lines = err.decode().splitlines()
+        assert proc.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: "), lines

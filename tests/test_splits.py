@@ -677,6 +677,40 @@ class TestApproxSampleChordal:
             assert a == b
 
 
+class TestOneBudget:
+    """approx-count and approx-sample spend one epsilon budget the same way."""
+
+    EPSILONS = ["0.5", "0.1", "1e-2", "3e-3", "1e-3", "1e-6", "1e-9"]
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_count_and_sample_share_one_floor(self, eps, monkeypatch):
+        import chordal_lab.counting as counting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact fill was started")
+
+        monkeypatch.setattr(counting.CountingContext, "_fill", refuse)
+        floor = threshold_g(eps)
+        if floor - 1 > EXACT_LIMIT:
+            with pytest.raises(ValueError, match=f"floor {floor} "):
+                approx_count_chordal(floor - 1, eps)
+            with pytest.raises(ValueError, match=f"floor {floor} "):
+                approx_sampler(floor - 1, eps)
+        split = as_epsilon(eps) / 2
+        assert approx_count_chordal(floor, eps) == approx_count_split(floor, split)
+        draw = approx_sampler(floor, eps)
+        assert draw(RandomStream(3)) == sample_split_approx(floor, split, RandomStream(3))
+
+    def test_the_slices_sum_to_epsilon(self):
+        start = time.perf_counter()
+        for eps in self.EPSILONS + ["1e-1000000"]:
+            eps = as_epsilon(eps)
+            non_split, split = splits._budget(eps)
+            assert non_split + split == eps and min(non_split, split) > 0
+            assert splits._split_slice(threshold_g(eps), eps, "") == split
+        assert time.perf_counter() - start < 0.5
+
+
 class TestPlanCache:
     def test_a_fifth_plan_drops_the_oldest(self):
         rng = RandomStream(3)
