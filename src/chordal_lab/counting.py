@@ -42,16 +42,23 @@ each ``count_<kind>`` is that row's entry at k.  Every row is a tuple when
 the fill stores it, so a constructed context is filled and immutable, and
 may be read from any number of threads.
 
-Most entries of most rows are zero, and the two row kernels
+Most entries of most rows are zero.  The zeros have four sources.  Leading
+zeros: a component that finishes in round t has at least lo(t) vertices, so
+``exact_single``, ``exact`` and the pinned chain rows vanish at
+0 < k < lo(t).  The gap after k = 0: an exact row is
+[1, 0, ..., 0, nonzero from lo(t)], the bare root at k = 0.  The self row: a
+row that reads itself at fewer free vertices is [first, 0, ..., 0, row[lo:]].
+Stationary hulls: a hull whose K = n - hull free vertices are fewer than lo
+holds no component of that round.  So in phase B of round t (lo = lo(t)) its
+``exact`` and ``exact_proper`` rows are the bare root and its ``within`` rows
+are those of round t - 1, and in phase A of round t >= 2 (lo = lo(t - 1))
+every pinned row is zero.  The fill stores these as shared rows (the
+context's bare-root and zero rows, and round t - 1's ``within`` rows) and
+runs no kernel for them.  For every other row the two row kernels
 (``_first_component_row`` and ``_conv``) multiply only over the nonzero band
-of each row.  The zeros have three sources.  Leading zeros: a component that
-finishes in round t has at least lo(t) vertices, so ``exact_single``,
-``exact`` and the pinned chain rows vanish at 0 < k < lo(t).  The gap after
-k = 0: an exact row is [1, 0, ..., 0, nonzero from lo(t)], the bare root at
-k = 0.  The self row: a row that reads itself at fewer free vertices is
-[first, 0, ..., 0, row[lo:]].  The kernels find each band from the values
-themselves (the first nonzero entry of a row), so they store the same values
-as full products would.
+of each row.  They find each band from the values themselves (the first
+nonzero entry of a row), so they store the same values as full products
+would.
 
 All arithmetic is exact; values grow to roughly 2**(n*n).
 """
@@ -178,7 +185,9 @@ class CountingContext:
         self._C = tuple(map(tuple, rows))
         # Largest root-plus-layer a stored row may have.
         self._w = min(self.omega, n_max)
-        self._zeros = tuple((0,) * (m + 1) for m in range(size))  # by row length
+        # Shared all-zero and bare-root rows, by K: each has K + 1 entries.
+        self._zeros = tuple((0,) * (m + 1) for m in range(size))
+        self._roots = tuple((1,) + zero[1:] for zero in self._zeros)
         self._fill()
 
     # -- public arithmetic ---------------------------------------------------
@@ -323,10 +332,10 @@ class CountingContext:
         # Every table, by kind and then round; round 0 stores exact_single,
         # exact_multi and within only.
         self._tables = {
-            "within": [[None] + [[(1,) + (0,) * (n - x) for _ in range(x)] for x in hulls]],
+            "within": [[None] + [[self._roots[n - x]] * x for x in hulls]],
             "exact": [None], "exact_proper": [None],
-            "exact_single": [[(0,) * (n - x + 1) for x in range(w)]],
-            "exact_multi": [[(0,) * (n - x + 1) for x in range(w)]],
+            "exact_single": [[self._zeros[n - x] for x in range(w)]],
+            "exact_multi": [[self._zeros[n - x] for x in range(w)]],
             "pinned": [None], "pinned_exact": [None], "pinned_proper_z": [None],
         }
         weights = _NO_WEIGHTS  # round 0 has no component at all
@@ -380,9 +389,10 @@ class CountingContext:
             P_z(x) = exp(e_0 - e_z) * P_0(x)   (a binomial convolution).
 
         exp(e_0 - e_z) is the inverse of exact(t - 1, z, ., 0) = exp(e_z - e_0),
-        built once per round for each z >= 1 by the kernel from the same
-        weights.  ``factored=False`` runs the direct triple sum for every z
-        and never uses the identity.
+        built once per round by the kernel from the same weights, for each
+        z >= 1 that a hull with room for a component reads.
+        ``factored=False`` runs the direct triple sum for every z and never
+        uses the identity.
         """
         n, w, tables = self.n_max, self._w, self._tables
         prev = t - 1
@@ -391,20 +401,30 @@ class CountingContext:
         exact = [[None] * (w - x + 1) for x in range(w)]
         pinned = [[None] * (w - x + 1) for x in range(w)]
         lo, _, escape, _ = weights
+        reach = _reach(n, w, lo)
         inv = None
         if self.factored and lo is not None:
-            inv = [None] + [self._first_component_row(1, [(escape[z, 0], -1, None)], n - z - 1, lo)
-                            for z in range(1, w)]
+            # Read only by the hulls that are not stationary, at z < hull <= reach.
+            inv = [None] + [self._first_component_row(1, [(escape[z], -1, None)], n - z - 1, lo)
+                            for z in range(1, reach)]
         for hull in range(1, w + 1):
             K = n - hull
+            if hull > reach:
+                # Stationary: no component of round t - 1 fits in K free
+                # vertices, so every row is zero (at t = 1, pinned is the bare
+                # root: round 0 finishes no component).
+                zero = self._zeros[K]
+                for x in range(hull):
+                    proper[x][hull - x] = [zero] * (x + 1)
+                    exact[x][hull - x] = zero
+                    pinned[x][hull - x] = zero if prev else self._roots[K]
+                continue
             rows = {}
-            partial = (self._layer_sums(hull, weights)
-                       if inv is not None and lo <= K else None)
-            # The direct path, and a round after one in which no component
-            # finished (every row zero), run one chain per z.
+            partial = self._layer_sums(hull, weights) if inv is not None else None
+            # The direct path runs one chain per z.
             for z in range(hull if inv is None else 1):
-                rest = exact_proper[prev][hull][z] if prev else None
-                chain = self._pinned_proper_chain(t, hull, z, weights, rest, partial)
+                chain = self._pinned_proper_chain(t, hull, z, weights,
+                                                  exact_proper[prev][hull][z], partial)
                 for x in range(z, hull):
                     rows[x, z] = chain[x]
             if inv is not None:
@@ -416,17 +436,14 @@ class CountingContext:
                 proper[x][l] = [rows.get((x, z)) for z in range(x + 1)]
                 own = rows[x, x]
                 row = own
-                if prev and hull < w:
+                if hull < w:
                     # Zero, one, or at least two components see all of the hull.
                     one = self._conv(tables["exact_single"][prev][hull], own, K, 1)
                     more = self._conv(tables["exact_multi"][prev][hull],
                                       exact_proper[prev][hull][x], K, 1)
                     row = tuple(a + b + c for a, b, c in zip(own, one, more))
                 exact[x][l] = row
-                if t == 1:
-                    pinned[x][l] = (1,) + (0,) * K
-                else:
-                    pinned[x][l] = tuple(self._conv(row, tables["within"][t - 2][hull][x], K, 1))
+                pinned[x][l] = tuple(self._conv(row, tables["within"][t - 2][hull][x], K, 1))
         tables["pinned_proper_z"].append(proper)
         tables["pinned_exact"].append(exact)
         tables["pinned"].append(pinned)
@@ -456,12 +473,22 @@ class CountingContext:
         # more further components (single + multi at fewer free vertices).
         tables["exact_multi"].append([tuple(self._first_component_row(
             0, [(wg[0][x], 1, single[x]), (wg[0][x], 1, None)], n - x, lo))
-            if wg else (0,) * (n - x + 1) for x in range(w)])
+            if wg else self._zeros[n - x] for x in range(w)])
         exact = [None]
         exact_proper = [None]
         within = [None]
+        reach = _reach(n, w, lo)
         for hull in range(1, w + 1):
             K = n - hull
+            if hull > reach:
+                # Stationary: no component of round t fits in K free vertices,
+                # so only the bare root finishes exactly at t, and whatever
+                # evaporates within t did so within t - 1.
+                root = self._roots[K]
+                exact.append([root] * hull)
+                exact_proper.append([root] * hull)
+                within.append(tables["within"][t - 1][hull])
+                continue
             e_rows, ep_rows, w_rows = [], [], []
             for z in range(hull):
                 e, ep = self._exact_rows(hull, z, weights)
@@ -488,11 +515,14 @@ class CountingContext:
         wg[x][m][k - lo] lists C(k-1, k2-1) G[x][m][k2] for k2 = lo..k, or
         wg[x][m] is None where G[x][m] is zero; wg[x][0] is built for x = 0
         only, since the other rows of m = 0 are read only through escape.
-        escape[x, z] (z < x) weighs G[x][0] - G[z][0], the nonnegative
-        root-contact sum of a component that escapes [z], so the kernels make
-        one pass for it, not one for each side.  G itself is returned for
-        :meth:`_layer_sums`.  (lo, wg, escape, G), or (None, None, None, None)
-        if single(t) is all zero.
+        escape[x] (x >= 1) weighs G[x][0] - G[0][0], the nonnegative
+        root-contact sum of a component that escapes the empty prefix, so the
+        kernels make one pass for it, not one for each side; escape[0] is None.
+        escape holds z = 0 only: inv and the chains of round t + 1 read it,
+        while G[x][0] - G[z][0] at z >= 1 is read once, by :meth:`_exact_rows`,
+        which weighs it there.  G itself is returned for :meth:`_exact_rows`
+        and :meth:`_layer_sums`.  (lo, wg, escape, G), or
+        (None, None, None, None) if single(t) is all zero.
         """
         n, C, top = self.n_max, self._C, self._w
         s = self._tables["exact_single"][t] + [(0,) * (n - top + 1)]
@@ -508,8 +538,7 @@ class CountingContext:
 
         wg = [[self._weigh(lo, row) if x == 0 or m else None for m, row in enumerate(gx)]
               for x, gx in enumerate(g)]
-        escape = {(x, z): self._weigh(lo, [u - v for u, v in zip(g[x][0], g[z][0])])
-                  for x in range(1, top + 1) for z in range(x)}
+        escape = [None] + [self._weigh_escape(lo, g, x, 0) for x in range(1, top + 1)]
         return lo, wg, escape, g
 
     def _weigh(self, lo: int, row: list[int]) -> list[list[int]] | None:
@@ -524,6 +553,10 @@ class CountingContext:
         band = row[lo:len(row) - tail]
         return [list(map(mul, C[k - 1][lo - 1:k], band)) for k in range(lo, len(row))]
 
+    def _weigh_escape(self, lo: int, g: list, x: int, z: int) -> list[list[int]] | None:
+        """:meth:`_weigh` of G[x][0] - G[z][0] (z < x)."""
+        return self._weigh(lo, [u - v for u, v in zip(g[x][0], g[z][0])])
+
     def _layer_sums(self, hull: int, weights: tuple) -> list:
         """partial[x] weighs G[x][hull - x] - G[0][hull] for x = 1..hull - 1
         (partial[0] is None): the nonnegative layer-contact sum of a component
@@ -536,18 +569,16 @@ class CountingContext:
 
     def _exact_rows(self, hull: int, z: int, weights: tuple) -> tuple:
         """exact(t, hull, ., z) and exact_proper(t, hull, ., z), from the weights
-        of round t.
+        of round t, for a hull with room for a component (lo <= n - hull).
 
         The first free component has k2 vertices and root contact x2; summed
         over x2, its weight is the root-contact sum G[hull][0] - G[z][0], and
-        the proper form leaves out the x2 = hull term G[0][hull].
+        the proper form leaves out the x2 = hull term G[0][hull].  At z >= 1
+        that sum is read here only, so it is weighed here and dropped.
         """
         K = self.n_max - hull
-        lo, wg, escape, _ = weights
-        if lo is None:
-            row = (1,) + (0,) * K
-            return row, row
-        terms = [(escape[hull, z], 1, None)]
+        lo, wg, escape, g = weights
+        terms = [(escape[hull] if z == 0 else self._weigh_escape(lo, g, hull, z), 1, None)]
         exact = tuple(self._first_component_row(1, terms, K, lo))
         if wg[0][hull] is None:
             return exact, exact
@@ -561,16 +592,15 @@ class CountingContext:
 
         ``weights`` are those of round t - 1, ``partial`` their
         :meth:`_layer_sums` at this hull, and ``rest`` is
-        exact_proper(t - 1, hull, ., z).  The row at x reads the rows at
-        larger x of the same chain, so the chain runs x descending.
+        exact_proper(t - 1, hull, ., z).  The hull has room for a component
+        (lo <= n - hull), and the factored chain runs at z = 0 only.  The row
+        at x reads the rows at larger x of the same chain, so the chain runs
+        x descending.
         """
         K = self.n_max - hull
         lo, wg, escape, _ = weights
         chain: dict[int, tuple[int, ...]] = {}
         for x in range(hull - 1, z - 1, -1):
-            if lo is None or lo > K:
-                chain[x] = (0,) * (K + 1)
-                continue
             l = hull - x
             rests = [None] + [chain[x + l2] for l2 in range(1, l)] + [rest]
             if not self.factored:
@@ -579,12 +609,12 @@ class CountingContext:
             # The component with the lowest free label touches x2 root labels
             # and l2 layer labels.  Grouped by l2, its weights summed over x2
             # are Pascal sums of round t - 1:
-            #   l2 = 0:      G[x][0] - G[z][0]  (it escapes [z]; rest is this row)
+            #   l2 = 0:      G[x][0] - G[0][0]  (x2 >= 1; rest is this row)
             #   0 < l2 < l:  C(l, l2) G[x][l2]  (the touched labels join the root)
             #   l2 = l:      G[x][l] - G[0][hull]  (x2 < x; rest is exact_proper)
-            # The first sum is zero at x = z and the last at x = 0.
+            # The first sum is zero at x = 0, and so is the last.
             Cl = self._C[l]
-            terms = [(escape.get((x, z)), 1, None)]
+            terms = [(escape[x], 1, None)]
             terms += [(wg[x][l2], Cl[l2], rests[l2]) for l2 in range(1, l)]
             terms += [(partial[x], 1, rest)]
             chain[x] = tuple(self._first_component_row(0, terms, K, lo))
@@ -743,6 +773,17 @@ def _at(row: tuple[int, ...], k: int) -> int:
     if 0 <= k < len(row):
         return row[k]
     raise ValueError("counter arguments outside their domain")
+
+
+def _reach(n: int, w: int, lo: int | None) -> int:
+    """The largest hull (root plus layer, at most w) whose n - hull free
+    vertices hold a component of at least lo vertices; 0 for lo None.
+
+    Every larger hull is stationary in a round whose components have at
+    least lo vertices: its rows are fixed without a kernel call (see the
+    module docstring).
+    """
+    return 0 if lo is None else min(w, n - lo)
 
 
 def _first_nonzero(row: list[int], start: int = 0) -> int | None:

@@ -627,6 +627,87 @@ class TestCountOnlyFill:
         assert exact_counts(40, 3)[1][40] == CountingContext(40, 3).count_all(40)
 
 
+class TestFillWork:
+    """The work of a count-only fill, counted by wrapping the kernels and
+    ``counting.mul`` from outside.  The counts repeat exactly; a change that
+    moves one states old -> new and why in CHANGES.md."""
+
+    @pytest.mark.parametrize("args, muls, convs, components, weighs", [
+        ((20,), 419_736, 6_460, 4_541, 6_669),
+        ((40, 3), 521_720, 794, 759, 614),
+    ])
+    def test_pinned_counts(self, monkeypatch, args, muls, convs, components, weighs):
+        calls = dict.fromkeys(["mul", "_conv", "_first_component_row", "_weigh"], 0)
+
+        def counted(name, f):
+            def g(*a):
+                calls[name] += 1
+                return f(*a)
+            return g
+
+        monkeypatch.setattr(counting, "mul", counted("mul", counting.mul))
+        monkeypatch.setattr(CountingContext, "_conv", counted("_conv", CountingContext._conv))
+        monkeypatch.setattr(CountingContext, "_first_component_row", staticmethod(
+            counted("_first_component_row", CountingContext._first_component_row)))
+        monkeypatch.setattr(CountingContext, "_weigh", counted("_weigh", CountingContext._weigh))
+        exact_counts(*args)
+        assert calls == {"mul": muls, "_conv": convs, "_first_component_row": components,
+                         "_weigh": weighs}
+
+
+def _stored_rows(ctx: CountingContext) -> list[tuple[int, ...]]:
+    """Every row the context's tables hold, once per place that holds it."""
+    rows = []
+
+    def walk(node):
+        if isinstance(node, tuple):
+            rows.append(node)
+        elif node is not None:
+            for child in node:
+                walk(child)
+
+    walk(list(ctx._tables.values()))
+    return rows
+
+
+class TestStationaryHulls:
+    """A hull whose K = n - hull free vertices hold no component of the
+    round is stationary: its rows are shared, not recomputed."""
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_rows_are_shared(self, factored):
+        n = 16
+        ctx = CountingContext(n, factored=factored)
+        # lo(t): the fewest free vertices of a component finishing in round t.
+        lo = [None] + [min((k for x in range(n) for k in range(1, n - x + 1)
+                            if ctx.count_exact_single(t, x, k)), default=None)
+                       for t in range(1, ctx.last_round + 1)]
+        moved = within = pinned = 0
+        for t in range(2, ctx.last_round + 1):
+            for hull in range(1, n + 1):
+                K = n - hull
+                if lo[t] is None or K < lo[t]:
+                    for z in range(hull):
+                        row = ctx.row("within", t, hull, z=z)
+                        assert row is ctx.row("within", t - 1, hull, z=z), (t, hull, z)
+                        assert ctx.row("exact", t, hull, z=z) is ctx._roots[K]
+                        assert ctx.row("exact_proper", t, hull, z=z) is ctx._roots[K]
+                        within += 1
+                else:
+                    moved += 1
+                if K < lo[t - 1]:
+                    for x in range(hull):
+                        l = hull - x
+                        assert ctx.row("pinned", t, x, l) is ctx._zeros[K], (t, x, l)
+                        assert ctx.row("pinned_exact", t, x, l) is ctx._zeros[K], (t, x, l)
+                        for z in range(x + 1):
+                            assert ctx.row("pinned_proper_z", t, x, l, z) is ctx._zeros[K]
+                        pinned += 1
+        assert (moved, within, pinned) == (105, 1_480, 1_360)
+        rows = _stored_rows(ctx)
+        assert (len(rows), len({id(row) for row in rows})) == (24_616, 6_989)
+
+
 def _live_contexts() -> list[CountingContext]:
     """Every CountingContext alive now, after a full collection."""
     gc.collect()
