@@ -515,13 +515,14 @@ class CountingContext:
         wg[x][m][k - lo] lists C(k-1, k2-1) G[x][m][k2] for k2 = lo..k, or
         wg[x][m] is None where G[x][m] is zero; wg[x][0] is built for x = 0
         only, since the other rows of m = 0 are read only through escape.
-        escape[x] (x >= 1) weighs G[x][0] - G[0][0], the nonnegative
-        root-contact sum of a component that escapes the empty prefix, so the
+        escape[x] (1 <= x <= reach) weighs G[x][0] - G[0][0], the nonnegative
+        root-contact sum of a component that touches some root label, so the
         kernels make one pass for it, not one for each side; escape[0] is None.
         escape holds z = 0 only: inv and the chains of round t + 1 read it,
         while G[x][0] - G[z][0] at z >= 1 is read once, by :meth:`_exact_rows`,
-        which weighs it there.  G itself is returned for :meth:`_exact_rows`
-        and :meth:`_layer_sums`.  (lo, wg, escape, G), or
+        which weighs it there.  Past ``_reach`` a row of G has at most lo
+        entries, all zero, so it is not weighed.  G itself is returned for
+        :meth:`_exact_rows` and :meth:`_layer_sums`.  (lo, wg, escape, G), or
         (None, None, None, None) if single(t) is all zero.
         """
         n, C, top = self.n_max, self._C, self._w
@@ -536,9 +537,10 @@ class CountingContext:
             g.append([[a + b for a, b in zip(below[m], below[m + 1])]
                       for m in range(top - x + 1)])
 
-        wg = [[self._weigh(lo, row) if x == 0 or m else None for m, row in enumerate(gx)]
-              for x, gx in enumerate(g)]
-        escape = [None] + [self._weigh_escape(lo, g, x, 0) for x in range(1, top + 1)]
+        reach = _reach(n, top, lo)
+        wg = [[self._weigh(lo, row) if (x == 0 or m) and x + m <= reach else None
+               for m, row in enumerate(gx)] for x, gx in enumerate(g)]
+        escape = [None] + [self._weigh_escape(lo, g, x, 0) for x in range(1, reach + 1)]
         return lo, wg, escape, g
 
     def _weigh(self, lo: int, row: list[int]) -> list[list[int]] | None:

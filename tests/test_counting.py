@@ -633,8 +633,8 @@ class TestFillWork:
     moves one states old -> new and why in CHANGES.md."""
 
     @pytest.mark.parametrize("args, muls, convs, components, weighs", [
-        ((20,), 419_736, 6_460, 4_541, 6_669),
-        ((40, 3), 521_720, 794, 759, 614),
+        ((20,), 419_736, 6_460, 4_541, 3_819),
+        ((40, 3), 521_720, 794, 759, 603),
     ])
     def test_pinned_counts(self, monkeypatch, args, muls, convs, components, weighs):
         calls = dict.fromkeys(["mul", "_conv", "_first_component_row", "_weigh"], 0)
