@@ -81,9 +81,9 @@ CLASS_ARGS = {
 
 # Largest n = omega whose fill a context runs without ``allow_large``.  At n = 30
 # a ``count --n 30`` process (``exact_counts``, which keeps only the rounds the
-# next round reads) takes 1.1-1.9 s and peaks at 25 MB RSS, and a
-# ``sample --n 30`` process (a full context) takes 1.8-2.6 s and peaks at
-# 75 MB (fresh processes, 2-core x86-64, CPython 3.11).  The approximate entry
+# next round reads) takes 0.8-1.3 s and peaks at 23 MB RSS, and a
+# ``sample --n 30`` process (a full context) takes 1.1-1.6 s and peaks at
+# 51 MB (fresh processes, 2-core x86-64, CPython 3.11).  The approximate entry
 # points in ``splits`` use the same limit for their exact fallback.
 EXACT_LIMIT = 30
 
