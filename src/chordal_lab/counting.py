@@ -54,9 +54,13 @@ holds no component of that round.  So in phase B of round t (lo = lo(t)) its
 are those of round t - 1, and in phase A of round t >= 2 (lo = lo(t - 1))
 every pinned row is zero.  The fill stores these as shared rows (the
 context's bare-root and zero rows, and round t - 1's ``within`` rows) and
-runs no kernel for them.  For every other row the two row kernels
-(``_first_component_row`` and ``_conv``) multiply only over the nonzero band
-of each row.  They find each band from the values themselves (the first
+runs no kernel for them.  Every other row comes from one of two row kernels,
+which read plain rows and multiply each binomial inside the dot product:
+``_conv`` convolves two table rows, and ``_first_component_row`` splits off
+the component holding the lowest free label, its k2 vertices weighed by
+C(k - 1, k2 - 1) times a Pascal sum of ``exact_single`` rows (or the
+difference of two such sums).  Both multiply only over the nonzero band of
+each row.  They find each band from the values themselves (the first
 nonzero entry of a row), so they store the same values as full products
 would.
 
@@ -66,7 +70,7 @@ All arithmetic is exact; values grow to roughly 2**(n*n).
 from __future__ import annotations
 
 from itertools import islice
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 # The counted class kinds and the names of their arguments, in order.
@@ -81,7 +85,7 @@ CLASS_ARGS = {
 
 # Largest n = omega whose fill a context runs without ``allow_large``.  At n = 30
 # a ``count --n 30`` process (``exact_counts``, which keeps only the rounds the
-# next round reads) takes 0.8-1.3 s and peaks at 23 MB RSS, and a
+# next round reads) takes 1.0-1.5 s and peaks at 21 MB RSS, and a
 # ``sample --n 30`` process (a full context) takes 1.1-1.6 s and peaks at
 # 51 MB (fresh processes, 2-core x86-64, CPython 3.11).  The approximate entry
 # points in ``splits`` use the same limit for their exact fallback.
@@ -108,9 +112,9 @@ def fill_cells(n_max: int, omega: int | None = None) -> int:
     """Number of table cells a ``CountingContext(n_max, omega)`` fill stores.
 
     Exact integer arithmetic in O(1).  Rounds 0..R are stored, where R is the
-    first round with an all-zero ``single`` table: R = n_max once there is
-    room for a root vertex under a path of n_max - 1 vertices, else 2 (or 1
-    when there is no vertex at all).
+    first round with an all-zero ``exact_single`` table: R = n_max once there
+    is room for a root vertex under a path of n_max - 1 vertices, else 2 (or
+    1 when there is no vertex at all).
     """
     n = n_max
     w = min(max(n, 1) if omega is None else omega, n)
@@ -121,15 +125,12 @@ def fill_cells(n_max: int, omega: int | None = None) -> int:
     per_x = w * (n + 1) - (w - 1) * w // 2         # rows x = 0..w-1, n - x + 1 cells
     per_hull = (n + 1) * s1 - s2                   # X cells-rows of n - X + 1 cells
     per_z = ((n + 1) * (s2 + s1) - (s3 + s2)) // 2  # X(X+1)/2 rows of n - X + 1 cells
-    # single and multi; within (also in round 0); exact, exact_proper, pinned,
-    # pinned_exact; pinned_proper_z.
+    # exact_single and exact_multi; within (also in round 0); exact,
+    # exact_proper, pinned, pinned_exact; pinned_proper_z.
     return rounds * (2 * per_x + per_hull) + (rounds - 1) * (4 * per_hull + per_z)
 
 
 _CELL_LIMIT = fill_cells(EXACT_LIMIT, EXACT_LIMIT)
-
-# The weights of a round in which no component finishes.
-_NO_WEIGHTS = (None, None, None, None)
 
 
 class CountingContext:
@@ -190,15 +191,7 @@ class CountingContext:
         self._roots = tuple((1,) + zero[1:] for zero in self._zeros)
         self._fill()
 
-    # -- public arithmetic ---------------------------------------------------
-
-    def binomial(self, a: int, b: int) -> int:
-        """C(a, b), with value 0 outside 0 <= b <= a."""
-        if not 0 <= a <= self.n_max:
-            raise ValueError(f"binomial row {a} outside [0, {self.n_max}]")
-        if b < 0 or b > a:
-            return 0
-        return self._C[a][b]
+    # -- public reads ----------------------------------------------------------
 
     @property
     def last_round(self) -> int:
@@ -338,7 +331,7 @@ class CountingContext:
             "exact_multi": [[self._zeros[n - x] for x in range(w)]],
             "pinned": [None], "pinned_exact": [None], "pinned_proper_z": [None],
         }
-        weights = _NO_WEIGHTS  # round 0 has no component at all
+        weights = None, None  # round 0 has no component at all
         connected = [0] * (n + 1)
         t = 0
         while True:
@@ -388,9 +381,10 @@ class CountingContext:
 
             P_z(x) = exp(e_0 - e_z) * P_0(x)   (a binomial convolution).
 
-        exp(e_0 - e_z) is the inverse of exact(t - 1, z, ., 0) = exp(e_z - e_0),
-        built once per round by the kernel from the same weights, for each
-        z >= 1 that a hull with room for a component reads.
+        exp(e_0 - e_z) is the inverse of exact(t - 1, z, ., 0) = exp(e_z - e_0).
+        :meth:`_first_component_row` builds it once per round, for each z >= 1
+        that a hull with room for a component reads, from the root-contact
+        sum G[z][0] - G[0][0] that the chains read too.
         ``factored=False`` runs the direct triple sum for every z and never
         uses the identity.
         """
@@ -400,11 +394,12 @@ class CountingContext:
         proper = [[None] * (w - x + 1) for x in range(w)]
         exact = [[None] * (w - x + 1) for x in range(w)]
         pinned = [[None] * (w - x + 1) for x in range(w)]
-        lo, _, escape, _ = weights
+        lo, g = weights
         reach = _reach(n, w, lo)
-        inv = None
+        escape = inv = None
         if self.factored and lo is not None:
-            # Read only by the hulls that are not stationary, at z < hull <= reach.
+            # Read only by the hulls that are not stationary, at x, z < hull <= reach.
+            escape = [list(map(sub, gx[0], g[0][0])) for gx in g[:reach]]
             inv = [None] + [self._first_component_row(1, [(escape[z], -1, None)], n - z - 1, lo)
                             for z in range(1, reach)]
         for hull in range(1, w + 1):
@@ -420,11 +415,10 @@ class CountingContext:
                     pinned[x][hull - x] = zero if prev else self._roots[K]
                 continue
             rows = {}
-            partial = self._layer_sums(hull, weights) if inv is not None else None
             # The direct path runs one chain per z.
             for z in range(hull if inv is None else 1):
-                chain = self._pinned_proper_chain(t, hull, z, weights,
-                                                  exact_proper[prev][hull][z], partial)
+                chain = self._pinned_proper_chain(t, hull, z, weights, escape,
+                                                  exact_proper[prev][hull][z])
                 for x in range(z, hull):
                     rows[x, z] = chain[x]
             if inv is not None:
@@ -461,6 +455,8 @@ class CountingContext:
         for x in range(w):
             row = [0] * (n - x + 1)
             for l in range(1, w - x + 1):
+                if pinned[x][l] is self._zeros[n - x - l]:
+                    continue  # a stationary hull's shared zero row
                 # The last layer has l labels, chosen among the k free ones.
                 row[l:] = [r + C[k][l] * v
                            for k, (r, v) in enumerate(zip(row[l:], pinned[x][l]), l)]
@@ -468,12 +464,12 @@ class CountingContext:
         tables["exact_single"].append(single)
 
         weights = self._weights(t)
-        lo, wg, _, _ = weights
+        lo = weights[0]
         # multi(t, x, k): the component with the lowest free label, then one or
         # more further components (single + multi at fewer free vertices).
         tables["exact_multi"].append([tuple(self._first_component_row(
-            0, [(wg[0][x], 1, single[x]), (wg[0][x], 1, None)], n - x, lo))
-            if wg else self._zeros[n - x] for x in range(w)])
+            0, [(single[x], 1, single[x]), (single[x], 1, None)], n - x, lo))
+            if lo is not None else self._zeros[n - x] for x in range(w)])
         exact = [None]
         exact_proper = [None]
         within = [None]
@@ -506,68 +502,25 @@ class CountingContext:
     # -- row code ----------------------------------------------------------------
 
     def _weights(self, t: int) -> tuple:
-        """(lo, wg, escape, G): the weights of one component finishing in round t.
+        """(lo, G): the weights of one component finishing in round t.
 
         lo is the smallest k with some single(t, ., k) nonzero: every such
-        component has at least lo vertices.  With the Pascal sums
+        component has at least lo vertices.  G holds the Pascal sums
         G[x][m][k2] = sum over x2 <= x of C(x, x2) single(t, x2 + m, k2) for
-        x + m <= omega (Pascal's rule: G[x][m] = G[x-1][m] + G[x-1][m+1]),
-        wg[x][m][k - lo] lists C(k-1, k2-1) G[x][m][k2] for k2 = lo..k, or
-        wg[x][m] is None where G[x][m] is zero; wg[x][0] is built for x = 0
-        only, since the other rows of m = 0 are read only through escape.
-        escape[x] (1 <= x <= reach) weighs G[x][0] - G[0][0], the nonnegative
-        root-contact sum of a component that touches some root label, so the
-        kernels make one pass for it, not one for each side; escape[0] is None.
-        escape holds z = 0 only: inv and the chains of round t + 1 read it,
-        while G[x][0] - G[z][0] at z >= 1 is read once, by :meth:`_exact_rows`,
-        which weighs it there.  Past ``_reach`` a row of G has at most lo
-        entries, all zero, so it is not weighed.  G itself is returned for
-        :meth:`_exact_rows` and :meth:`_layer_sums`.  (lo, wg, escape, G), or
-        (None, None, None, None) if single(t) is all zero.
+        x + m <= omega (Pascal's rule: G[x][m] = G[x-1][m] + G[x-1][m+1]);
+        G[0][m] is the stored single(t, m) row itself.  (None, None) if
+        single(t) is all zero.
         """
-        n, C, top = self.n_max, self._C, self._w
-        s = self._tables["exact_single"][t] + [(0,) * (n - top + 1)]
+        n, top = self.n_max, self._w
+        s = self._tables["exact_single"][t] + [self._zeros[n - top]]
         firsts = [row.index(next(filter(None, row))) for row in s if any(row)]
         if not firsts:
-            return _NO_WEIGHTS
-        lo = min(firsts)
+            return None, None
         g = [s]
         for x in range(1, top + 1):
             below = g[-1]
-            g.append([[a + b for a, b in zip(below[m], below[m + 1])]
-                      for m in range(top - x + 1)])
-
-        reach = _reach(n, top, lo)
-        wg = [[self._weigh(lo, row) if (x == 0 or m) and x + m <= reach else None
-               for m, row in enumerate(gx)] for x, gx in enumerate(g)]
-        escape = [None] + [self._weigh_escape(lo, g, x, 0) for x in range(1, reach + 1)]
-        return lo, wg, escape, g
-
-    def _weigh(self, lo: int, row: list[int]) -> list[list[int]] | None:
-        """C(k-1, k2-1) row[k2] for k2 = lo..min(k, last), for each
-        k = lo..len(row) - 1, where row[last] is the last nonzero entry of row
-        (the rest would weigh zeros: at small omega a round-1 component is a
-        clique of at most omega vertices); None for an all-zero row."""
-        tail = _first_nonzero(row[::-1])
-        if tail is None:
-            return None
-        C = self._C
-        band = row[lo:len(row) - tail]
-        return [list(map(mul, C[k - 1][lo - 1:k], band)) for k in range(lo, len(row))]
-
-    def _weigh_escape(self, lo: int, g: list, x: int, z: int) -> list[list[int]] | None:
-        """:meth:`_weigh` of G[x][0] - G[z][0] (z < x)."""
-        return self._weigh(lo, [u - v for u, v in zip(g[x][0], g[z][0])])
-
-    def _layer_sums(self, hull: int, weights: tuple) -> list:
-        """partial[x] weighs G[x][hull - x] - G[0][hull] for x = 1..hull - 1
-        (partial[0] is None): the nonnegative layer-contact sum of a component
-        that touches the whole layer and fewer than x root labels.  Each is
-        read by the chains of one hull only, so it lives for that hull.
-        """
-        lo, _, _, g = weights
-        return [None] + [self._weigh(lo, [u - v for u, v in zip(g[x][hull - x], g[0][hull])])
-                         for x in range(1, hull)]
+            g.append([list(map(add, below[m], below[m + 1])) for m in range(top - x + 1)])
+        return min(firsts), g
 
     def _exact_rows(self, hull: int, z: int, weights: tuple) -> tuple:
         """exact(t, hull, ., z) and exact_proper(t, hull, ., z), from the weights
@@ -575,32 +528,30 @@ class CountingContext:
 
         The first free component has k2 vertices and root contact x2; summed
         over x2, its weight is the root-contact sum G[hull][0] - G[z][0], and
-        the proper form leaves out the x2 = hull term G[0][hull].  At z >= 1
-        that sum is read here only, so it is weighed here and dropped.
+        the proper form leaves out the x2 = hull term G[0][hull].
         """
         K = self.n_max - hull
-        lo, wg, escape, g = weights
-        terms = [(escape[hull] if z == 0 else self._weigh_escape(lo, g, hull, z), 1, None)]
+        lo, g = weights
+        terms = [(list(map(sub, g[hull][0], g[z][0])), 1, None)]
         exact = tuple(self._first_component_row(1, terms, K, lo))
-        if wg[0][hull] is None:
+        if not any(g[0][hull]):
             return exact, exact
-        terms.append((wg[0][hull], -1, None))
+        terms.append((g[0][hull], -1, None))
         return exact, tuple(self._first_component_row(1, terms, K, lo))
 
     def _pinned_proper_chain(self, t: int, hull: int, z: int, weights: tuple,
-                             rest: tuple[int, ...] | None,
-                             partial: list | None) -> dict[int, tuple[int, ...]]:
+                             escape: list | None,
+                             rest: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
         """pinned_proper_z(t, x, hull - x, ., z) rows for x = hull-1 down to z.
 
-        ``weights`` are those of round t - 1, ``partial`` their
-        :meth:`_layer_sums` at this hull, and ``rest`` is
-        exact_proper(t - 1, hull, ., z).  The hull has room for a component
-        (lo <= n - hull), and the factored chain runs at z = 0 only.  The row
-        at x reads the rows at larger x of the same chain, so the chain runs
-        x descending.
+        ``weights`` are those of round t - 1, ``escape[x]`` their root-contact
+        sums G[x][0] - G[0][0], and ``rest`` is exact_proper(t - 1, hull, ., z).
+        The hull has room for a component (lo <= n - hull), and the factored
+        chain runs at z = 0 only.  The row at x reads the rows at larger x of
+        the same chain, so the chain runs x descending.
         """
         K = self.n_max - hull
-        lo, wg, escape, _ = weights
+        lo, g = weights
         chain: dict[int, tuple[int, ...]] = {}
         for x in range(hull - 1, z - 1, -1):
             l = hull - x
@@ -614,11 +565,12 @@ class CountingContext:
             #   l2 = 0:      G[x][0] - G[0][0]  (x2 >= 1; rest is this row)
             #   0 < l2 < l:  C(l, l2) G[x][l2]  (the touched labels join the root)
             #   l2 = l:      G[x][l] - G[0][hull]  (x2 < x; rest is exact_proper)
-            # The first sum is zero at x = 0, and so is the last.
+            # The first sum is zero at x = 0, and so is the last (the kernel
+            # skips both).
             Cl = self._C[l]
             terms = [(escape[x], 1, None)]
-            terms += [(wg[x][l2], Cl[l2], rests[l2]) for l2 in range(1, l)]
-            terms += [(partial[x], 1, rest)]
+            terms += [(g[x][l2], Cl[l2], rests[l2]) for l2 in range(1, l)]
+            terms += [(list(map(sub, g[x][l], g[0][hull])), 1, rest)]
             chain[x] = tuple(self._first_component_row(0, terms, K, lo))
         return chain
 
@@ -654,21 +606,25 @@ class CountingContext:
             row[k] = total
         return row
 
-    @staticmethod
-    def _first_component_row(first: int, terms: list, K: int, lo: int | None) -> list[int]:
-        """row[0] = first; row[k] = sum over (wt, scale, r) in terms of
-        scale * sum over k2 = lo..k of wt[k - lo][k2 - lo] * r[k - k2].
+    def _first_component_row(self, first: int, terms: list, K: int,
+                             lo: int | None) -> list[int]:
+        """row[0] = first; row[k] = sum over (g, scale, r) in terms of
+        scale * sum over k2 = lo..k of C(k-1, k2-1) g[k2] r[k - k2].
 
         With the weights of :meth:`_weights` this splits off the component
-        holding the lowest free label (k2 vertices) from the rest r, where
-        r = None stands for the row itself at fewer free vertices.  Terms
-        whose weights are None (zero) are skipped, and a weight row wt[j]
-        may stop before index j: its missing entries are zeros.
+        holding the lowest free label (k2 vertices, its other labels chosen
+        among the other k - 1 free ones) from the rest r, where r = None
+        stands for the row itself at fewer free vertices.  Every g has at
+        least K + 1 entries, and an all-zero g adds nothing.
         """
         row = [first] + [0] * K
         if lo is None or lo > K:
             return row
         span = K - lo + 1  # row[lo:], or j = k - lo below
+        # binom[j][i] = C(k - 1, k2 - 1) at k = lo + j, k2 = lo + i; each dot
+        # product multiplies it into g as it goes, as :meth:`_conv` does.  The
+        # rest's band comes first in the map, so those products stop with it.
+        binom = [Ck[lo - 1:k] for k, Ck in enumerate(self._C[lo - 1:K], lo)]
         # The terms at a fixed rest r sum into a forcing row, one list each.
         # The gap after k = 0: a rest is [r[0], 0, ..., 0, nonzero from low]
         # (an exact row has r[0] = 1 and low = lo of its round), so r[j - i]
@@ -677,11 +633,12 @@ class CountingContext:
         # nothing.
         force = [0] * span
         selfs = []
-        for wt, scale, r in terms:
-            if wt is None:
+        for g, scale, r in terms:
+            band = g[lo:]  # band[i] = g[k2]
+            if not any(band):
                 continue
             if r is None:
-                selfs.append((wt, scale))
+                selfs.append((band, scale))
                 continue
             head = r[0]
             low = _first_nonzero(r, 1)
@@ -690,15 +647,15 @@ class CountingContext:
                     continue
                 low = span
             if head:
-                force = [f + scale * (sum(map(mul, w, r[j:low - 1:-1]))
-                                      + (head * w[j] if j < len(w) else 0))
-                         for j, (f, w) in enumerate(zip(force, wt))]
+                force = [f + scale * (sum(map(mul, r[j:low - 1:-1], map(mul, b, band)))
+                                      + head * band[j])
+                         for j, (f, b) in enumerate(zip(force, binom))]
             else:
-                force[low:] = [f + scale * sum(map(mul, wt[j], r[j:low - 1:-1]))
-                               for j, f in enumerate(force[low:], low)]
+                force[low:] = [f + scale * sum(map(mul, r[j:low - 1:-1], map(mul, b, band)))
+                               for j, (f, b) in enumerate(zip(force[low:], binom[low:]), low)]
         # The self row is [first, 0, ..., 0, row[lo:]] (leading zeros: a
-        # component has at least lo vertices), so first * wt[j][j] is added
-        # once and the dot product runs over row[j], ..., row[low] only.  With
+        # component has at least lo vertices), so first * g[k] is added once
+        # and the dot product runs over row[j], ..., row[low] only.  With
         # first = 0 the row stays zero until the forcing row is nonzero, and
         # its band starts there.
         if first:
@@ -710,12 +667,11 @@ class CountingContext:
             low = lo + j0
         for j in range(low - lo, span):
             total = force[j]
-            band = row[j:low - 1:-1]
-            for wt, scale in selfs:
-                w = wt[j]
-                s = sum(map(mul, w, band))
-                if first and j < len(w):
-                    s += first * w[j]
+            rband = row[j:low - 1:-1]
+            for band, scale in selfs:
+                s = sum(map(mul, rband, map(mul, binom[j], band)))
+                if first:
+                    s += first * band[j]
                 total += scale * s
             row[lo + j] = total
         return row
@@ -750,11 +706,11 @@ class CountingContext:
 class _CountOnly(CountingContext):
     """A fill that keeps only the rounds the next round reads.
 
-    Round t + 1 reads ``single``, ``multi`` and ``exact_proper`` of round t
-    and ``within`` of rounds t - 1 and t; the rest of round t is dropped as
-    soon as the round is done.  Only ``count_connected`` and ``count_all``
-    answer afterwards.  Phase A reads the pinned_proper_z row of each x at
-    z = x only, so only that row is derived from the z = 0 chain.
+    Round t + 1 reads ``exact_single``, ``exact_multi`` and ``exact_proper``
+    of round t and ``within`` of rounds t - 1 and t; the rest of round t is
+    dropped as soon as the round is done.  Only ``count_connected`` and
+    ``count_all`` answer afterwards.  Phase A reads the pinned_proper_z row of
+    each x at z = x only, so only that row is derived from the z = 0 chain.
     """
 
     def _derived_contacts(self, x: int) -> Sequence[int]:
