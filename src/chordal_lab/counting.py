@@ -55,14 +55,16 @@ are those of round t - 1, and in phase A of round t >= 2 (lo = lo(t - 1))
 every pinned row is zero.  The fill stores these as shared rows (the
 context's bare-root and zero rows, and round t - 1's ``within`` rows) and
 runs no kernel for them.  Every other row comes from one of two row kernels,
-which read plain rows and multiply each binomial inside the dot product:
-``_conv`` convolves two table rows, and ``_first_component_row`` splits off
+which read plain rows and multiply each binomial inside the dot product.
+``_conv`` convolves two table rows.  ``_first_component_row`` splits off
 the component holding the lowest free label, its k2 vertices weighed by
-C(k - 1, k2 - 1) times a Pascal sum of ``exact_single`` rows (or the
-difference of two such sums).  Both multiply only over the nonzero band of
-each row.  They find each band from the values themselves (the first
-nonzero entry of a row), so they store the same values as full products
-would.
+C(k - 1, k2 - 1) times a weight row: a Pascal sum of ``exact_single`` rows,
+or a difference of such sums that the caller takes once.  It takes one self
+weight, whose rest is the row being filled, and (weight, rest) pairs whose
+rests are stored rows; a caller whose rest carries a binomial factor scales
+that rest first.  Both kernels multiply only over the nonzero band of each
+row.  They find each band from the values themselves (the first nonzero
+entry of a row), so they store the same values as full products would.
 
 All arithmetic is exact; values grow to roughly 2**(n*n).
 """
@@ -382,9 +384,10 @@ class CountingContext:
             P_z(x) = exp(e_0 - e_z) * P_0(x)   (a binomial convolution).
 
         exp(e_0 - e_z) is the inverse of exact(t - 1, z, ., 0) = exp(e_z - e_0).
+        It solves inv' = (e_0 - e_z)' inv with constant term 1, so
         :meth:`_first_component_row` builds it once per round, for each z >= 1
-        that a hull with room for a component reads, from the root-contact
-        sum G[z][0] - G[0][0] that the chains read too.
+        that a hull with room for a component reads, with the self weight
+        G[0][0] - G[z][0] and no other term.
         ``factored=False`` runs the direct triple sum for every z and never
         uses the identity.
         """
@@ -400,7 +403,8 @@ class CountingContext:
         if self.factored and lo is not None:
             # Read only by the hulls that are not stationary, at x, z < hull <= reach.
             escape = [list(map(sub, gx[0], g[0][0])) for gx in g[:reach]]
-            inv = [None] + [self._first_component_row(1, [(escape[z], -1, None)], n - z - 1, lo)
+            inv = [None] + [self._first_component_row(1, list(map(sub, g[0][0], g[z][0])), (),
+                                                      n - z - 1, lo)
                             for z in range(1, reach)]
         for hull in range(1, w + 1):
             K = n - hull
@@ -424,7 +428,7 @@ class CountingContext:
             if inv is not None:
                 for x in range(hull):
                     for z in self._derived_contacts(x):
-                        rows[x, z] = tuple(self._conv(inv[z], rows[x, 0], K, 0))
+                        rows[x, z] = tuple(self._conv(inv[z], rows[x, 0], K))
             for x in range(hull - 1, -1, -1):
                 l = hull - x
                 proper[x][l] = [rows.get((x, z)) for z in range(x + 1)]
@@ -432,12 +436,12 @@ class CountingContext:
                 row = own
                 if hull < w:
                     # Zero, one, or at least two components see all of the hull.
-                    one = self._conv(tables["exact_single"][prev][hull], own, K, 1)
+                    one = self._conv(tables["exact_single"][prev][hull], own, K)
                     more = self._conv(tables["exact_multi"][prev][hull],
-                                      exact_proper[prev][hull][x], K, 1)
+                                      exact_proper[prev][hull][x], K)
                     row = tuple(a + b + c for a, b, c in zip(own, one, more))
                 exact[x][l] = row
-                pinned[x][l] = tuple(self._conv(row, tables["within"][t - 2][hull][x], K, 1))
+                pinned[x][l] = tuple(self._conv(row, tables["within"][t - 2][hull][x], K))
         tables["pinned_proper_z"].append(proper)
         tables["pinned_exact"].append(exact)
         tables["pinned"].append(pinned)
@@ -468,7 +472,7 @@ class CountingContext:
         # multi(t, x, k): the component with the lowest free label, then one or
         # more further components (single + multi at fewer free vertices).
         tables["exact_multi"].append([tuple(self._first_component_row(
-            0, [(single[x], 1, single[x]), (single[x], 1, None)], n - x, lo))
+            0, single[x], [(single[x], single[x])], n - x, lo))
             if lo is not None else self._zeros[n - x] for x in range(w)])
         exact = [None]
         exact_proper = [None]
@@ -490,7 +494,7 @@ class CountingContext:
                 e, ep = self._exact_rows(hull, z, weights)
                 e_rows.append(e)
                 ep_rows.append(ep)
-                w_rows.append(tuple(self._conv(e, tables["within"][t - 1][hull][z], K, 0)))
+                w_rows.append(tuple(self._conv(e, tables["within"][t - 1][hull][z], K)))
             exact.append(e_rows)
             exact_proper.append(ep_rows)
             within.append(w_rows)
@@ -532,12 +536,12 @@ class CountingContext:
         """
         K = self.n_max - hull
         lo, g = weights
-        terms = [(list(map(sub, g[hull][0], g[z][0])), 1, None)]
-        exact = tuple(self._first_component_row(1, terms, K, lo))
+        own = list(map(sub, g[hull][0], g[z][0]))
+        exact = tuple(self._first_component_row(1, own, (), K, lo))
         if not any(g[0][hull]):
             return exact, exact
-        terms.append((g[0][hull], -1, None))
-        return exact, tuple(self._first_component_row(1, terms, K, lo))
+        own = list(map(sub, own, g[0][hull]))
+        return exact, tuple(self._first_component_row(1, own, (), K, lo))
 
     def _pinned_proper_chain(self, t: int, hull: int, z: int, weights: tuple,
                              escape: list | None,
@@ -555,8 +559,8 @@ class CountingContext:
         chain: dict[int, tuple[int, ...]] = {}
         for x in range(hull - 1, z - 1, -1):
             l = hull - x
-            rests = [None] + [chain[x + l2] for l2 in range(1, l)] + [rest]
             if not self.factored:
+                rests = [None] + [chain[x + l2] for l2 in range(1, l)] + [rest]
                 chain[x] = tuple(self._pinned_proper_direct(t, x, l, z, K, rests))
                 continue
             # The component with the lowest free label touches x2 root labels
@@ -565,13 +569,12 @@ class CountingContext:
             #   l2 = 0:      G[x][0] - G[0][0]  (x2 >= 1; rest is this row)
             #   0 < l2 < l:  C(l, l2) G[x][l2]  (the touched labels join the root)
             #   l2 = l:      G[x][l] - G[0][hull]  (x2 < x; rest is exact_proper)
-            # The first sum is zero at x = 0, and so is the last (the kernel
-            # skips both).
+            # The first sum is the self weight.  It is zero at x = 0, and so
+            # is the last sum (the kernel skips both).
             Cl = self._C[l]
-            terms = [(escape[x], 1, None)]
-            terms += [(g[x][l2], Cl[l2], rests[l2]) for l2 in range(1, l)]
-            terms += [(list(map(sub, g[x][l], g[0][hull])), 1, rest)]
-            chain[x] = tuple(self._first_component_row(0, terms, K, lo))
+            terms = [(g[x][l2], [Cl[l2] * v for v in chain[x + l2]]) for l2 in range(1, l)]
+            terms.append((list(map(sub, g[x][l], g[0][hull])), rest))
+            chain[x] = tuple(self._first_component_row(0, escape[x], terms, K, lo))
         return chain
 
     def _pinned_proper_direct(self, t: int, x: int, l: int, z: int, K: int,
@@ -606,39 +609,36 @@ class CountingContext:
             row[k] = total
         return row
 
-    def _first_component_row(self, first: int, terms: list, K: int,
-                             lo: int | None) -> list[int]:
-        """row[0] = first; row[k] = sum over (g, scale, r) in terms of
-        scale * sum over k2 = lo..k of C(k-1, k2-1) g[k2] r[k - k2].
+    def _first_component_row(self, first: int, own: list[int] | None, terms: list,
+                             K: int, lo: int) -> list[int]:
+        """row[0] = first; row[k] = sum over k2 = lo..k of C(k-1, k2-1) times
+        (own[k2] row[k - k2] + sum over (g, r) in terms of g[k2] r[k - k2]).
 
         With the weights of :meth:`_weights` this splits off the component
         holding the lowest free label (k2 vertices, its other labels chosen
-        among the other k - 1 free ones) from the rest r, where r = None
-        stands for the row itself at fewer free vertices.  Every g has at
-        least K + 1 entries, and an all-zero g adds nothing.
+        among the other k - 1 free ones) from the rest r.  ``own`` is the self
+        weight, the weight of the one term whose rest is the row itself at
+        fewer free vertices (None for no such term).  Every weight row has at
+        least K + 1 entries, and an all-zero one adds nothing.
         """
         row = [first] + [0] * K
-        if lo is None or lo > K:
+        if lo > K:
             return row
         span = K - lo + 1  # row[lo:], or j = k - lo below
         # binom[j][i] = C(k - 1, k2 - 1) at k = lo + j, k2 = lo + i; each dot
         # product multiplies it into g as it goes, as :meth:`_conv` does.  The
         # rest's band comes first in the map, so those products stop with it.
         binom = [Ck[lo - 1:k] for k, Ck in enumerate(self._C[lo - 1:K], lo)]
-        # The terms at a fixed rest r sum into a forcing row, one list each.
+        # The terms with a stored rest sum into a forcing row, one list each.
         # The gap after k = 0: a rest is [r[0], 0, ..., 0, nonzero from low]
         # (an exact row has r[0] = 1 and low = lo of its round), so r[j - i]
         # vanishes for 0 < j - i < low; the r[0] term is split off and the
         # dot product runs over r[j], ..., r[low].  An all-zero rest adds
         # nothing.
         force = [0] * span
-        selfs = []
-        for g, scale, r in terms:
+        for g, r in terms:
             band = g[lo:]  # band[i] = g[k2]
             if not any(band):
-                continue
-            if r is None:
-                selfs.append((band, scale))
                 continue
             head = r[0]
             low = _first_nonzero(r, 1)
@@ -647,17 +647,20 @@ class CountingContext:
                     continue
                 low = span
             if head:
-                force = [f + scale * (sum(map(mul, r[j:low - 1:-1], map(mul, b, band)))
-                                      + head * band[j])
+                force = [f + sum(map(mul, r[j:low - 1:-1], map(mul, b, band))) + head * band[j]
                          for j, (f, b) in enumerate(zip(force, binom))]
             else:
-                force[low:] = [f + scale * sum(map(mul, r[j:low - 1:-1], map(mul, b, band)))
+                force[low:] = [f + sum(map(mul, r[j:low - 1:-1], map(mul, b, band)))
                                for j, (f, b) in enumerate(zip(force[low:], binom[low:]), low)]
+        band = own[lo:] if own is not None else ()
+        if not any(band):
+            row[lo:] = force
+            return row
         # The self row is [first, 0, ..., 0, row[lo:]] (leading zeros: a
-        # component has at least lo vertices), so first * g[k] is added once
-        # and the dot product runs over row[j], ..., row[low] only.  With
-        # first = 0 the row stays zero until the forcing row is nonzero, and
-        # its band starts there.
+        # component has at least lo vertices), so first * own[k] is added
+        # once and the dot product runs over row[j], ..., row[low] only.
+        # With first = 0 the row stays zero until the forcing row is nonzero,
+        # and its band starts there.
         if first:
             low = lo
         else:
@@ -666,40 +669,35 @@ class CountingContext:
                 return row
             low = lo + j0
         for j in range(low - lo, span):
-            total = force[j]
-            rband = row[j:low - 1:-1]
-            for band, scale in selfs:
-                s = sum(map(mul, rband, map(mul, binom[j], band)))
-                if first:
-                    s += first * band[j]
-                total += scale * s
-            row[lo + j] = total
+            s = sum(map(mul, row[j:low - 1:-1], map(mul, binom[j], band)))
+            if first:
+                s += first * band[j]
+            row[lo + j] = force[j] + s
         return row
 
-    def _conv(self, a: list[int], b: list[int], K: int, lo: int) -> list[int]:
-        """Binomial convolution c[k] = sum over k2 = lo..k of C(k, k2) a[k2] b[k-k2].
+    def _conv(self, a: list[int], b: list[int], K: int) -> list[int]:
+        """Binomial convolution c[k] = sum over k2 = 0..k of C(k, k2) a[k2] b[k-k2].
 
         Only the nonzero bands are multiplied.  Leading zeros: with fa and fb
-        the first nonzero entries of a (from k2 = max(lo, 1)) and of b, c[k]
-        sums k2 = fa..k - fb and vanishes below fa + fb, so supports that
-        cannot meet at or below K give zeros without a product.  The gap after
-        k = 0: an exact row is [1, 0, ..., 0, nonzero from lo(t)], so with
-        lo = 0 the a[0] b[k] term is split off and the rest convolved from
-        the next nonzero entry of a.
+        the first nonzero entries of a (from k2 = 1) and of b, c[k] sums
+        k2 = fa..k - fb and vanishes below fa + fb, so supports that cannot
+        meet at or below K give zeros without a product.  The gap after
+        k = 0: an exact row is [1, 0, ..., 0, nonzero from lo(t)], so the
+        a[0] b[k] term is split off and the rest convolved from the next
+        nonzero entry of a.
         """
         C = self._C
         c = [0] * (K + 1)
         fb = _first_nonzero(b)
         if fb is None:
             return c
-        fa = _first_nonzero(a, max(lo, 1))
+        fa = _first_nonzero(a, 1)
         if fa is not None:
             c[fa + fb:] = [sum(map(mul, map(mul, C[k][fa:k - fb + 1], a[fa:k - fb + 1]),
                                    b[k - fa::-1]))
                            for k in range(fa + fb, K + 1)]
-        head = a[0] if lo == 0 else 0
-        if head:
-            c = [v + head * u for v, u in zip(c, b)]
+        if a[0]:
+            c = [v + a[0] * u for v, u in zip(c, b)]
         return c
 
 

@@ -65,9 +65,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return sum(map(len, self._adj.values())) // 2
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
     def has_edge(self, u: int, v: int) -> bool:
         nb = self._adj.get(u, ())
         i = bisect_left(nb, v)

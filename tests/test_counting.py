@@ -336,19 +336,18 @@ class TestEvaluationStrategies:
 
 
 def naive_conv(C, a, b, K, lo):
-    """The formula of ``CountingContext._conv``, term by term."""
+    """The binomial convolution from k2 = lo, term by term; at lo = 0 it is
+    the formula of ``CountingContext._conv``."""
     return [sum(C[k][k2] * a[k2] * b[k - k2] for k2 in range(lo, k + 1)) for k in range(K + 1)]
 
 
-def naive_first_component_row(C, first, terms, K, lo):
+def naive_first_component_row(C, first, own, terms, K, lo):
     """The formula of ``CountingContext._first_component_row``, term by term."""
     row = [first] + [0] * K
-    if lo is None:
-        return row
+    pairs = list(terms) if own is None else [(own, row)] + list(terms)
     for k in range(lo, K + 1):
-        row[k] = sum(scale * sum(C[k - 1][k2 - 1] * g[k2] * (row if r is None else r)[k - k2]
-                                 for k2 in range(lo, k + 1))
-                     for g, scale, r in terms)
+        row[k] = sum(C[k - 1][k2 - 1] * g[k2] * r[k - k2]
+                     for g, r in pairs for k2 in range(lo, k + 1))
     return row
 
 
@@ -381,14 +380,14 @@ def weight_rows(draw, size):
 
 @st.composite
 def component_cases(draw):
-    """Arguments of ``_first_component_row``: weight rows g, scales of either
-    sign, and rests that are rows or None."""
+    """Arguments of ``_first_component_row``: a self weight that is a weight
+    row or None, and (g, r) pairs of a weight row and a rest row."""
     K = draw(st.integers(0, 9))
-    lo = draw(st.integers(0, K + 2)) or None
+    lo = draw(st.integers(1, K + 2))
     first = draw(st.sampled_from([0, 1, -2]))
-    term = st.tuples(weight_rows(K + 1), st.sampled_from([1, -1, 2, -3]),
-                     st.one_of(st.none(), table_rows(K + 1)))
-    return first, draw(st.lists(term, max_size=5)), K, lo
+    own = draw(st.one_of(st.none(), weight_rows(K + 1)))
+    term = st.tuples(weight_rows(K + 1), table_rows(K + 1))
+    return first, own, draw(st.lists(term, max_size=5)), K, lo
 
 
 class TestBandedKernels:
@@ -398,36 +397,50 @@ class TestBandedKernels:
     @settings(max_examples=500, deadline=None)
     def test_conv_matches_formula(self, ctx8, data):
         K = data.draw(st.integers(0, ctx8.n_max))
-        lo = data.draw(st.integers(0, K + 1))
         a = data.draw(table_rows(K + 1))
         b = data.draw(table_rows(K + 1))
-        assert ctx8._conv(a, b, K, lo) == naive_conv(ctx8._C, a, b, K, lo)
+        assert ctx8._conv(a, b, K) == naive_conv(ctx8._C, a, b, K, 0)
 
     @given(component_cases())
     @settings(max_examples=500, deadline=None)
     def test_first_component_row_matches_formula(self, ctx8, case):
         assert ctx8._first_component_row(*case) == naive_first_component_row(ctx8._C, *case)
 
-    @given(component_cases(), st.data())
-    @settings(max_examples=500, deadline=None)
-    def test_first_component_row_skips_all_zero_weights(self, ctx8, case, data):
-        """Terms with an all-zero g change no entry and make no dot product."""
-        first, terms, K, lo = case
-        zero = st.tuples(st.just([0] * (K + 1)), st.sampled_from([1, -1]),
-                         st.one_of(st.none(), table_rows(K + 1)))
-        padded = terms + data.draw(st.lists(zero, min_size=1, max_size=3))
-        dots = []
+    @staticmethod
+    def _dots_of(ctx, *cases):
+        """The rows of ``_first_component_row`` at each case, and the dot
+        products each one made."""
+        rows, dots = [], []
 
         def counted(*a):
-            dots.append(1)
+            dots[-1] += 1
             return sum(*a)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(counting, "sum", counted, raising=False)
-            row = ctx8._first_component_row(first, terms, K, lo)
-            calls = len(dots)
-            assert ctx8._first_component_row(first, padded, K, lo) == row
-        assert len(dots) == 2 * calls
+            for case in cases:
+                dots.append(0)
+                rows.append(ctx._first_component_row(*case))
+        return rows, dots
+
+    @given(component_cases(), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_first_component_row_skips_all_zero_weights(self, ctx8, case, data):
+        """Terms with an all-zero g change no entry and make no dot product."""
+        first, own, terms, K, lo = case
+        zero = st.tuples(st.just([0] * (K + 1)), table_rows(K + 1))
+        padded = terms + data.draw(st.lists(zero, min_size=1, max_size=3))
+        rows, dots = self._dots_of(ctx8, case, (first, own, padded, K, lo))
+        assert rows[0] == rows[1] and dots[0] == dots[1]
+
+    @given(component_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_an_all_zero_self_weight_is_none(self, ctx8, case):
+        """An all-zero ``own`` equals ``own = None`` and makes no dot product."""
+        first, _, terms, K, lo = case
+        rows, dots = self._dots_of(ctx8, (first, None, terms, K, lo),
+                                   (first, [0] * (K + 1), terms, K, lo))
+        assert rows[0] == rows[1] and dots[0] == dots[1]
 
 
 class TestRootContactIdentity:
@@ -623,8 +636,8 @@ class TestFillWork:
     exactly; a change that moves one states old -> new and why in CHANGES.md."""
 
     @pytest.mark.parametrize("args, muls, dots, convs, components", [
-        ((20,), 444_108, 70_853, 6_460, 4_541),
-        ((40, 3), 539_408, 28_368, 794, 759),
+        ((20,), 413_244, 63_348, 6_460, 4_541),
+        ((40, 3), 499_888, 25_326, 794, 759),
     ])
     def test_pinned_counts(self, monkeypatch, args, muls, dots, convs, components):
         calls = dict.fromkeys(["mul", "sum", "_conv", "_first_component_row"], 0)
