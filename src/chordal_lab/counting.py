@@ -37,8 +37,9 @@ value at every later t.  Rows whose root clique, or root plus layer, is
 larger than omega are empty, since every graph there contains that clique,
 and nothing stores them.  :meth:`CountingContext.row` is the one reader of
 the tables: it checks a kind's arguments, reads round min(t, last_round),
-and returns the stored row over k (a shared all-zero row above omega);
-each ``count_<kind>`` is that row's entry at k.  Every row is a tuple when
+and returns the stored row over k (a shared all-zero row above omega).
+:meth:`CountingContext.count` is the one reader of a class: given its kind
+and arguments, it returns that row's entry at k.  Every row is a tuple when
 the fill stores it, so a constructed context is filled and immutable, and
 may be read from any number of threads.
 
@@ -72,12 +73,23 @@ All arithmetic is exact; values grow to roughly 2**(n*n).
 from __future__ import annotations
 
 from itertools import islice
+from math import comb
 from operator import add, mul, sub
 from typing import Sequence
 
 # The counted class kinds and the names of their arguments, in order.
-# ``CountingContext.count_<kind>`` counts a class; ``ChordalSampler._KINDS``
-# holds the weigher and the handler that unrank it.
+# ``CountingContext.count(kind, args)`` counts a class; ``ChordalSampler._KINDS``
+# holds the weigher and the handler that unrank it.  A class is a set of graphs
+# on [x+l+k]: a root clique [x] held back from evaporation, in the pinned kinds
+# a layer [x+1, x+l], and k free vertices.  What each kind counts:
+#   within: the free part evaporates within t rounds, each component seeing a label z+1..x
+#   exact: within, every free component finishing exactly at t (a bare root counts once)
+#   exact_proper: exact, with no component adjacent to the whole root
+#   exact_single: one free component, adjacent to the whole root, finishing exactly at t
+#   exact_multi: two or more free components, each seeing the whole root, each exact at t
+#   pinned: last layer [x+1, x+l], root+layer a clique, exactly t rounds, connected outside [x]
+#   pinned_exact: pinned, every component outside root+layer (one at least) exact at t-1
+#   pinned_proper_z: pinned_exact, no component seeing all of root+layer, connected outside [z]
 CLASS_ARGS = {
     "within": "txkz", "exact": "txkz", "exact_proper": "txkz",
     "exact_single": "txk", "exact_multi": "txk",
@@ -178,14 +190,9 @@ class CountingContext:
                 "allow_large=True (CLI: --allow-large) to run it anyway (it may take hours)")
 
         size = n_max + 1
-        # Pascal triangle, rows zero-padded to full width so that C[a][b] is 0
-        # for b > a without bounds checks.
-        rows = [[0] * size for _ in range(size)]
-        for a in range(size):
-            rows[a][0] = 1
-            for b in range(1, a + 1):
-                rows[a][b] = rows[a - 1][b - 1] + rows[a - 1][b]
-        self._C = tuple(map(tuple, rows))
+        # Pascal triangle, rows of full width so that C[a][b] is 0 for b > a
+        # without bounds checks (comb gives that 0).
+        self._C = tuple(tuple(comb(a, b) for b in range(size)) for a in range(size))
         # Largest root-plus-layer a stored row may have.
         self._w = min(self.omega, n_max)
         # Shared all-zero and bare-root rows, by K: each has K + 1 entries.
@@ -206,12 +213,32 @@ class CountingContext:
         0 <= b <= a <= n_max, with every row zero-padded to n_max + 1 entries."""
         return self._C
 
+    def count(self, kind: str, args: Sequence[int]) -> int:
+        """The size of one counted class: a ``CLASS_ARGS`` kind with its
+        arguments in the order named there, or "all" / "connected" with
+        ``args = (n,)`` (:meth:`count_all`, :meth:`count_connected`).
+
+        A ``CLASS_ARGS`` class is entry k of its :meth:`row`.  Raises
+        ValueError for an unknown kind, a wrong number of arguments or
+        arguments outside the kind's domain.
+        """
+        if kind in ("all", "connected"):
+            if len(args) != 1:
+                raise ValueError(f"class kind {kind!r} takes the 1 argument (n), got {len(args)}")
+            return self.count_all(args[0]) if kind == "all" else self.count_connected(args[0])
+        t, x, l, k, z = class_params(kind, args)
+        row = self.row(kind, t, x, l, z)
+        if 0 <= k < len(row):
+            return row[k]
+        raise ValueError("counter arguments outside their domain")
+
     def row(self, kind: str, t: int, x: int, l: int = 0, z: int = 0) -> tuple[int, ...]:
-        """The stored row of ``count_<kind>`` over the free vertices
-        k = 0..n_max - x - l, at round min(t, last_round), as a read-only tuple.
+        """The stored row of class ``kind`` over the free vertices
+        k = 0..n_max - x - l, at round min(t, last_round), as a read-only tuple:
+        entry k is :meth:`count` of the class at k free vertices.
 
         ``kind`` is a ``CLASS_ARGS`` kind; l and z stay 0 where it takes none.
-        This is where every accessor's arguments are checked, its round
+        This is where every class read's arguments are checked, its round
         clamped and omega applied: a row whose root, or root plus layer,
         exceeds omega counts only graphs containing that clique, so it is the
         shared all-zero row of its length.  Raises ValueError for an unknown
@@ -240,53 +267,6 @@ class CountingContext:
         for i in key:
             rows = rows[i]
         return rows
-
-    # -- public counter accessors: a row, then the free vertices k -------------
-
-    def count_within(self, t: int, x: int, k: int, z: int) -> int:
-        """Rooted graphs on [x+k] that fully evaporate within t rounds.
-
-        The root [x] is a clique held in place; every component of the free
-        part must keep a neighbor among root labels z+1..x.
-        """
-        return _at(self.row("within", t, x, z=z), k)
-
-    def count_exact(self, t: int, x: int, k: int, z: int) -> int:
-        """Like :meth:`count_within`, but every free component finishes in
-        exactly round t.  A bare root (k = 0) counts once."""
-        return _at(self.row("exact", t, x, z=z), k)
-
-    def count_exact_proper(self, t: int, x: int, k: int, z: int) -> int:
-        """Like :meth:`count_exact`, with no component adjacent to the whole root."""
-        return _at(self.row("exact_proper", t, x, z=z), k)
-
-    def count_exact_single(self, t: int, x: int, k: int) -> int:
-        """One free component, adjacent to the whole root, finishing exactly at t."""
-        return _at(self.row("exact_single", t, x), k)
-
-    def count_exact_multi(self, t: int, x: int, k: int) -> int:
-        """At least two free components, each seeing the whole root, each exact at t."""
-        return _at(self.row("exact_multi", t, x), k)
-
-    def count_pinned(self, t: int, x: int, l: int, k: int) -> int:
-        """Graphs on [x+l+k] whose last layer is exactly the labels [x+1, x+l].
-
-        The root [x] plus that layer must form a clique, evaporation (sparing
-        the root) takes exactly t rounds, and the part outside the root is
-        connected.
-        """
-        return _at(self.row("pinned", t, x, l), k)
-
-    def count_pinned_exact(self, t: int, x: int, l: int, k: int) -> int:
-        """Like :meth:`count_pinned`, but every component outside root-plus-layer
-        finishes exactly in round t-1, and at least one such component exists."""
-        return _at(self.row("pinned_exact", t, x, l), k)
-
-    def count_pinned_proper_z(self, t: int, x: int, l: int, k: int, z: int) -> int:
-        """Five-argument form: connectivity is required only outside [z].  At
-        z = x this is :meth:`count_pinned_exact` with no component adjacent to
-        all of root-plus-layer."""
-        return _at(self.row("pinned_proper_z", t, x, l, z), k)
 
     # -- top-level counts ----------------------------------------------------
 
@@ -722,13 +702,6 @@ class _CountOnly(CountingContext):
             tables[kind][t - 1] = None
         if t >= 2:
             tables["within"][t - 2] = None
-
-
-def _at(row: tuple[int, ...], k: int) -> int:
-    """row[k], for a count at k free vertices; ValueError outside the row."""
-    if 0 <= k < len(row):
-        return row[k]
-    raise ValueError("counter arguments outside their domain")
 
 
 def _reach(n: int, w: int, lo: int | None) -> int:

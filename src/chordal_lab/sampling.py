@@ -135,9 +135,9 @@ class ChordalSampler:
     :meth:`unrank` maps each rank below a class's count to one member; a
     sample is the member of one uniform rank.  It runs *steps* ``(key, r,
     given, free)`` depth first from one stack: the node ``key`` = (kind,
-    *args) of a class ``CountingContext.count_<kind>`` counts, a rank ``r``
-    below its count, the labels of its given clique (the root, or the root
-    plus the layer) and its free labels.  At each step :meth:`_term` picks
+    *args) of a class ``CountingContext.count(kind, args)`` counts, a rank
+    ``r`` below its count, the labels of its given clique (the root, or the
+    root plus the layer) and its free labels.  At each step :meth:`_term` picks
     the term whose block holds r, which names the part sizes and contacts,
     and reads the remainder as mixed-radix digits: the indices of the parts'
     label subsets and the ranks of all parts but the last, which takes the
@@ -198,9 +198,9 @@ class ChordalSampler:
         """The member of rank r of one counted class, for 0 <= r < its count.
 
         ``kind`` is a ``CLASS_ARGS`` kind, or "all" / "connected" with
-        ``args = (n,)``; ``count_<kind>(*args)`` is the class size.  Distinct
-        ranks give distinct graphs.  Raises ValueError for an unknown kind, a
-        wrong argument count, or a rank outside [0, count).
+        ``args = (n,)``; ``CountingContext.count(kind, args)`` is the class
+        size.  Distinct ranks give distinct graphs.  Raises ValueError for an
+        unknown kind, a wrong argument count, or a rank outside [0, count).
         """
         return self._unrank(kind, args, r, None)
 
@@ -235,14 +235,11 @@ class ChordalSampler:
     def _class(self, kind: str, args: Sequence[int]) -> tuple[int, int, int]:
         """(count, vertex count, given clique size x + l) of a class, validating
         the kind and arguments."""
+        count = self.ctx.count(kind, args)
         if kind in ("all", "connected"):
-            if len(args) != 1:
-                raise ValueError(f"class kind {kind!r} takes the 1 argument (n), got {len(args)}")
-            size, hull = args[0], 0
-        else:
-            _, x, l, k, _ = class_params(kind, args)
-            size, hull = x + l + k, x + l
-        return getattr(self.ctx, "count_" + kind)(*args), size, hull
+            return count, args[0], 0
+        _, x, l, k, _ = class_params(kind, args)
+        return count, x + l + k, x + l
 
     # -- plans ---------------------------------------------------------------
 
@@ -297,7 +294,7 @@ class ChordalSampler:
                 flat += radices
                 start += w
         self.ops += weighed
-        if start != getattr(self.ctx, "count_" + kind)(*args):
+        if start != self.ctx.count(kind, args):
             raise AssertionError(f"the weights of {kind}{tuple(args)} do not sum to its count")
         plan = tuple(starts), tuple(terms), tuple(flat)
         plans = self._plans

@@ -72,63 +72,63 @@ def ctx8():
 
 class TestBaseCases:
     def test_within_time_zero(self, ctx5):
-        assert ctx5.count_within(0, 2, 0, 1) == 1
-        assert ctx5.count_within(0, 2, 3, 1) == 0
+        assert ctx5.count("within", (0, 2, 0, 1)) == 1
+        assert ctx5.count("within", (0, 2, 3, 1)) == 0
 
     def test_within_bare_root_any_time(self, ctx5):
         for t in range(4):
-            assert ctx5.count_within(t, 3, 0, 2) == 1
+            assert ctx5.count("within", (t, 3, 0, 2)) == 1
 
     def test_exact_bare_root(self, ctx5):
-        assert ctx5.count_exact(2, 2, 0, 1) == 1
-        assert ctx5.count_exact_proper(2, 2, 0, 1) == 1
+        assert ctx5.count("exact", (2, 2, 0, 1)) == 1
+        assert ctx5.count("exact_proper", (2, 2, 0, 1)) == 1
 
     def test_single_and_multi_zero_cases(self, ctx5):
-        assert ctx5.count_exact_single(0, 1, 2) == 0
-        assert ctx5.count_exact_single(2, 1, 0) == 0
-        assert ctx5.count_exact_multi(0, 1, 2) == 0
-        assert ctx5.count_exact_multi(2, 1, 0) == 0
-        assert ctx5.count_exact_multi(1, 1, 1) == 0  # two components need two vertices
+        assert ctx5.count("exact_single", (0, 1, 2)) == 0
+        assert ctx5.count("exact_single", (2, 1, 0)) == 0
+        assert ctx5.count("exact_multi", (0, 1, 2)) == 0
+        assert ctx5.count("exact_multi", (2, 1, 0)) == 0
+        assert ctx5.count("exact_multi", (1, 1, 1)) == 0  # two components need two vertices
 
     def test_pinned_color_budget_gate(self):
         ctx = CountingContext(5, 2)
-        assert ctx.count_pinned(1, 1, 2, 0) == 0  # root + layer exceed the budget
-        assert ctx.count_pinned(1, 1, 1, 0) == 1
-        assert ctx.count_pinned(1, 0, 3, 0) == 0  # bare triangle needs 3 colors
-        assert CountingContext(5, 3).count_pinned(1, 0, 3, 0) == 1
+        assert ctx.count("pinned", (1, 1, 2, 0)) == 0  # root + layer exceed the budget
+        assert ctx.count("pinned", (1, 1, 1, 0)) == 1
+        assert ctx.count("pinned", (1, 0, 3, 0)) == 0  # bare triangle needs 3 colors
+        assert CountingContext(5, 3).count("pinned", (1, 0, 3, 0)) == 1
 
     def test_pinned_time_one(self, ctx5):
-        assert ctx5.count_pinned(1, 0, 3, 0) == 1
-        assert ctx5.count_pinned(1, 0, 3, 2) == 0
+        assert ctx5.count("pinned", (1, 0, 3, 0)) == 1
+        assert ctx5.count("pinned", (1, 0, 3, 2)) == 0
 
     def test_pinned_no_free_vertices_needs_time_one(self, ctx5):
-        assert ctx5.count_pinned(2, 1, 1, 0) == 0
+        assert ctx5.count("pinned", (2, 1, 1, 0)) == 0
 
     def test_pinned_exact_zeros(self, ctx5):
-        assert ctx5.count_pinned_exact(1, 0, 2, 3) == 0
-        assert ctx5.count_pinned_exact(3, 0, 2, 0) == 0
+        assert ctx5.count("pinned_exact", (1, 0, 2, 3)) == 0
+        assert ctx5.count("pinned_exact", (3, 0, 2, 0)) == 0
 
     def test_pinned_proper_zeros(self, ctx5):
-        assert ctx5.count_pinned_proper_z(1, 1, 1, 3, 0) == 0
-        assert ctx5.count_pinned_proper_z(3, 1, 1, 0, 0) == 0
+        assert ctx5.count("pinned_proper_z", (1, 1, 1, 3, 0)) == 0
+        assert ctx5.count("pinned_proper_z", (3, 1, 1, 0, 0)) == 0
 
     def test_domain_violations_raise(self, ctx5):
         with pytest.raises(ValueError):
-            ctx5.count_within(1, 0, 1, 0)  # root must be nonempty
+            ctx5.count("within", (1, 0, 1, 0))  # root must be nonempty
         with pytest.raises(ValueError):
-            ctx5.count_within(1, 2, 1, 2)  # z < x required
+            ctx5.count("within", (1, 2, 1, 2))  # z < x required
         with pytest.raises(ValueError):
-            ctx5.count_pinned(1, 2, 0, 1)  # layer must be nonempty
+            ctx5.count("pinned", (1, 2, 0, 1))  # layer must be nonempty
         with pytest.raises(ValueError):
-            ctx5.count_pinned_proper_z(2, 1, 1, 1, 2)  # z <= x required
+            ctx5.count("pinned_proper_z", (2, 1, 1, 1, 2))  # z <= x required
         with pytest.raises(ValueError):
-            ctx5.count_within(1, 3, 4, 0)  # 7 vertices exceed n_max=5
+            ctx5.count("within", (1, 3, 4, 0))  # 7 vertices exceed n_max=5
 
 
 class TestOracleFrozenValues:
     @pytest.mark.parametrize("kind,args,expected", ORACLE_CLASS_SIZES)
     def test_frozen_value(self, ctx5, kind, args, expected):
-        assert getattr(ctx5, "count_" + kind)(*args) == expected
+        assert ctx5.count(kind, args) == expected
 
     @pytest.mark.parametrize("kind,args,expected", ORACLE_CLASS_SIZES)
     def test_frozen_value_still_matches_enumeration(self, kind, args, expected):
@@ -136,21 +136,27 @@ class TestOracleFrozenValues:
 
     def test_single_component_blocked_by_color_budget(self):
         # only the complete graph finishes in one round, and K3 needs 3 colors
-        assert CountingContext(4, 2).count_exact_single(1, 0, 3) == 0
+        assert CountingContext(4, 2).count("exact_single", (1, 0, 3)) == 0
 
 
 class TestClassRegistry:
     """One table names the arguments of every counted kind; the counter, the
     sampler and the membership oracle all follow it."""
 
-    @pytest.mark.parametrize("kind", sorted(CLASS_ARGS))
+    @pytest.mark.parametrize("kind", sorted(ChordalSampler._KINDS))
     def test_counter_and_sampler_take_the_named_arguments(self, ctx5, kind):
-        names = list(CLASS_ARGS[kind])
-        count = inspect.signature(getattr(ctx5, "count_" + kind))
-        assert list(count.parameters) == names
+        names = CLASS_ARGS.get(kind, "n")  # "all" and "connected" take n
+        args = tuple(int(name != "z") for name in names)  # a class of ctx5: z = 0, the rest 1
+        assert isinstance(ctx5.count(kind, args), int)
+        for wrong in (args + (1,), args[:-1]):
+            with pytest.raises(ValueError, match=r"takes the \d+ arguments? \("):
+                ctx5.count(kind, wrong)
         weigh, _ = ChordalSampler._KINDS[kind]
-        params = inspect.signature(weigh).parameters.values()
-        assert [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD] == ["self"] + names
+        params = [p.name for p in inspect.signature(weigh).parameters.values()
+                  if p.kind is p.POSITIONAL_OR_KEYWORD]
+        assert len(params) == 1 + len(names)
+        if kind in CLASS_ARGS:
+            assert params == ["self", *names]
 
     def test_the_sampler_has_a_handler_for_every_node_kind(self):
         assert set(ChordalSampler._KINDS) == set(CLASS_ARGS) | {"all", "connected"}
@@ -170,33 +176,33 @@ class TestClassSizesAgainstEnumeration:
 
     @pytest.mark.parametrize("kind", ["within", "exact", "exact_proper"])
     def test_root_family(self, ctx5, kind):
-        fn = getattr(ctx5, "count_" + kind)
         lo_t = 0 if kind == "within" else 1
         for t in range(lo_t, 4):
             for x in range(1, 4):
                 for k in range(0, 5 - x):
                     for z in range(0, x):
-                        assert fn(t, x, k, z) == len(class_members(kind, (t, x, k, z), 5)), \
-                            (kind, t, x, k, z)
+                        args = (t, x, k, z)
+                        assert ctx5.count(kind, args) == len(class_members(kind, args, 5)), \
+                            (kind, args)
 
     @pytest.mark.parametrize("kind", ["exact_single", "exact_multi"])
     def test_component_family(self, ctx5, kind):
-        fn = getattr(ctx5, "count_" + kind)
         lo_x = 0 if kind == "exact_single" else 1
         for t in range(1, 4):
             for x in range(lo_x, 3):
                 for k in range(0, 5 - x):
-                    assert fn(t, x, k) == len(class_members(kind, (t, x, k), 5)), (kind, t, x, k)
+                    args = (t, x, k)
+                    assert ctx5.count(kind, args) == len(class_members(kind, args, 5)), (kind, args)
 
     @pytest.mark.parametrize("kind", ["pinned", "pinned_exact"])
     def test_pinned_family(self, ctx5, kind):
-        fn = getattr(ctx5, "count_" + kind)
         for t in range(1, 4):
             for x in range(0, 3):
                 for l in range(1, 4 - x):
                     for k in range(0, 5 - x - l):
-                        assert fn(t, x, l, k) == len(class_members(kind, (t, x, l, k), 5)), \
-                            (kind, t, x, l, k)
+                        args = (t, x, l, k)
+                        assert ctx5.count(kind, args) == len(class_members(kind, args, 5)), \
+                            (kind, args)
 
     def test_pinned_proper_z_family(self, ctx5):
         for t in range(1, 4):
@@ -205,7 +211,7 @@ class TestClassSizesAgainstEnumeration:
                     for k in range(0, 5 - x - l):
                         for z in range(0, x + 1):
                             args = (t, x, l, k, z)
-                            assert ctx5.count_pinned_proper_z(*args) == \
+                            assert ctx5.count("pinned_proper_z", args) == \
                                 len(class_members("pinned_proper_z", args, 5)), args
 
 
@@ -218,7 +224,7 @@ class TestTopLevelCounts:
     def test_connected_is_sum_over_finish_times(self):
         ctx = CountingContext(5, 5)
         assert ctx.count_connected(3) == sum(
-            ctx.count_exact_single(t, 0, 3) for t in range(1, 4))
+            ctx.count("exact_single", (t, 0, 3)) for t in range(1, 4))
 
     def test_trees(self):
         ctx = CountingContext(7, 2)
@@ -277,22 +283,21 @@ class TestOracleGateSmall:
 
 
 def table_digest(ctx: CountingContext) -> str:
-    """sha256 over the lines "<kind> <args> <value>" of every accessor value.
+    """sha256 over the lines "<kind> <args> <value>" of every class count.
 
     Kinds run in CLASS_ARGS order and arguments in ``product`` order, t over
     range(n_max + 2) and every other argument over range(n_max + 1); tuples
-    with x + l + k > n_max, or that the accessor rejects, are left out.
+    with x + l + k > n_max, or that ``count`` rejects, are left out.
     """
     n = ctx.n_max
     h = hashlib.sha256()
     for kind, names in CLASS_ARGS.items():
-        count = getattr(ctx, "count_" + kind)
         for args in product(*(range(n + 2 if name == "t" else n + 1) for name in names)):
             _, x, l, k, _ = class_params(kind, args)
             if x + l + k > n:
                 continue
             try:
-                value = count(*args)
+                value = ctx.count(kind, args)
             except ValueError:
                 continue
             h.update(f"{kind} {' '.join(map(str, args))} {value}\n".encode())
@@ -323,9 +328,9 @@ class TestEvaluationStrategies:
             for x in range(1, 4):
                 for k in range(0, 5 - x):
                     for z in range(0, x):
-                        e = ctx5.count_exact(t, x, k, z)
-                        assert ctx5.count_exact_proper(t, x, k, z) <= e
-                        assert e <= ctx5.count_within(t, x, k, z)
+                        e = ctx5.count("exact", (t, x, k, z))
+                        assert ctx5.count("exact_proper", (t, x, k, z)) <= e
+                        assert e <= ctx5.count("within", (t, x, k, z))
 
     def test_repeated_reads_are_stable(self):
         ctx = CountingContext(6, 6)
@@ -448,7 +453,7 @@ class TestRootContactIdentity:
     exact(t - 1, z, ., 0) as exponential generating functions:
     exact(t - 1, z, ., 0) convolved with the row at z gives the row at 0.
     The fill derives the z >= 1 rows from this identity, so it is checked
-    here through the public accessors only."""
+    here through ``count`` only."""
 
     @pytest.mark.parametrize("n, omega", [(12, 12), (13, 5), (12, 3)])
     def test_z_rows_times_exact_give_the_z0_row(self, n, omega):
@@ -459,11 +464,11 @@ class TestRootContactIdentity:
                 K = n - hull
                 for x in range(hull):
                     l = hull - x
-                    p0 = [ctx.count_pinned_proper_z(t, x, l, k, 0) for k in range(K + 1)]
+                    p0 = [ctx.count("pinned_proper_z", (t, x, l, k, 0)) for k in range(K + 1)]
                     for z in range(1, x + 1):
-                        pz = [ctx.count_pinned_proper_z(t, x, l, k, z) for k in range(K + 1)]
+                        pz = [ctx.count("pinned_proper_z", (t, x, l, k, z)) for k in range(K + 1)]
                         # Round 0 finishes no component: exact(0, z, ., 0) is the bare root.
-                        e = [ctx.count_exact(t - 1, z, k, 0) if t > 1 else int(k == 0)
+                        e = [ctx.count("exact", (t - 1, z, k, 0)) if t > 1 else int(k == 0)
                              for k in range(K + 1)]
                         assert naive_conv(ctx._C, e, pz, K, 0) == p0, (t, x, l, z)
                         checked += 1
@@ -489,7 +494,7 @@ class TestModuleConveniences:
 
 # Rows of CountingContext(12, 4) whose root (or root plus layer) exceeds
 # omega, some at a round past the last nonzero one, with the values the
-# accessors returned before such rows were made empty.  Those values counted
+# class reads returned before such rows were made empty.  Those values counted
 # graphs whose root clique was exempt from the color bound; the oracle
 # (TestExhaustiveOracle.test_rows_past_omega) finds no member in these rows.
 PAST_OMEGA_VALUES = [
@@ -508,7 +513,7 @@ PAST_OMEGA_VALUES = [
 class TestPastOmegaRows:
     @pytest.mark.parametrize("kind,args,former", PAST_OMEGA_VALUES)
     def test_value_kept(self, kind, args, former):
-        assert getattr(CountingContext(12, 4), "count_" + kind)(*args) == 0
+        assert CountingContext(12, 4).count(kind, args) == 0
 
 
 ORACLE_N = 4
@@ -516,19 +521,18 @@ ORACLE_N = 4
 
 @lru_cache(maxsize=None)
 def _oracle_rows(omega: int) -> tuple:
-    """(kind, args, hull, counted, enumerated) for every tuple the accessors
-    accept at n_max = ORACLE_N with t <= n_max + 1, where hull = x + l."""
+    """(kind, args, hull, counted, enumerated) for every tuple ``count``
+    accepts at n_max = ORACLE_N with t <= n_max + 1, where hull = x + l."""
     ctx = CountingContext(ORACLE_N, omega)
     rows = []
     for kind, names in CLASS_ARGS.items():
-        count = getattr(ctx, "count_" + kind)
         ranges = [range(ORACLE_N + 2) if c == "t" else range(ORACLE_N + 1) for c in names]
         for args in product(*ranges):
             _, x, l, k, _ = class_params(kind, args)
             if x + l + k > ORACLE_N:
                 continue
             try:
-                counted = count(*args)
+                counted = ctx.count(kind, args)
             except ValueError:
                 continue
             rows.append((kind, args, x + l, counted, len(class_members(kind, args, omega))))
@@ -536,7 +540,7 @@ def _oracle_rows(omega: int) -> tuple:
 
 
 class TestExhaustiveOracle:
-    """Every accessor, over its whole domain at n_max = 4, against enumeration."""
+    """Every class kind, over its whole domain at n_max = 4, against enumeration."""
 
     @pytest.mark.parametrize("omega", range(1, ORACLE_N + 1))
     def test_rows_within_omega(self, omega):
@@ -545,7 +549,7 @@ class TestExhaustiveOracle:
         assert [r for r in rows if r[3] != r[4]] == []
 
     # Rows whose root (or root plus layer) is a clique larger than omega hold
-    # no omega-colorable graph, and the accessors return 0 there.
+    # no omega-colorable graph, and ``count`` returns 0 there.
     @pytest.mark.parametrize("omega", range(1, ORACLE_N))
     def test_rows_past_omega(self, omega):
         rows = [r for r in _oracle_rows(omega) if r[2] > omega]
@@ -684,7 +688,7 @@ class TestStationaryHulls:
         ctx = CountingContext(n, factored=factored)
         # lo(t): the fewest free vertices of a component finishing in round t.
         lo = [None] + [min((k for x in range(n) for k in range(1, n - x + 1)
-                            if ctx.count_exact_single(t, x, k)), default=None)
+                            if ctx.count("exact_single", (t, x, k))), default=None)
                        for t in range(1, ctx.last_round + 1)]
         moved = within = pinned = 0
         for t in range(2, ctx.last_round + 1):
@@ -782,16 +786,15 @@ class TestNoProcessWideState:
 
 
 def _keys_at(ctx: CountingContext, kind: str) -> list[tuple[int, ...]]:
-    """The arguments after t of every key the accessor of ``kind`` accepts."""
+    """The arguments after t of every key ``count`` accepts for ``kind``."""
     n = ctx.n_max
-    count = getattr(ctx, "count_" + kind)
     keys = []
     for rest in product(range(n + 1), repeat=len(CLASS_ARGS[kind]) - 1):
         _, x, l, k, _ = class_params(kind, (1, *rest))
         if x + l + k > n:
             continue
         try:
-            count(ctx.last_round, *rest)
+            ctx.count(kind, (ctx.last_round, *rest))
         except ValueError:
             continue
         keys.append(rest)
@@ -806,13 +809,12 @@ class TestPastTheLastRound:
         ctx = CountingContext(n, omega)
         last = ctx.last_round
         for kind in CLASS_ARGS:
-            count = getattr(ctx, "count_" + kind)
             keys = _keys_at(ctx, kind)
             assert keys, kind
             for key in keys:
-                at_last = count(last, *key)
-                assert count(last + 1, *key) == at_last, (kind, key)
-                assert count(last + 100, *key) == at_last, (kind, key)
+                at_last = ctx.count(kind, (last, *key))
+                assert ctx.count(kind, (last + 1, *key)) == at_last, (kind, key)
+                assert ctx.count(kind, (last + 100, *key)) == at_last, (kind, key)
 
     @pytest.mark.parametrize("n,omega", [(1, 1), (2, 2), (5, 1), (6, 6), (8, 3), (9, 2)])
     def test_the_last_round_is_the_limit(self, n, omega):
@@ -822,16 +824,15 @@ class TestPastTheLastRound:
         ctx = CountingContext(n, omega)
         last = ctx.last_round
         for kind in CLASS_ARGS:
-            count = getattr(ctx, "count_" + kind)
             for key in _keys_at(ctx, kind):
                 _, x, l, k, _ = class_params(kind, (last, *key))
                 if kind == "within":
-                    want = count(last - 1, *key)
+                    want = ctx.count(kind, (last - 1, *key))
                 elif kind in ("exact", "exact_proper"):
                     want = int(k == 0 and x <= ctx.omega)
                 else:
                     want = 0
-                assert count(last, *key) == want, (kind, key)
+                assert ctx.count(kind, (last, *key)) == want, (kind, key)
 
     def test_last_round_is_read_only(self, ctx5):
         assert ctx5.last_round == 5
@@ -840,7 +841,7 @@ class TestPastTheLastRound:
 
 
 class TestRows:
-    """``row`` is each accessor's whole row over k: its values at every k,
+    """``row`` is each class's whole row over k: its values at every k,
     at rounds up to and past the last, and its empty rows above omega."""
 
     @pytest.mark.parametrize("n,omega", [(8, 3), (10, 10), (12, 4)])
@@ -848,7 +849,6 @@ class TestRows:
         ctx = CountingContext(n, omega)
         last = ctx.last_round
         for kind, names in CLASS_ARGS.items():
-            count = getattr(ctx, "count_" + kind)
             layers = range(n + 2) if "l" in names else (0,)
             contacts = range(-1, n + 2) if "z" in names else (0,)
             rows = 0
@@ -859,7 +859,7 @@ class TestRows:
                     row = ctx.row(kind, t, x, l, z)
                 except ValueError:
                     with pytest.raises(ValueError):
-                        count(*(args.get(name, 0) for name in names))
+                        ctx.count(kind, [args.get(name, 0) for name in names])
                     continue
                 rows += 1
                 assert isinstance(row, tuple) and len(row) == n - x - l + 1, (kind, args)
@@ -867,10 +867,10 @@ class TestRows:
                     args["k"] = k
                     call = [args[name] for name in names]
                     if 0 <= k < len(row):
-                        assert count(*call) == row[k], (kind, args)
+                        assert ctx.count(kind, call) == row[k], (kind, args)
                     else:
                         with pytest.raises(ValueError):
-                            count(*call)
+                            ctx.count(kind, call)
                 if t > last:
                     assert row == ctx.row(kind, last, x, l, z), (kind, args)
                 # A single or multi class has a free component beside its root.
@@ -925,8 +925,8 @@ class TestIndependentCertificates:
 
     @pytest.mark.skipif(os.environ.get("CHORDAL_LAB_STRETCH") != "1",
                         reason="stretch target; set CHORDAL_LAB_STRETCH=1 to run")
-    def test_omega_n_minus_2_at_65(self):
-        # The check above, past EXACT_LIMIT: two count-only fills, about 85 s
+    def test_stretch_omega_n_minus_2_at_65(self):
+        # The check above, past EXACT_LIMIT: two count-only fills, about 90 s
         # in all on a 2-core x86-64.
         n = 65
         total = exact_counts(n, allow_large=True)[1][n]

@@ -228,7 +228,7 @@ class TestSampleClass:
     @pytest.mark.parametrize("kind,args", CASES)
     def test_membership_and_support(self, ctx5, kind, args):
         members = class_members(kind, args, omega=5)
-        count = getattr(ctx5, "count_" + kind)(*args)
+        count = ctx5.count(kind, args)
         assert count == len(members)
         if count == 0:
             with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ class TestSampleClass:
 
     def test_empty_class_raises(self, ctx5):
         # two free vertices cannot take three rounds to evaporate
-        assert ctx5.count_exact_single(3, 0, 2) == 0
+        assert ctx5.count("exact_single", (3, 0, 2)) == 0
         with pytest.raises(ValueError):
             ChordalSampler(ctx5).sample_class("exact_single", (3, 0, 2), RandomStream(0))
 
@@ -358,17 +358,16 @@ BIJECTION_N = 5
 
 
 def _class_tuples(ctx: CountingContext, n: int):
-    """(kind, args) of every class the accessors accept on at most n vertices,
+    """(kind, args) of every class ``count`` accepts on at most n vertices,
     with t <= n + 1."""
     for kind, names in CLASS_ARGS.items():
-        count = getattr(ctx, "count_" + kind)
         ranges = [range(n + 2) if c == "t" else range(n + 1) for c in names]
         for args in product(*ranges):
             _, x, l, k, _ = class_params(kind, args)
             if x + l + k > n:
                 continue
             try:
-                count(*args)
+                ctx.count(kind, args)
             except ValueError:
                 continue
             yield kind, args
@@ -384,7 +383,7 @@ class TestUnrankBijection:
         s = ChordalSampler(ctx)
         nonempty = set()
         for kind, args in _class_tuples(ctx, BIJECTION_N):
-            count = getattr(ctx, "count_" + kind)(*args)
+            count = ctx.count(kind, args)
             graphs = {s.unrank(kind, args, r) for r in range(count)}
             assert len(graphs) == count, (kind, args)
             for g in graphs:
@@ -404,7 +403,7 @@ class TestUnrankBijection:
         s = ChordalSampler(ctx)
         for kind, args in _class_tuples(ctx, BIJECTION_N):
             if kind in ("pinned_exact", "pinned_proper_z"):
-                for r in range(getattr(ctx, "count_" + kind)(*args)):
+                for r in range(ctx.count(kind, args)):
                     s.unrank(kind, args, r)
         assert s.plan_stats()["plans"] == s.plan_stats()["misses"]  # none evicted
         rounds = {key[1] for key in s._plans if key[0] in ("pinned_exact", "pinned_proper_z")}
@@ -416,7 +415,7 @@ class TestUnrankBijection:
         s = ChordalSampler(ctx)
         chordal = brute_counts(n, include_graphs=True).chordal_graphs
         for kind in kinds:
-            count = getattr(ctx, "count_" + kind)(n)
+            count = ctx.count(kind, (n,))
             got = [bitmask_of(s.unrank(kind, (n,), r)) for r in range(count)]
             want = {m for m, mc, conn in chordal
                     if mc <= omega and (conn or kind == "all")}
@@ -438,14 +437,14 @@ class TestUnrankDomain:
     def test_rank_outside_the_class(self, ctx5):
         s = ChordalSampler(ctx5)
         for kind, args in [("exact", (1, 2, 3, 1)), ("all", (5,)), ("connected", (4,))]:
-            count = getattr(ctx5, "count_" + kind)(*args)
+            count = ctx5.count(kind, args)
             assert s.unrank(kind, args, count - 1) != s.unrank(kind, args, 0)
             for r in (-1, count):
                 with pytest.raises(ValueError, match="rank"):
                     s.unrank(kind, args, r)
 
     def test_empty_class_has_no_rank(self, ctx5):
-        assert ctx5.count_exact_single(3, 0, 2) == 0
+        assert ctx5.count("exact_single", (3, 0, 2)) == 0
         with pytest.raises(ValueError, match="rank"):
             ChordalSampler(ctx5).unrank("exact_single", (3, 0, 2), 0)
 
@@ -457,8 +456,8 @@ class TestUnrankDomain:
         # within keeps its last round's count for every later t, and unranking
         # starts its walk down the rounds at the context's last round
         args = (2000, 2, 3, 1)
-        count = ctx5.count_within(*args)
-        assert count == ctx5.count_within(5, 2, 3, 1)
+        count = ctx5.count("within", args)
+        assert count == ctx5.count("within", (5, 2, 3, 1))
         s = ChordalSampler(ctx5)
         graphs = {s.unrank("within", args, r) for r in range(count)}
         assert len(graphs) == count
@@ -466,8 +465,8 @@ class TestUnrankDomain:
 
     def test_a_huge_round_unranks_as_the_last(self, ctx5):
         last = ctx5.last_round
-        count = ctx5.count_within(last, 2, 3, 1)
-        assert ctx5.count_within(10 ** 9, 2, 3, 1) == count
+        count = ctx5.count("within", (last, 2, 3, 1))
+        assert ctx5.count("within", (10 ** 9, 2, 3, 1)) == count
         s = ChordalSampler(ctx5)
         start = time.perf_counter()
         for r in range(count):
@@ -502,7 +501,7 @@ class TestOneDrawPerSample:
         for _ in range(5):
             bounds.clear()
             g = draw(12, rng)
-            assert bounds == [getattr(ctx, "count_" + kind)(12)]
+            assert bounds == [ctx.count(kind, (12,))]
             assert is_chordal(g)
 
 
@@ -639,7 +638,7 @@ class TestTermDecoders:
         plans = dict(s._plans)  # unranking below reorders and evicts the cache
         assert {key[0] for key in plans} == set(CLASS_ARGS) | {"all", "connected"}
         for (kind, *args), (starts, terms, radices) in plans.items():
-            count = getattr(ctx, "count_" + kind)(*args)
+            count = ctx.count(kind, args)
             ends = starts[1:] + (count,)
             key = (kind, *args)
             a = len(radices) // len(terms)  # radices per term, flat
