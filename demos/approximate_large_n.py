@@ -9,13 +9,13 @@ accuracy costs.
 
 Measured on a 2-core Intel Xeon machine with CPython 3.11.7, one
 `chordal-lab approx-count --epsilon 1e-3` process end to end, printing the
-exact decimal count included: 0.15-0.25 s at n = 1000 (75k digits; import
-alone is 0.11-0.13 s) and 1.8-2.1 s at n = 3000 (678k digits), over ten
-process runs each.  The cost follows the size
+exact decimal count included: 0.14-0.17 s at n = 1000 (75k digits;
+start-up and import alone are 0.11-0.13 s) and 0.43-0.53 s at n = 3000
+(678k digits), over ten process runs each.  The cost follows the size
 of the count, about n**2 / 4 bits, so it grows much faster than n.  A warm
 `chordal-lab approx-sample --n 1000 --epsilon 1e-3` sample, drawn and written
-as edge-list text, takes about 26.7 ms on that machine (median of ten
-benchmark runs, `split` workload, BENCH_29.json): the sampler builds each
+as edge-list text, takes about 22.5 ms on that machine (median of ten
+benchmark runs, `split` workload, BENCH_36.json): the sampler builds each
 graph from one bipartite 0/1 byte matrix, whose rows and columns give every
 vertex's neighbours without a symmetry check.
 

@@ -264,6 +264,13 @@ class TestApprox:
         assert code == 0
         assert re.fullmatch(r"\d+\n", out)
 
+    def test_approx_count_at_3000_is_pinned(self, capsys):
+        # ROADMAP's largest approx-count target: 678k digits.  Digest taken
+        # before the window powers were evaluated by binomial expansion.
+        code, out, _ = run_cli(["approx-count", "--n", "3000", "--epsilon", "1e-3"], capsys)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == "54dbb3a366b88a8ebe90acb08937b0ec0ce9ccb6"
+
     def test_approx_count_refuses_exact_fill_above_limit(self, capsys, monkeypatch):
         import chordal_lab.counting as counting
 

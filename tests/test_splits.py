@@ -204,6 +204,30 @@ class TestLowQSums:
     def test_q1_empty_ranges(self):
         assert split_count_q1_full(3) == 0
 
+    def test_mersenne_power_matches_pow(self):
+        # every small shape, the window shapes at n = 1000 and 3000, and
+        # narrow and wide extremes
+        shapes = [(m, e) for m in range(71) for e in range(71)]
+        for n in (1000, 3000):
+            shapes += [(m, n - 1 - m) for m in range(n // 2 - 5, n // 2 + 2)]
+        shapes += [(1, 1000), (2, 1000), (1000, 1), (5000, 20)]
+        for m, e in shapes:
+            assert splits._mersenne_power(m, e) == (2 ** m - 1) ** e, (m, e)
+
+    def test_window_terms_match_direct_formula(self):
+        # the terms approx-count --epsilon 1e-3 keeps at n = 1000, against
+        # the textbook C(N, c) * (2^m - 1)^(N - m), m = min(c, N - c)
+        def term(N, c):
+            m = min(c, N - c)
+            return comb(N, c) * (2 ** m - 1) ** (N - m)
+
+        n = 1000
+        windows = split_windows(n, Fraction(1, 2000) * Fraction(1023, 1024))
+        assert len(windows.cells) == 9
+        for c, t0, t1 in zip(windows.cells, windows.q0_terms, windows.q1_terms):
+            assert t0 == term(n, c), c
+            assert t1 == n * term(n - 1, c), c
+
     def test_truncated_never_exceeds_full(self):
         for n in (10, 40, 70, 100):
             for eps in ("0.5", "1e-2", "1e-6"):
@@ -314,17 +338,18 @@ class TestCertifiedWindows:
         assert windows.w1 == split_count_q1_full(n)
 
     def test_one_pow_per_distinct_base_and_no_cache(self, monkeypatch):
-        # every big power goes through the module-level name ``pow``
+        # every window power goes through ``_mersenne_power``
         calls = []
+        kernel = splits._mersenne_power
 
-        def counting_pow(*args):
+        def counting_power(*args):
             calls.append(args)
-            return pow(*args)
+            return kernel(*args)
 
         n = 1000
         cells = split_windows(n, Fraction(1, 2000) * Fraction(1023, 1024)).cells
         distinct_m = {min(c, n - c) for c in cells} | {min(c, n - 1 - c) for c in cells}
-        monkeypatch.setattr(splits, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(splits, "_mersenne_power", counting_power)
         first = approx_count_chordal(n, "1e-3")
         assert len(calls) == len(distinct_m) == 6
         assert len({args[0] for args in calls}) == len(calls)
